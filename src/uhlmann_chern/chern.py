@@ -24,11 +24,14 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     GapClosed,
+    MissingModelHook,
+    NonFiniteInput,
     NonIntegerPlaquetteSum,
     ResolutionTooLowWarning,
 )
 from .linalg import DEGENERACY_TOL, eigh_batch
 from .geometry import (
+    GAP_FLOOR,
     direction_pairs,
     ground_block_curvature_grid,
     thermal_trace_grid,
@@ -288,9 +291,17 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     kernels at BETA_INF, finite differences of the connection field at
     finite beta), which is the returned value, and (b) the model's
     closed-form determinant integrand, kept as the independent check in
-    extra["closed_form_route"].
+    extra["closed_form_route"]. Route (b) needs the model's Dirac vector
+    hooks r_vector_batch and r_gradient_batch; without them the call
+    raises MissingModelHook before any grid work.
     """
     _require_grid(model, grid, 4)
+    missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
+    if missing:
+        raise MissingModelHook(
+            f"the closed-form route needs a Dirac-form model; {type(model).__name__} "
+            f"lacks {', '.join(missing)}"
+        )
     _check_second_order_grid(grid)
     man = model.manifold
     norm = grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
@@ -345,9 +356,9 @@ def _normalize_group(group) -> tuple[int, ...]:
 def _frame_grid(model, pts, group, degeneracy_tol):
     w, v = eigh_batch(model.hamiltonian_batch(pts))
     lo, hi = group[0], group[-1]
-    if lo > 0 and float((w[:, lo] - w[:, lo - 1]).min()) <= 1e-8:
+    if lo > 0 and float((w[:, lo] - w[:, lo - 1]).min()) <= GAP_FLOOR:
         raise GapClosed("band group touches the level below somewhere on the grid")
-    if hi + 1 < w.shape[1] and float((w[:, hi + 1] - w[:, hi]).min()) <= 1e-8:
+    if hi + 1 < w.shape[1] and float((w[:, hi + 1] - w[:, hi]).min()) <= GAP_FLOOR:
         raise GapClosed("band group touches the level above somewhere on the grid")
     return v[:, :, lo : hi + 1]
 
@@ -409,6 +420,8 @@ def pure_chern_fhs(model, group, grid: GridSpec, degeneracy_tol: float = DEGENER
     # convention used everywhere else (links exponentiate +A while the
     # integral weighs F by +i), hence the leading minus.
     value = -man.orientation * total / (2.0 * math.pi * man.multiplicity)
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"plaquette sum is {value}")
     nearest = round(value)
     if abs(value - nearest) > PLAQUETTE_INTEGER_TOL:
         raise NonIntegerPlaquetteSum(

@@ -351,7 +351,7 @@ def _check_trace_routes(cfg, rng):
     for model in (sphere, haldane):
         p = _sample_points(model, rng, 1)[0]
         beta = 1.5 / model.r0
-        h = fraction * min(model.manifold.scales())
+        h = fraction * min(model.manifold.cell)
         state = models.thermal_state(model, p, beta, degeneracy_tol=tol)
         grads = geometry._gradient_stack(model, p[None, :])[:, 0]
         direct = geometry.thermal_trace_spectral(state, grads)[0]

@@ -24,6 +24,11 @@ class NonAntiHermitianInput(UhlmannChernError):
     """The generator of a unitary exponential is not anti-Hermitian."""
 
 
+class NonFiniteInput(UhlmannChernError):
+    """A matrix entry, or the spread of a spectrum, is NaN or infinite;
+    typically a non-finite or overflowing model parameter."""
+
+
 # --- models ---
 
 class ManifoldMismatch(UhlmannChernError):
@@ -66,6 +71,10 @@ class DimensionMismatch(UhlmannChernError):
 class NonIntegerPlaquetteSum(UhlmannChernError):
     """The plaquette phase sum is not close to an integer multiple of
     2*pi, signalling too coarse a grid or a closing gap."""
+
+
+class MissingModelHook(UhlmannChernError):
+    """The model lacks a method the requested operation needs."""
 
 
 class ConfigError(UhlmannChernError):

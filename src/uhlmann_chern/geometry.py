@@ -9,7 +9,8 @@ gradients. No eigenvector is ever differentiated across parameter
 points, so every quantity is manifestly phase-choice independent.
 
 Grid-scale callers use the *_grid functions, which batch whole chunks
-of points through stacked eigendecompositions; the per-point public
+of points through stacked eigendecompositions, or through the model's
+exact eigenframe_batch when it has one; the per-point public
 operations wrap the same kernels with batch size one.
 """
 from __future__ import annotations
@@ -147,15 +148,25 @@ def _gradient_stack(model, pts) -> np.ndarray:
     return np.stack([model.gradient_batch(pts, mu) for mu in range(model.dim)])
 
 
-def _tangent_batch(w, v, grads, degeneracy_tol) -> np.ndarray:
+def _eigenbasis_gradients(v, grads) -> np.ndarray:
+    """Gradients rotated into the eigenbasis, G = v^dagger dH v. v
+    (B, N, N), grads (d, B, N, N); returns (d, B, N, N)."""
+    return np.einsum("bji,dbjk,bkl->dbil", v.conj(), grads, v, optimize=True)
+
+
+def _tangent_from_gradients(w, g, degeneracy_tol) -> np.ndarray:
     """Eigenbasis tangent matrices T_jk = G_jk / (E_k - E_j), zero
-    within degenerate clusters. w (B, N), v (B, N, N), grads
-    (d, B, N, N); returns (d, B, N, N)."""
-    g = np.einsum("bji,dbjk,bkl->dbil", v.conj(), grads, v, optimize=True)
+    within degenerate clusters. w (B, N), g (d, B, N, N)."""
     den = w[:, None, :] - w[:, :, None]
     scale = 1.0 + np.abs(w).max(axis=1)
     keep = np.abs(den) > degeneracy_tol * scale[:, None, None]
     return np.where(keep, g / np.where(keep, den, 1.0), 0.0)
+
+
+def _tangent_batch(w, v, grads, degeneracy_tol) -> np.ndarray:
+    """Tangent matrices from eigenvectors v and original-basis
+    gradients grads."""
+    return _tangent_from_gradients(w, _eigenbasis_gradients(v, grads), degeneracy_tol)
 
 
 def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -202,12 +213,26 @@ def _trace_pairs(lam, t, pairs) -> np.ndarray:
 
 def spectral_data_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch: (w, v, lam, t) with shapes
-    (B, N), (B, N, N), (B, N), (d, B, N, N)."""
+    (B, N), (B, N, N), (B, N), (d, B, N, N).
+
+    A model with an eigenframe_batch method supplies its exact
+    eigenvalues, eigenvectors and eigenbasis gradients; every other
+    model goes through one stacked eigendecomposition of H. Both paths
+    share the same gap division and degeneracy mask.
+    """
     pts = np.asarray(pts, dtype=np.float64)
-    h = model.hamiltonian_batch(pts)
-    w, v = eigh_batch(h)
+    frame = getattr(model, "eigenframe_batch", None)
+    if frame is not None:
+        w, v, g = frame(pts)
+    else:
+        # h stays referenced until return: freeing it before the gradient
+        # stack is built let the allocator keep its pages, raising the
+        # 4D finite-beta peak RSS by the size of h.
+        h = model.hamiltonian_batch(pts)
+        w, v = eigh_batch(h)
+        g = _eigenbasis_gradients(v, _gradient_stack(model, pts))
     lam = weights_batch(w, beta, degeneracy_tol)
-    t = _tangent_batch(w, v, _gradient_stack(model, pts), degeneracy_tol)
+    t = _tangent_from_gradients(w, g, degeneracy_tol)
     return w, v, lam, t
 
 
@@ -321,7 +346,7 @@ def uhlmann_curvature_grid(
     hmat = model.hamiltonian_batch(pts)
     w, v = eigh_batch(hmat)
     lam = weights_batch(w, beta, degeneracy_tol)
-    rho = np.einsum("bij,bj,bkj->bik", v, lam, v.conj())
+    rho = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
     return f, rho
 
 

@@ -18,6 +18,7 @@ from .errors import (
     ConvergenceFailure,
     IndefiniteInput,
     NonAntiHermitianInput,
+    NonFiniteInput,
     NonHermitianInput,
 )
 
@@ -31,14 +32,26 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def hermiticity_defect(m) -> float:
+def hermiticity_defect(m):
     """Max-entry deviation of m from its conjugate transpose, relative
     to the largest entry magnitude (absolute when m is the zero matrix).
+
+    A stack (..., N, N) gets one defect per matrix, so whether a matrix
+    passes never depends on the other matrices in its batch; a stack
+    with no deviation at all skips the per-matrix reduction. A
+    non-finite entry yields a non-finite defect.
     """
     m = np.asarray(m)
-    scale = np.abs(m).max() if m.size else 0.0
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max() if m.size else 0.0
-    return float(defect / scale) if scale > 0 else float(defect)
+    stack = m.shape[:-2]
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(m - m.conj().swapaxes(-1, -2))
+        if not dev.any():
+            defects = np.zeros(stack)
+        else:
+            defect = dev.max(axis=(-2, -1), initial=0.0)
+            scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+            defects = np.where(scale > 0, defect / np.where(scale > 0, scale, 1.0), defect)
+    return defects if stack else float(defects)
 
 
 def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
@@ -60,14 +73,17 @@ def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     ------
     NonHermitianInput
         If m is not square or the defect exceeds rtol.
+    NonFiniteInput
+        If an entry of m is NaN or infinite.
     """
     m = np.array(m, dtype=np.complex128, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
-    if hermiticity_defect(m) > rtol:
-        raise NonHermitianInput(
-            f"hermiticity defect {hermiticity_defect(m):.3e} exceeds rtol {rtol:.1e}"
-        )
+    defect = hermiticity_defect(m)
+    if not np.isfinite(defect):
+        raise NonFiniteInput("matrix has a non-finite entry")
+    if defect > rtol:
+        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds rtol {rtol:.1e}")
     return m
 
 
@@ -159,6 +175,7 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare path
         raise ConvergenceFailure(str(exc)) from exc
+    _require_finite_width(w)
     v = _fix_phases(v.astype(np.complex128, copy=False))
     groups = _group_eigenvalues(w, degeneracy_tol)
     return SpectralDecomposition(w, np.ascontiguousarray(v), groups, degeneracy_tol)
@@ -171,17 +188,40 @@ def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
     the same deterministic phase fixing as hermitian_eig. Grouping is
     left to the caller, which usually wants vectorized cluster masks
     rather than per-matrix index tuples.
+
+    Each matrix is checked against rtol on its own scale. A non-finite
+    entry, or a spectral width w_max - w_min that overflows, raises
+    NonFiniteInput.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     if ms.shape[-1] != ms.shape[-2]:
         raise NonHermitianInput(f"expected square matrices, got shape {ms.shape}")
-    if hermiticity_defect(ms) > rtol:
-        raise NonHermitianInput("batch contains a non-Hermitian matrix")
+    _require_hermitian_batch(ms, rtol)
     try:
         w, v = np.linalg.eigh(ms)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
+    _require_finite_width(w)
     return w, _fix_phases(v)
+
+
+def _require_finite_width(w) -> None:
+    """Raise NonFiniteInput unless every spectrum's width w_max - w_min
+    is finite; catches entries whose eigenvalues overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(w[..., -1] - w[..., 0]).all()
+    if not finite:
+        raise NonFiniteInput("spectral width w_max - w_min is not finite")
+
+
+def _require_hermitian_batch(ms, rtol: float) -> None:
+    """Per-matrix Hermiticity and finiteness check of a stack; its
+    per-matrix arrays are released before the eigensolver runs."""
+    defect = hermiticity_defect(ms)
+    if not np.isfinite(defect).all():
+        raise NonFiniteInput("batch contains a non-finite matrix entry")
+    if np.any(defect > rtol):
+        raise NonHermitianInput("batch contains a non-Hermitian matrix")
 
 
 def psd_sqrt(m, floor: float = PSD_EIGENVALUE_FLOOR) -> np.ndarray:

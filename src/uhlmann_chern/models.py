@@ -11,11 +11,19 @@ Four built-in models cover the geometric regimes the package targets:
   anticommuting 4x4 matrices over a four-dimensional momentum torus,
   with doubly degenerate bands.
 * ``CoherentOscillator``: a displaced harmonic oscillator truncated to
-  a finite Fock space, parameterized by the displacement plane.
+  a finite Fock space, parameterized by the displacement plane. Its
+  displacement generator is covariant under the phase rotation
+  exp(i theta n), so one cached eigendecomposition of i (a^dagger - a)
+  gives the frame at every point without a per-point eigh.
 
 Every model exposes exact analytic coordinate derivatives of its
 Hamiltonian; downstream curvature code never differentiates
-eigenvectors across grid points.
+eigenvectors across grid points. A model whose spectrum is known in
+closed form may also provide ``eigenframe_batch(pts) -> (w, v, g)``:
+eigenvalues, eigenvectors and eigenbasis gradients v^dagger dH v. The
+geometry kernels then use that exact spectral data instead of
+eigendecomposing H (the oscillator does; the other models take the
+generic path).
 """
 from __future__ import annotations
 
@@ -91,9 +99,6 @@ class Manifold:
     @property
     def volume(self) -> float:
         return float(np.prod(self.cell))
-
-    def scales(self) -> tuple[float, ...]:
-        return self.cell
 
 
 def _point(p, dim: int) -> np.ndarray:
@@ -331,10 +336,6 @@ class Haldane:
     def gradient_batch(self, pts, mu):
         return _sigma_dot(self.r_gradient_batch(pts, mu))
 
-    def gap(self, p):
-        """Direct gap 2 |R(k)|, equal to the band splitting."""
-        return float(self.gap_batch(_point(p, 2)[None, :])[0])
-
     def gap_batch(self, pts):
         r = self.r_vector_batch(pts)
         return 2.0 * np.sqrt((r * r).sum(axis=-1))
@@ -437,11 +438,12 @@ def gamma_anticommutation_residual() -> float:
 def _phase_divided_difference(w):
     """Divided differences of exp(-i x) on the spectrum w (..., N):
     Phi_jk = (exp(-i w_j) - exp(-i w_k)) / (-i (w_j - w_k)), evaluated
-    stably through a half-angle sinc so coincident pairs are exact.
+    stably as exp(-i w_j / 2) exp(-i w_k / 2) times a half-angle sinc,
+    so coincident pairs are exact.
     """
-    avg = 0.5 * (w[..., :, None] + w[..., None, :])
+    half = np.exp(-0.5j * w)
     diff = w[..., :, None] - w[..., None, :]
-    return np.exp(-1j * avg) * np.sinc(diff / (2.0 * math.pi))
+    return half[..., :, None] * half[..., None, :] * np.sinc(diff / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -449,11 +451,26 @@ class CoherentOscillator:
     """Harmonic oscillator displaced in phase space, truncated to
     fock_dim levels.
 
-    Parameter points are (x, y) with z = x + i y. The Hamiltonian is
-    D(z) H0 D(z)^dagger where H0 = hbar_omega * (n + 1/2) and D is the
-    exact matrix exponential of the truncated generator, so the family
-    is exactly unitary even at the truncation edge. Displacements are
-    restricted to |z|^2 <= fock_dim / 8 to keep the edge irrelevant.
+    Parameter points are (x, y) with z = x + i y = r exp(i theta). The
+    Hamiltonian is D(z) H0 D(z)^dagger where H0 = hbar_omega * (n + 1/2)
+    and D is the exact matrix exponential of the truncated generator, so
+    the family is exactly unitary even at the truncation edge.
+    Displacements are restricted to |z|^2 <= fock_dim / 8 to keep the
+    edge irrelevant.
+
+    Covariant frame: the generator z a^dagger - conj(z) a equals
+    U (r (a^dagger - a)) U^dagger with U = diag(exp(i theta n)). One
+    eigendecomposition i (a^dagger - a) = V0 diag(w0) V0^dagger, cached
+    per instance, therefore gives every point's frame without another
+    eigh: generator eigenvalues r w0, eigenvectors U V0, and
+    D = U V0 exp(-i r w0) V0^dagger U^dagger. Generator derivatives
+    become e^{-i theta} A0^dagger -+ e^{i theta} A0 (times i along y)
+    in that basis, with A0 = V0^dagger a V0.
+
+    Exact spectral data: H has eigenvalues diag(H0), eigenvectors the
+    columns of D, and eigenbasis gradients D^dagger dH D = [X, H0] with
+    X = D^dagger dD. eigenframe_batch hands these to the geometry
+    kernels in place of a per-point eigendecomposition of H.
     """
 
     hbar_omega: float = 1.0
@@ -464,8 +481,8 @@ class CoherentOscillator:
             raise ManifoldMismatch("fock_dim must be at least 8")
         if self.fock_dim > 128:
             raise ManifoldMismatch("fock_dim above 128 is not supported")
-        if not self.hbar_omega > 0:
-            raise ManifoldMismatch("hbar_omega must be positive")
+        if not 0 < self.hbar_omega < math.inf:
+            raise ManifoldMismatch("hbar_omega must be positive and finite")
 
     dim = 2
 
@@ -493,6 +510,20 @@ class CoherentOscillator:
         d.setflags(write=False)
         return d
 
+    @cached_property
+    def _frame0(self):
+        """(w0, V0, A0, H0~): the eigensystem i (a^dagger - a) =
+        V0 diag(w0) V0^dagger, and a and H0 in that basis."""
+        a = self._lowering
+        w0, v0 = eigh_batch(1j * (a.conj().T - a))
+        v0h = v0.conj().T
+        a0 = v0h @ a @ v0
+        h0 = v0h @ (self._h0_diag[:, None] * v0)
+        h0 = 0.5 * (h0 + h0.conj().T)
+        for m in (w0, v0, a0, h0):
+            m.setflags(write=False)
+        return w0, v0, a0, h0
+
     def _check_displacement(self, z):
         mag = np.abs(np.asarray(z)) ** 2
         if np.any(mag > self.fock_dim / 8.0):
@@ -509,15 +540,34 @@ class CoherentOscillator:
         return unitary_exp(gen)
 
     def _displacement_frame(self, pts):
-        """Eigenframe of the generator for a batch of points: returns
-        (w, V, D) with generator = V diag(-i w) V^dagger and D = exp."""
+        """Covariant frame of the generator for a point batch: returns
+        (w, u, c) with w = |z| w0 (B, N) the eigenvalues of i times the
+        generator, u = exp(i theta n) (B, N) the diagonal of U, and
+        c = exp(i theta) (B,)."""
+        pts = _points(pts, 2)
         z = pts[:, 0] + 1j * pts[:, 1]
         self._check_displacement(z)
-        adag = self._lowering.conj().T
-        gen = z[:, None, None] * adag - z.conj()[:, None, None] * self._lowering
-        w, v = eigh_batch(1j * gen)
-        d = np.einsum("bij,bj,bkj->bik", v, np.exp(-1j * w), v.conj())
-        return w, v, d
+        theta = np.angle(z)
+        u = np.exp(1j * theta[:, None] * np.arange(self.fock_dim))
+        w0, _, _, _ = self._frame0
+        return np.abs(z)[:, None] * w0, u, np.exp(1j * theta)
+
+    def _to_fock(self, u, s):
+        """U V0 s V0^dagger U^dagger for a stack s (B, N, N) given in
+        the generator eigenbasis."""
+        _, v0, _, _ = self._frame0
+        return u[:, :, None] * (v0 @ s @ v0.conj().T) * u.conj()[:, None, :]
+
+    def _displacement_derivative(self, c, phi, mu):
+        """V0^dagger U^dagger dD/dmu U V0: the generator derivative in
+        the generator eigenbasis times phi, the divided differences of
+        exp(-i x) on the generator spectrum."""
+        _, _, a0, _ = self._frame0
+        annihilate = c[:, None, None] * a0
+        create = c.conj()[:, None, None] * a0.conj().T
+        # d(generator)/dx = a^dagger - a, d(generator)/dy = i (a^dagger + a)
+        g = (create - annihilate) if mu == 0 else 1j * (create + annihilate)
+        return g * phi
 
     def hamiltonian(self, p):
         return self.hamiltonian_batch(_point(p, 2)[None, :])[0]
@@ -526,22 +576,43 @@ class CoherentOscillator:
         return self.gradient_batch(_point(p, 2)[None, :], mu)[0]
 
     def hamiltonian_batch(self, pts):
-        pts = _points(pts, 2)
-        _, _, d = self._displacement_frame(pts)
-        return np.einsum("bij,j,bkj->bik", d, self._h0_diag, d.conj())
+        w, u, _ = self._displacement_frame(pts)
+        _, _, _, h0 = self._frame0
+        e = np.exp(-1j * w)
+        return self._to_fock(u, e[:, :, None] * h0 * e.conj()[:, None, :])
 
     def gradient_batch(self, pts, mu):
-        pts = _points(pts, 2)
         mu = _check_direction(mu, 2)
-        adag = self._lowering.conj().T
-        # d(generator)/dx = a^dagger - a, d(generator)/dy = i (a^dagger + a)
-        dgen = (adag - self._lowering) if mu == 0 else 1j * (adag + self._lowering)
-        w, v, d = self._displacement_frame(pts)
-        g = np.einsum("bji,jk,bkl->bil", v.conj(), dgen, v)
-        phi = _phase_divided_difference(w)
-        dd = np.einsum("bij,bjk,blk->bil", v, g * phi, v.conj())
-        k = np.einsum("bij,j,bkj->bik", dd, self._h0_diag, d.conj())
-        return k + k.conj().transpose(0, 2, 1)
+        w, u, c = self._displacement_frame(pts)
+        _, _, _, h0 = self._frame0
+        # dH = dD H0 D^dagger + h.c., with dD H0 D^dagger = U V0 k V0^dagger U^dagger.
+        dd = self._displacement_derivative(c, _phase_divided_difference(w), mu)
+        k = (dd @ h0) * np.exp(1j * w)[:, None, :]
+        return self._to_fock(u, k + k.conj().swapaxes(-1, -2))
+
+    def eigenframe_batch(self, pts):
+        """Exact spectral data of H = D H0 D^dagger for a point batch,
+        without an eigendecomposition of H.
+
+        Returns (w, v, g): w (B, N) the diagonal of H0 (ascending), v
+        (B, N, N) the columns of D, and g (2, B, N, N) the eigenbasis
+        gradients D^dagger dH/dmu D = [X, H0] with X = D^dagger dD/dmu.
+        The eigenvector phases follow D, not the largest-component
+        convention of eigh_batch; every gauge-invariant quantity agrees.
+        """
+        w, u, c = self._displacement_frame(pts)
+        _, v0, _, _ = self._frame0
+        e = np.exp(-1j * w)
+        d = u[:, :, None] * ((v0 * e[:, None, :]) @ v0.conj().T) * u.conj()[:, None, :]
+        levels = self._h0_diag
+        gaps = levels[None, :] - levels[:, None]
+        # X = D^dagger dD = U V0 (exp(i w) * dD-in-generator-basis) V0^dagger U^dagger
+        phi = e.conj()[:, :, None] * _phase_divided_difference(w)
+        g = np.empty((2,) + d.shape, dtype=np.complex128)
+        for mu in range(2):
+            x = self._to_fock(u, self._displacement_derivative(c, phi, mu))
+            np.multiply(x, gaps, out=g[mu])  # [X, H0]_jk = X_jk (E_k - E_j)
+        return np.tile(levels, (d.shape[0], 1)), d, g
 
     def boundary_twist(self, mu):
         return np.eye(self.fock_dim, dtype=np.complex128)
@@ -653,18 +724,3 @@ def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL)
     v = sd.eigenvectors
     rho = (v * w) @ v.conj().T
     return ThermalState(beta, rho, sd, w)
-
-
-# Thin functional wrappers matching the operation-style surface.
-
-
-def hamiltonian(model, p):
-    return model.hamiltonian(p)
-
-
-def hamiltonian_gradient(model, p, mu):
-    return model.gradient(p, mu)
-
-
-def coherent_displacement(model, z):
-    return model.displacement(z)
