@@ -48,8 +48,8 @@ def hermiticity_defect(m):
         if not dev.any():
             defects = np.zeros(stack)
         else:
-            defect = dev.max(axis=(-2, -1), initial=0.0)
-            scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+            defect = dev.max(axis=(-2, -1))
+            scale = np.abs(m).max(axis=(-2, -1))
             defects = np.where(scale > 0, defect / np.where(scale > 0, scale, 1.0), defect)
     return defects if stack else float(defects)
 
