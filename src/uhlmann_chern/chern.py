@@ -2,9 +2,12 @@
 
 Engines here turn the pointwise geometry kernels into numbers: the
 first-order thermal integral on 2D manifolds, the second-order integral
-on the 4D torus (two independent routes), the lattice-plaquette oracle
-for pure-state Chern numbers, and temperature sweeps with per-point
-diagnostics.
+on the 4D torus (two independent routes; at finite temperature the
+first contracts the closed-form Uhlmann curvature in the energy
+eigenbasis, one eigendecomposition per point), the lattice-plaquette
+oracle for pure-state Chern numbers, and temperature sweeps with
+per-point diagnostics, which still use the finite-difference curvature
+as a cross-check.
 
 Determinism: a grid is split into fixed-size chunks in row-major index
 order; each chunk is summed with numpy's blocked pairwise summation and
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateBand,
     DimensionMismatch,
     GapClosed,
     MissingModelHook,
@@ -36,6 +40,7 @@ from .geometry import (
     ground_block_curvature_grid,
     thermal_trace_grid,
     uhlmann_curvature_grid,
+    uhlmann_curvature_spectral_grid,
 )
 from .models import BETA_INF, Manifold, model_id
 
@@ -154,7 +159,7 @@ def _pairwise_tree(values):
 
 
 def _chunk_job(args):
-    kind, model, grid, beta, tol, h, start, stop = args
+    kind, model, grid, beta, tol, start, stop = args
     pts = grid.points_range(start, stop)
     if kind == "trace2d":
         return complex(np.sum(thermal_trace_grid(model, pts, beta, tol)[0]))
@@ -162,8 +167,8 @@ def _chunk_job(args):
         f, d = ground_block_curvature_grid(model, pts, tol)
         return complex(np.sum(_eps_contraction(f) * (2.0 / d)))
     if kind == "second_thermal":
-        f, rho = uhlmann_curvature_grid(model, pts, beta, h, tol)
-        return complex(np.sum(_eps_contraction_weighted(f, rho)))
+        f, lam = uhlmann_curvature_spectral_grid(model, pts, beta, tol)
+        return complex(np.sum(_eps_contraction_weighted(f, lam)))
     if kind == "second_pure":
         f, _ = ground_block_curvature_grid(model, pts, tol)
         return complex(np.sum(_eps_contraction(f) * 2.0))
@@ -172,8 +177,8 @@ def _chunk_job(args):
     raise ValueError(kind)
 
 
-def _map_chunks(kind, model, grid, beta, tol, h, workers):
-    jobs = [(kind, model, grid, beta, tol, h, s, e) for s, e in grid.chunk_ranges()]
+def _map_chunks(kind, model, grid, beta, tol, workers):
+    jobs = [(kind, model, grid, beta, tol, s, e) for s, e in grid.chunk_ranges()]
     if workers <= 1:
         partials = [_chunk_job(j) for j in jobs]
     else:
@@ -206,7 +211,7 @@ def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     """
     _require_grid(model, grid, 2)
     man = model.manifold
-    total = _map_chunks("trace2d", model, grid, beta, degeneracy_tol, None, workers)
+    total = _map_chunks("trace2d", model, grid, beta, degeneracy_tol, workers)
     raw = 1j * total * grid.point_measure * man.orientation / (2.0 * math.pi * man.multiplicity)
     return IntegralResult(
         value=float(raw.real),
@@ -238,14 +243,16 @@ def _eps_contraction(f) -> np.ndarray:
     return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
 
 
-def _eps_contraction_weighted(f, rho) -> np.ndarray:
-    """eps^{mu nu rho sigma} tr(rho F_mn F_rs) for f (6, B, N, N): the
-    two orders of each product survive as an anticommutator because rho
-    need not commute with F."""
+def _eps_contraction_weighted(f, lam) -> np.ndarray:
+    """eps^{mu nu rho sigma} tr(rho F_mn F_rs) for eigenbasis curvature
+    stacks f (6, B, N, N) and rho = diag(lam), lam (B, N). Both orders
+    of each product survive, as an anticommutator, because rho need not
+    commute with F: sum_i lam_i {F_a, F_b}_ii = sum_ik (lam_i + lam_k)
+    F_a,ik F_b,ki."""
+    pair_weight = lam[:, :, None] + lam[:, None, :]
+
     def t2(a, b):
-        fwd = np.einsum("bij,bjk,bki->b", rho, f[a], f[b], optimize=True)
-        rev = np.einsum("bij,bjk,bki->b", rho, f[b], f[a], optimize=True)
-        return fwd + rev
+        return np.einsum("bik,bik,bki->b", pair_weight, f[a], f[b], optimize=True)
 
     return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
 
@@ -281,17 +288,16 @@ def _check_second_order_grid(grid: GridSpec):
 
 
 def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
-                      degeneracy_tol: float = DEGENERACY_TOL,
-                      h: float | None = None) -> IntegralResult:
+                      degeneracy_tol: float = DEGENERACY_TOL) -> IntegralResult:
     """Second-order thermal Chern integral -(1/8 pi^2) int tr(rho
     F_U ^ F_U) on the 4D torus.
 
     Two routes are computed and both reported: (a) the Levi-Civita
     contraction of the full curvature components (exact projector
-    kernels at BETA_INF, finite differences of the connection field at
-    finite beta), which is the returned value, and (b) the model's
-    closed-form determinant integrand, kept as the independent check in
-    extra["closed_form_route"]. Route (b) needs the model's Dirac vector
+    kernels at BETA_INF, the closed-form Uhlmann curvature in the energy
+    eigenbasis at finite beta), which is the returned value, and (b) the
+    model's closed-form determinant integrand, kept as the independent
+    check in extra["closed_form_route"]. Route (b) needs the model's Dirac vector
     hooks r_vector_batch and r_gradient_batch; without them the call
     raises MissingModelHook before any grid work.
     """
@@ -306,9 +312,9 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     man = model.manifold
     norm = grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
     kind = "second_ground" if math.isinf(beta) else "second_thermal"
-    total = _map_chunks(kind, model, grid, beta, degeneracy_tol, h, workers)
+    total = _map_chunks(kind, model, grid, beta, degeneracy_tol, workers)
     raw = -total * norm
-    closed = _map_chunks("second_closed", model, grid, beta, degeneracy_tol, None, workers)
+    closed = _map_chunks("second_closed", model, grid, beta, degeneracy_tol, workers)
     closed_val = float(
         (closed * grid.point_measure * man.orientation).real
         * 3.0
@@ -334,7 +340,7 @@ def second_chern_pure(model, grid: GridSpec, workers: int = 1,
     _require_grid(model, grid, 4)
     _check_second_order_grid(grid)
     man = model.manifold
-    total = _map_chunks("second_pure", model, grid, BETA_INF, degeneracy_tol, None, workers)
+    total = _map_chunks("second_pure", model, grid, BETA_INF, degeneracy_tol, workers)
     raw = -total * grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
     return IntegralResult(float(raw.real), abs(raw.imag), extra={"order": 2, "pure": True})
 
@@ -354,11 +360,18 @@ def _normalize_group(group) -> tuple[int, ...]:
 
 
 def _frame_grid(model, pts, group, degeneracy_tol):
+    """Eigenvector frames of a band group over a point batch. A
+    neighbouring level touches the group where its gap is at or below
+    max(GAP_FLOOR, degeneracy_tol (1 + max |E|)), the relative rule of
+    the geometry kernels' degeneracy mask."""
     w, v = eigh_batch(model.hamiltonian_batch(pts))
     lo, hi = group[0], group[-1]
-    if lo > 0 and float((w[:, lo] - w[:, lo - 1]).min()) <= GAP_FLOOR:
+    if lo < 0 or hi >= w.shape[1]:
+        raise DegenerateBand(f"band group {group} outside the levels 0..{w.shape[1] - 1}")
+    floor = np.maximum(GAP_FLOOR, degeneracy_tol * (1.0 + np.abs(w).max(axis=1)))
+    if lo > 0 and bool(((w[:, lo] - w[:, lo - 1]) <= floor).any()):
         raise GapClosed("band group touches the level below somewhere on the grid")
-    if hi + 1 < w.shape[1] and float((w[:, hi + 1] - w[:, hi]).min()) <= GAP_FLOOR:
+    if hi + 1 < w.shape[1] and bool(((w[:, hi + 1] - w[:, hi]) <= floor).any()):
         raise GapClosed("band group touches the level above somewhere on the grid")
     return v[:, :, lo : hi + 1]
 
@@ -435,6 +448,18 @@ def pure_chern_fhs(model, group, grid: GridSpec, degeneracy_tol: float = DEGENER
 # ---------------------------------------------------------------------------
 
 
+def beta_from_temperature(t_over_r0: float, r0: float) -> float:
+    """Inverse temperature 1 / (T R0) for a temperature in units of the
+    model's energy scale R0; T = 0 is BETA_INF. Raises NonFiniteInput
+    when a positive T R0 underflows to zero."""
+    if t_over_r0 == 0.0:
+        return BETA_INF
+    scale = t_over_r0 * r0
+    if scale == 0.0:
+        raise NonFiniteInput(f"beta = 1 / (T R0) overflows at T/R0 = {t_over_r0!r}, R0 = {r0!r}")
+    return 1.0 / scale
+
+
 def _diagnostic_points(grid: GridSpec, count: int = 12) -> np.ndarray:
     n = grid.n_points
     idx = np.unique(np.linspace(0, n - 1, min(count, n)).astype(int))
@@ -465,7 +490,7 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
     values = []
     diags = []
     for t in temps:
-        beta = 1.0 / (t * r0)
+        beta = beta_from_temperature(t, r0)
         if order == 1:
             res = first_thermal_uc(model, beta, grid, workers, degeneracy_tol)
             f, rho = uhlmann_curvature_grid(model, sample, beta, None, degeneracy_tol)

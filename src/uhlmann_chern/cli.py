@@ -120,12 +120,6 @@ def _version_string() -> str:
     return f"v{__version__}"
 
 
-def _beta_from_temperature(t_over_r0: float, r0: float) -> float:
-    if t_over_r0 == 0.0:
-        return models.BETA_INF
-    return 1.0 / (t_over_r0 * r0)
-
-
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -197,7 +191,7 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     t_over_r0 = float(temperatures[0])
     if t_over_r0 < 0:
         raise ConfigError("run.temperatures: must be nonnegative")
-    beta = _beta_from_temperature(t_over_r0, model.r0)
+    beta = chern.beta_from_temperature(t_over_r0, model.r0)
     tol = _degeneracy_tol(cfg)
 
     trace_rows = []
@@ -226,11 +220,12 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
     grid = _build_grid(model, cfg)
     run = cfg["run"]
     dim = model.manifold.dim
+    tol = _degeneracy_tol(cfg)
     if dim == 2:
-        value = chern.pure_chern_fhs(model, run.get("band", 0), grid)
+        value = chern.pure_chern_fhs(model, run.get("band", 0), grid, degeneracy_tol=tol)
         kind = "first"
     else:
-        result = chern.second_chern_pure(model, grid, workers=workers)
+        result = chern.second_chern_pure(model, grid, workers=workers, degeneracy_tol=tol)
         value = float(result)
         kind = "second"
     _write_json(

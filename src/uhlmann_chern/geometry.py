@@ -12,6 +12,13 @@ Grid-scale callers use the *_grid functions, which batch whole chunks
 of points through stacked eigendecompositions, or through the model's
 exact eigenframe_batch when it has one; the per-point public
 operations wrap the same kernels with batch size one.
+
+The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
+uhlmann_curvature_spectral_grid differentiates the spectral connection
+in closed form from the eigen-data of one point, and is what the
+integrals use. uhlmann_curvature_grid and uhlmann_curvature difference
+the connection field on a central stencil; they are kept as its
+cross-check and for the temperature-sweep diagnostics.
 """
 from __future__ import annotations
 
@@ -154,13 +161,23 @@ def _eigenbasis_gradients(v, grads) -> np.ndarray:
     return np.einsum("bji,dbjk,bkl->dbil", v.conj(), grads, v, optimize=True)
 
 
+def _gap_mask(w, degeneracy_tol):
+    """Level gaps den_jk = E_k - E_j (B, N, N) and the mask of pairs in
+    different degenerate clusters, relative to 1 + max |E| per point."""
+    den = w[:, None, :] - w[:, :, None]
+    scale = 1.0 + np.abs(w).max(axis=1)
+    return den, np.abs(den) > degeneracy_tol * scale[:, None, None]
+
+
+def _divide_gaps(num, den, keep) -> np.ndarray:
+    """num_jk / (E_k - E_j) off-cluster, zero within a cluster."""
+    return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
+
+
 def _tangent_from_gradients(w, g, degeneracy_tol) -> np.ndarray:
     """Eigenbasis tangent matrices T_jk = G_jk / (E_k - E_j), zero
     within degenerate clusters. w (B, N), g (d, B, N, N)."""
-    den = w[:, None, :] - w[:, :, None]
-    scale = 1.0 + np.abs(w).max(axis=1)
-    keep = np.abs(den) > degeneracy_tol * scale[:, None, None]
-    return np.where(keep, g / np.where(keep, den, 1.0), 0.0)
+    return _divide_gaps(g, *_gap_mask(w, degeneracy_tol))
 
 
 def _tangent_batch(w, v, grads, degeneracy_tol) -> np.ndarray:
@@ -211,6 +228,22 @@ def _trace_pairs(lam, t, pairs) -> np.ndarray:
     return out
 
 
+def _frame_data(model, pts):
+    """Eigenvalues (B, N), eigenvectors (B, N, N) and eigenbasis
+    gradients G = v^dagger dH v (d, B, N, N) for a point batch: from the
+    model's exact eigenframe_batch when it has one, otherwise from one
+    stacked eigendecomposition of H."""
+    frame = getattr(model, "eigenframe_batch", None)
+    if frame is not None:
+        return frame(pts)
+    # h stays referenced until the gradients are built: freeing it
+    # earlier let the allocator keep its pages, raising the 4D
+    # finite-beta peak RSS by the size of h.
+    h = model.hamiltonian_batch(pts)
+    w, v = eigh_batch(h)
+    return w, v, _eigenbasis_gradients(v, _gradient_stack(model, pts))
+
+
 def spectral_data_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch: (w, v, lam, t) with shapes
     (B, N), (B, N, N), (B, N), (d, B, N, N).
@@ -221,16 +254,7 @@ def spectral_data_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERA
     share the same gap division and degeneracy mask.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    frame = getattr(model, "eigenframe_batch", None)
-    if frame is not None:
-        w, v, g = frame(pts)
-    else:
-        # h stays referenced until return: freeing it before the gradient
-        # stack is built let the allocator keep its pages, raising the
-        # 4D finite-beta peak RSS by the size of h.
-        h = model.hamiltonian_batch(pts)
-        w, v = eigh_batch(h)
-        g = _eigenbasis_gradients(v, _gradient_stack(model, pts))
+    w, v, g = _frame_data(model, pts)
     lam = weights_batch(w, beta, degeneracy_tol)
     t = _tangent_from_gradients(w, g, degeneracy_tol)
     return w, v, lam, t
@@ -246,8 +270,70 @@ def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_
     """Spectral-route Uhlmann connection components over a point batch,
     shape (d, B, N, N), in the original (not eigen-) basis."""
     _, v, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
+    return _connection_from_data(v, lam, t)
+
+
+def _connection_from_data(v, lam, t) -> np.ndarray:
+    """A = v (-C o T) v^dagger, (d, B, N, N), from spectral data."""
     a_tilde = -_mixing_batch(lam)[None, :, :, :] * t
     return np.einsum("bij,dbjk,blk->dbil", v, a_tilde, v.conj(), optimize=True)
+
+
+def uhlmann_curvature_spectral_grid(model, pts, beta: float,
+                                    degeneracy_tol: float = DEGENERACY_TOL):
+    """Uhlmann curvature in closed form, in the energy eigenbasis, over a
+    point batch: returns (f, lam) with f (P, B, N, N) holding
+    v^dagger F_{mu nu} v and lam (B, N) the thermal weights, so that
+    rho = diag(lam) in the same basis.
+
+    Differentiates the spectral connection M = -C o T in the parallel
+    gauge, where v^dagger dv equals T off-cluster and vanishes inside
+    degenerate clusters:
+
+        F = -(d_mu C o T_nu - d_nu C o T_mu) - C o (d_mu T_nu - d_nu T_mu)
+            + [T_mu, M_nu] - [T_nu, M_mu] + [M_mu, M_nu],
+
+    with C = 1 - sech(x/2), x_jk = beta (E_j - E_k), so d_mu C =
+    (beta/2) sech(x/2) tanh(x/2) Delta_mu for Delta_mu,jk = d_mu E_j -
+    d_mu E_k and d_mu E_j = Re G_mu,jj; and, off-cluster,
+
+        (d_mu T_nu - d_nu T_mu)_jk = ([G_nu, T_mu] - [G_mu, T_nu]
+            + T_nu o Delta_mu - T_mu o Delta_nu)_jk / (E_k - E_j).
+
+    The second-derivative term v^dagger d_mu d_nu H v is symmetric in
+    (mu, nu) and cancels, so only the eigen-data of one evaluation of H
+    and dH per point enter: no finite differences, no Hessians.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    w, _, g = _frame_data(model, pts)
+    lam = weights_batch(w, beta, degeneracy_tol)
+    den, keep = _gap_mask(w, degeneracy_tol)
+    t = _divide_gaps(g, den, keep)
+    c = _mixing_batch(lam)
+    k = (1.0 - c) * t  # T + M
+    de = np.diagonal(g, axis1=-2, axis2=-1).real
+    delta = de[:, :, :, None] - de[:, :, None, :]
+    if math.isinf(beta):
+        dc = np.zeros_like(delta)  # C is piecewise constant at zero temperature
+    else:
+        x = beta * (w[:, :, None] - w[:, None, :])
+        # (beta/2) sech(x/2) with sech(x/2) = 2e / (1 + e^2), e = exp(-|x|/2):
+        # no overflow at any finite x.
+        e = np.exp(-0.5 * np.abs(x))
+        dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
+    pairs = direction_pairs(model.dim)
+    f = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
+    for i, (mu, nu) in enumerate(pairs):
+        # Hermitian G and anti-Hermitian T, M, K make every commutator one
+        # product: [G_nu, T_mu] - [G_mu, T_nu] = q + q^dagger, and
+        # [T_mu, M_nu] - [T_nu, M_mu] + [M_mu, M_nu] = [K_mu, K_nu] -
+        # [T_mu, T_nu] = p - p^dagger.
+        q = g[nu] @ t[mu] - g[mu] @ t[nu]
+        num = q + q.conj().swapaxes(-1, -2) + t[nu] * delta[mu] - t[mu] * delta[nu]
+        p = k[mu] @ k[nu] - t[mu] @ t[nu]
+        f[i] = (p - p.conj().swapaxes(-1, -2) - (dc[mu] * t[nu] - dc[nu] * t[mu])
+                - c * _divide_gaps(num, den, keep))
+    return f, lam
 
 
 def _ground_sizes(w, degeneracy_tol) -> np.ndarray:
@@ -327,25 +413,28 @@ def uhlmann_curvature_grid(
     model, pts, beta: float, h: float | None = None, degeneracy_tol: float = DEGENERACY_TOL
 ):
     """Uhlmann curvature components and density matrices over a point
-    batch: returns (f, rho) with f (P, B, N, N) and rho (B, N, N).
+    batch, by finite differences: returns (f, rho) with f (P, B, N, N)
+    and rho (B, N, N) in the original basis.
 
     The exterior-derivative part is a central finite difference of the
     spectral-route connection field; all 2 dim + 1 evaluation points of
-    the whole batch go through one stacked eigendecomposition.
+    the whole batch go through one stacked eigendecomposition, whose
+    centre slice also gives rho. This is the cross-check of
+    uhlmann_curvature_spectral_grid, which the integrals use.
     """
     pts = np.asarray(pts, dtype=np.float64)
     h = _default_step(model, h)
     dim = model.dim
     n_shift = 2 * dim + 1
+    b = pts.shape[0]
     shifts = np.stack([_fd_shift_stack(p, h, dim) for p in pts])  # (B, S, d)
-    flat = shifts.transpose(1, 0, 2).reshape(n_shift * pts.shape[0], dim)
-    a_flat = connection_grid(model, flat, beta, degeneracy_tol)
+    flat = shifts.transpose(1, 0, 2).reshape(n_shift * b, dim)
+    _, v, lam, t = spectral_data_grid(model, flat, beta, degeneracy_tol)
+    a_flat = _connection_from_data(v, lam, t)
     n = a_flat.shape[-1]
-    a_stack = a_flat.reshape(dim, n_shift, pts.shape[0], n, n).transpose(1, 0, 2, 3, 4)
+    a_stack = a_flat.reshape(dim, n_shift, b, n, n).transpose(1, 0, 2, 3, 4)
     f = _curvature_from_stack(a_stack, h, dim, direction_pairs(dim))
-    hmat = model.hamiltonian_batch(pts)
-    w, v = eigh_batch(hmat)
-    lam = weights_batch(w, beta, degeneracy_tol)
+    v, lam = v[:b], lam[:b]  # stack index 0: the centre points
     rho = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
     return f, rho
 

@@ -1,0 +1,89 @@
+"""Any configuration the schema accepts ends with a defined exit code.
+
+The CLI promises 0 (success), 1 (verification failure), 2 (config
+error) or 3 (numeric failure). Configurations are drawn per model
+variant, including non-finite and overflowing parameters, and every one
+that passes config_schema.json must end in one of those codes, never in
+an uncaught exception. Grids stay at 8-10 points per direction.
+"""
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from uhlmann_chern import cli
+
+SPECIAL = [0.0, -0.0, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan]
+numbers = st.one_of(st.floats(-6.0, 6.0), st.sampled_from(SPECIAL))
+positive = st.one_of(st.floats(1e-3, 10.0), st.sampled_from([1e-300, 1e308, math.inf]))
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+PARAMETERS = {
+    "two_level_sphere": st.fixed_dictionaries({}, optional={"radius": positive}),
+    "haldane": st.fixed_dictionaries({"t1": numbers, "t2": numbers, "phi": numbers, "M": numbers}),
+    "four_band_gamma": st.fixed_dictionaries({"m": numbers}),
+    "coherent_oscillator": st.fixed_dictionaries(
+        {}, optional={"hbar_omega": positive, "fock_dim": st.integers(8, 40)}
+    ),
+}
+
+
+temperature = st.one_of(st.floats(-0.5, 3.0), st.sampled_from([0.0, 1e-300, 1e308, math.inf]))
+
+
+@st.composite
+def configs(draw):
+    # Most draws match the grid to the model and give temperatures, so
+    # that they reach the numerics rather than a config error.
+    variant = draw(st.sampled_from(sorted(PARAMETERS)))
+    dim = 4 if variant == "four_band_gamma" else 2
+    run = {"type": draw(st.sampled_from(["sweep", "map", "chern", "verify"]))}
+    longest = 1 if run["type"] == "map" else 3
+    temperatures = draw(st.one_of(
+        st.lists(temperature, min_size=1, max_size=longest).map(sorted),
+        st.lists(temperature, max_size=3),
+    ))
+    if draw(st.integers(0, 9)):
+        run["temperatures"] = temperatures
+    run.update(draw(st.fixed_dictionaries(
+        {}, optional={"order": st.sampled_from([1, 2]), "band": st.integers(0, 3)}
+    )))
+    size = draw(st.one_of(st.just(dim), st.integers(2, 4)))
+    cfg = {
+        "model": {"variant": variant, "parameters": draw(PARAMETERS[variant])},
+        "grid": draw(st.fixed_dictionaries(
+            {"resolution": st.lists(st.integers(8, 10), min_size=size, max_size=size)},
+            optional={"offset": st.booleans()},
+        )),
+        "run": run,
+    }
+    workers = draw(optional(st.sampled_from([1, 2])))
+    if workers is not None:
+        cfg["workers"] = workers
+    tolerances = draw(optional(st.fixed_dictionaries(
+        {}, optional={"degeneracy": positive, "fd_step": positive}
+    )))
+    if tolerances is not None:
+        cfg["tolerances"] = tolerances
+    return cfg
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_schema_valid_config_exits_with_a_defined_code(cfg):
+    assume(not cli._schema_errors(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)

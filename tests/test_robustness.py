@@ -13,6 +13,8 @@ import pytest
 
 from uhlmann_chern import chern, cli, linalg, models
 from uhlmann_chern.errors import (
+    DegenerateBand,
+    GapClosed,
     MissingModelHook,
     NonFiniteInput,
     NonHermitianInput,
@@ -125,3 +127,55 @@ def test_cli_chern_with_nan_mass_exits_3(tmp_path, capsys):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "NonFiniteInput" in err and "Traceback" not in err
+
+
+def test_pure_chern_fhs_honours_the_degeneracy_tolerance():
+    model = haldane_with_mass(0.0)
+    grid = chern.default_grid(model, 16)
+    assert chern.pure_chern_fhs(model, 0, grid, degeneracy_tol=1e-6) == 1
+    with pytest.raises(GapClosed):
+        chern.pure_chern_fhs(model, 0, grid, degeneracy_tol=10.0)
+
+
+def test_cli_chern_passes_the_degeneracy_tolerance(tmp_path, capsys):
+    cfg = {
+        "model": {"variant": "haldane",
+                  "parameters": {"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "M": 0.0}},
+        "grid": {"resolution": [16, 16]},
+        "run": {"type": "chern"},
+        "tolerances": {"degeneracy": 10.0},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "GapClosed" in err and "Traceback" not in err
+
+
+def test_pure_chern_fhs_rejects_a_band_outside_the_spectrum(tmp_path, capsys):
+    model = models.TwoLevelSphere()
+    with pytest.raises(DegenerateBand):
+        chern.pure_chern_fhs(model, 2, chern.default_grid(model, 8))
+    cfg = {
+        "model": {"variant": "two_level_sphere", "parameters": {}},
+        "grid": {"resolution": [8, 8]},
+        "run": {"type": "chern", "band": 2},
+    }
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_underflowing_temperature_raises_non_finite_input(tmp_path):
+    model = models.CoherentOscillator(hbar_omega=1e-300)
+    with pytest.raises(NonFiniteInput):
+        chern.temperature_sweep(model, [1e-165], chern.default_grid(model, 8))
+    cfg = {
+        "model": {"variant": "coherent_oscillator", "parameters": {"hbar_omega": 1e-300}},
+        "grid": {"resolution": [8, 8]},
+        "run": {"type": "map", "temperatures": [1e-165]},
+    }
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
