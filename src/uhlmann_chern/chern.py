@@ -33,7 +33,7 @@ from .errors import (
     NonIntegerPlaquetteSum,
     ResolutionTooLowWarning,
 )
-from .linalg import DEGENERACY_TOL, eigh_batch
+from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
     GAP_FLOOR,
     direction_pairs,
@@ -159,26 +159,14 @@ def _pairwise_tree(values):
 
 
 def _chunk_job(args):
-    kind, model, grid, beta, tol, start, stop = args
-    pts = grid.points_range(start, stop)
-    if kind == "trace2d":
-        return complex(np.sum(thermal_trace_grid(model, pts, beta, tol)[0]))
-    if kind == "second_ground":
-        f, d = ground_block_curvature_grid(model, pts, tol)
-        return complex(np.sum(_eps_contraction(f) * (2.0 / d)))
-    if kind == "second_thermal":
-        f, lam = uhlmann_curvature_spectral_grid(model, pts, beta, tol)
-        return complex(np.sum(_eps_contraction_weighted(f, lam)))
-    if kind == "second_pure":
-        f, _ = ground_block_curvature_grid(model, pts, tol)
-        return complex(np.sum(_eps_contraction(f) * 2.0))
-    if kind == "second_closed":
-        return complex(np.sum(_closed_form_second_integrand(model, pts, beta)))
-    raise ValueError(kind)
+    integrand, model, grid, beta, tol, start, stop = args
+    return complex(np.sum(integrand(model, grid.points_range(start, stop), beta, tol)))
 
 
-def _map_chunks(kind, model, grid, beta, tol, workers):
-    jobs = [(kind, model, grid, beta, tol, s, e) for s, e in grid.chunk_ranges()]
+def _map_chunks(integrand, model, grid, beta, tol, workers):
+    """Pairwise-tree sum of integrand(model, pts, beta, tol) over the
+    grid's chunks; a module-level integrand, so pools pickle it by name."""
+    jobs = [(integrand, model, grid, beta, tol, s, e) for s, e in grid.chunk_ranges()]
     if workers <= 1:
         partials = [_chunk_job(j) for j in jobs]
     else:
@@ -201,6 +189,10 @@ def _require_grid(model, grid: GridSpec, dim: int):
 # ---------------------------------------------------------------------------
 
 
+def _trace_integrand(model, pts, beta, tol):
+    return thermal_trace_grid(model, pts, beta, tol)[0]
+
+
 def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
                      degeneracy_tol: float = DEGENERACY_TOL) -> IntegralResult:
     """First-order thermal Chern integral (i / 2 pi) int Tr(rho F_U)
@@ -211,7 +203,7 @@ def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     """
     _require_grid(model, grid, 2)
     man = model.manifold
-    total = _map_chunks("trace2d", model, grid, beta, degeneracy_tol, workers)
+    total = _map_chunks(_trace_integrand, model, grid, beta, degeneracy_tol, workers)
     raw = 1j * total * grid.point_measure * man.orientation / (2.0 * math.pi * man.multiplicity)
     return IntegralResult(
         value=float(raw.real),
@@ -257,16 +249,33 @@ def _eps_contraction_weighted(f, lam) -> np.ndarray:
     return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
 
 
+def _ground_integrand(model, pts, beta, tol):
+    """Ground-cluster curvature contraction weighted by rho = P / D."""
+    f, d = ground_block_curvature_grid(model, pts, tol)
+    return _eps_contraction(f) * (2.0 / d)
+
+
+def _thermal_integrand(model, pts, beta, tol):
+    f, lam = uhlmann_curvature_spectral_grid(model, pts, beta, tol)
+    return _eps_contraction_weighted(f, lam)
+
+
+def _pure_integrand(model, pts, beta, tol):
+    """Ground-cluster curvature contraction, unweighted."""
+    f, _ = ground_block_curvature_grid(model, pts, tol)
+    return _eps_contraction(f) * 2.0
+
+
 # Orientation of the closed-form determinant integrand relative to the
 # Levi-Civita route; fixed once by the cross-route calibration run.
 _DET_ROUTE_SIGN = -1.0
 
 
-def _closed_form_second_integrand(model, pts, beta: float) -> np.ndarray:
+def _closed_form_second_integrand(model, pts, beta: float, tol) -> np.ndarray:
     """Closed-form second-order integrand for five-component Dirac
     models: det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by
     tanh^5(beta |R|), up to the route normalization applied by the
-    caller."""
+    caller. tol is unused: no level grouping enters the closed form."""
     r = model.r_vector_batch(pts)
     cols = [r] + [model.r_gradient_batch(pts, mu) for mu in range(4)]
     mat = np.stack(cols, axis=-1)  # (B, 5, 5): columns R, dR...
@@ -311,10 +320,10 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     _check_second_order_grid(grid)
     man = model.manifold
     norm = grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
-    kind = "second_ground" if math.isinf(beta) else "second_thermal"
-    total = _map_chunks(kind, model, grid, beta, degeneracy_tol, workers)
+    integrand = _ground_integrand if math.isinf(beta) else _thermal_integrand
+    total = _map_chunks(integrand, model, grid, beta, degeneracy_tol, workers)
     raw = -total * norm
-    closed = _map_chunks("second_closed", model, grid, beta, degeneracy_tol, workers)
+    closed = _map_chunks(_closed_form_second_integrand, model, grid, beta, degeneracy_tol, workers)
     closed_val = float(
         (closed * grid.point_measure * man.orientation).real
         * 3.0
@@ -340,7 +349,7 @@ def second_chern_pure(model, grid: GridSpec, workers: int = 1,
     _require_grid(model, grid, 4)
     _check_second_order_grid(grid)
     man = model.manifold
-    total = _map_chunks("second_pure", model, grid, BETA_INF, degeneracy_tol, workers)
+    total = _map_chunks(_pure_integrand, model, grid, BETA_INF, degeneracy_tol, workers)
     raw = -total * grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
     return IntegralResult(float(raw.real), abs(raw.imag), extra={"order": 2, "pure": True})
 
@@ -361,17 +370,18 @@ def _normalize_group(group) -> tuple[int, ...]:
 
 def _frame_grid(model, pts, group, degeneracy_tol):
     """Eigenvector frames of a band group over a point batch. A
-    neighbouring level touches the group where its gap is at or below
-    max(GAP_FLOOR, degeneracy_tol (1 + max |E|)), the relative rule of
-    the geometry kernels' degeneracy mask."""
+    neighbouring level touches the group where it shares the group's
+    cluster (linalg.cluster_labels, the rule of the geometry kernels) or
+    where their gap is at or below GAP_FLOOR."""
     w, v = eigh_batch(model.hamiltonian_batch(pts))
     lo, hi = group[0], group[-1]
     if lo < 0 or hi >= w.shape[1]:
         raise DegenerateBand(f"band group {group} outside the levels 0..{w.shape[1] - 1}")
-    floor = np.maximum(GAP_FLOOR, degeneracy_tol * (1.0 + np.abs(w).max(axis=1)))
-    if lo > 0 and bool(((w[:, lo] - w[:, lo - 1]) <= floor).any()):
+    # touch[:, k]: level k + 1 touches level k
+    touch = (np.diff(cluster_labels(w, degeneracy_tol)) == 0) | (np.diff(w) <= GAP_FLOOR)
+    if lo > 0 and bool(touch[:, lo - 1].any()):
         raise GapClosed("band group touches the level below somewhere on the grid")
-    if hi + 1 < w.shape[1] and bool(((w[:, hi + 1] - w[:, hi]) <= floor).any()):
+    if hi + 1 < w.shape[1] and bool(touch[:, hi].any()):
         raise GapClosed("band group touches the level above somewhere on the grid")
     return v[:, :, lo : hi + 1]
 

@@ -300,11 +300,8 @@ def _check_connection_traceless(cfg, rng):
     for model in _verify_models(rng):
         for p in _sample_points(model, rng, 3):
             for beta in (0.7, 2.0):
-                state = models.thermal_state(model, p, beta, degeneracy_tol=tol)
-                grads = geometry._gradient_stack(model, p[None, :])[:, 0]
-                field = geometry.uhlmann_connection_spectral(state, grads)
-                for mu in range(model.manifold.dim):
-                    a = field.component(mu)
+                field = geometry.connection_grid(model, p[None], beta, tol)[:, 0]
+                for a in field:
                     worst = max(worst, abs(np.trace(a)))
     return worst <= 1e-10, f"max |tr A|={worst:.3g}"
 
@@ -330,11 +327,9 @@ def _check_connection_routes(cfg, rng):
         # below its noise floor (~1e-12); keep the truncated oscillator's
         # smallest weight above that by bounding beta * fock_dim.
         beta = 0.8 if model is coherent else 1.5 / model.r0
-        state = models.thermal_state(model, p, beta, degeneracy_tol=tol)
-        grads = geometry._gradient_stack(model, p[None, :])[:, 0]
-        spectral = geometry.uhlmann_connection_spectral(state, grads)
+        spectral = geometry.connection_grid(model, p[None], beta, tol)[:, 0]
         fd = geometry.uhlmann_connection_sqrt_fd(model, p, beta, degeneracy_tol=tol)
-        worst = max(worst, float(np.max(np.abs(spectral.components - fd.components))))
+        worst = max(worst, float(np.max(np.abs(spectral - fd.components))))
     return worst <= 1e-6, f"max route gap={worst:.3g}"
 
 
@@ -348,8 +343,7 @@ def _check_trace_routes(cfg, rng):
         beta = 1.5 / model.r0
         h = fraction * min(model.manifold.cell)
         state = models.thermal_state(model, p, beta, degeneracy_tol=tol)
-        grads = geometry._gradient_stack(model, p[None, :])[:, 0]
-        direct = geometry.thermal_trace_spectral(state, grads)[0]
+        direct = geometry.thermal_trace_grid(model, p[None], beta, tol)[0, 0]
         f = geometry.uhlmann_curvature(model, p, beta, h=h, degeneracy_tol=tol)
         via_field = geometry.weighted_trace(state, f)[0]
         worst = max(worst, abs(direct - via_field))
@@ -361,12 +355,13 @@ def _check_degeneracy_null(cfg, rng):
     model = models.FourBandGamma(m=1.5)
     worst = 0.0
     for p in _sample_points(model, rng, 4):
+        # The in-cluster block P A P is gauge-invariant, so any
+        # eigenbasis of the point serves for the rotation.
         state = models.thermal_state(model, p, 2.0, degeneracy_tol=tol)
-        grads = geometry._gradient_stack(model, p[None, :])[:, 0]
-        field = geometry.uhlmann_connection_spectral(state, grads)
+        field = geometry.connection_grid(model, p[None], 2.0, tol)[:, 0]
         v = state.spectrum.eigenvectors
-        for mu in range(4):
-            tilde = v.conj().T @ field.component(mu) @ v
+        for a in field:
+            tilde = v.conj().T @ a @ v
             for group in state.spectrum.groups:
                 idx = np.asarray(group)
                 worst = max(worst, float(np.max(np.abs(tilde[np.ix_(idx, idx)]))))
@@ -379,9 +374,7 @@ def _check_zero_t_abelian(cfg, rng):
     sphere, haldane, _, _ = _verify_models(rng)
     for model in (sphere, haldane):
         for p in _sample_points(model, rng, 4):
-            state = models.thermal_state(model, p, models.BETA_INF, degeneracy_tol=tol)
-            grads = geometry._gradient_stack(model, p[None, :])[:, 0]
-            trace = geometry.thermal_trace_spectral(state, grads)[0]
+            trace = geometry.thermal_trace_grid(model, p[None], models.BETA_INF, tol)[0, 0]
             berry = geometry.berry_curvature(model, p, degeneracy_tol=tol).scalar(0, 1)
             worst = max(worst, abs(trace - berry))
     return worst <= 1e-9, f"max gap={worst:.3g}"
@@ -403,11 +396,9 @@ def _check_high_temperature(cfg, rng):
     worst = 0.0
     for model in _verify_models(rng):
         p = _sample_points(model, rng, 1)[0]
-        state = models.thermal_state(model, p, 0.0, degeneracy_tol=tol)
-        grads = geometry._gradient_stack(model, p[None, :])[:, 0]
-        field = geometry.uhlmann_connection_spectral(state, grads)
-        worst = max(worst, float(np.max(np.abs(field.components))))
-        worst = max(worst, float(np.max(np.abs(geometry.thermal_trace_spectral(state, grads)))))
+        field = geometry.connection_grid(model, p[None], 0.0, tol)
+        trace = geometry.thermal_trace_grid(model, p[None], 0.0, tol)
+        worst = max(worst, float(np.max(np.abs(field))), float(np.max(np.abs(trace))))
     return worst <= 1e-12, f"max magnitude={worst:.3g}"
 
 

@@ -10,8 +10,11 @@ points, so every quantity is manifestly phase-choice independent.
 
 Grid-scale callers use the *_grid functions, which batch whole chunks
 of points through stacked eigendecompositions, or through the model's
-exact eigenframe_batch when it has one; the per-point public
-operations wrap the same kernels with batch size one.
+exact eigenframe_batch when it has one. The per-point operations run
+the same kernels on a batch of one point (uhlmann_connection_sqrt_fd,
+the independent route, excepted). Levels are grouped by one rule,
+linalg.cluster_labels: the ground cluster, the zero-temperature weights
+and the degeneracy mask of the tangent matrices all come from it.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 uhlmann_curvature_spectral_grid differentiates the spectral connection
@@ -37,11 +40,14 @@ from .errors import (
 )
 from .linalg import (
     DEGENERACY_TOL,
+    _group_eigenvalues,
+    cluster_labels,
     commutator,
     eigh_batch,
+    hermitian_eig,
     psd_sqrt,
 )
-from .models import BETA_INF, thermal_state
+from .models import BETA_INF, thermal_state, weights_batch
 
 # Pairs with combined density-matrix weight at or below this are dropped
 # from the finite-difference connection; the commutator numerator
@@ -163,10 +169,10 @@ def _eigenbasis_gradients(v, grads) -> np.ndarray:
 
 def _gap_mask(w, degeneracy_tol):
     """Level gaps den_jk = E_k - E_j (B, N, N) and the mask of pairs in
-    different degenerate clusters, relative to 1 + max |E| per point."""
+    different degenerate clusters (cluster_labels)."""
     den = w[:, None, :] - w[:, :, None]
-    scale = 1.0 + np.abs(w).max(axis=1)
-    return den, np.abs(den) > degeneracy_tol * scale[:, None, None]
+    labels = cluster_labels(w, degeneracy_tol)
+    return den, labels[:, :, None] != labels[:, None, :]
 
 
 def _divide_gaps(num, den, keep) -> np.ndarray:
@@ -178,22 +184,6 @@ def _tangent_from_gradients(w, g, degeneracy_tol) -> np.ndarray:
     """Eigenbasis tangent matrices T_jk = G_jk / (E_k - E_j), zero
     within degenerate clusters. w (B, N), g (d, B, N, N)."""
     return _divide_gaps(g, *_gap_mask(w, degeneracy_tol))
-
-
-def _tangent_batch(w, v, grads, degeneracy_tol) -> np.ndarray:
-    """Tangent matrices from eigenvectors v and original-basis
-    gradients grads."""
-    return _tangent_from_gradients(w, _eigenbasis_gradients(v, grads), degeneracy_tol)
-
-
-def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Thermal occupations for batches of ascending eigenvalues (B, N)."""
-    if math.isinf(beta):
-        scale = 1.0 + np.abs(w).max(axis=1, keepdims=True)
-        ground = (w - w[:, :1]) <= degeneracy_tol * scale
-        return ground / ground.sum(axis=1, keepdims=True)
-    x = np.exp(-beta * (w - w[:, :1]))
-    return x / x.sum(axis=1, keepdims=True)
 
 
 def _mixing_batch(lam) -> np.ndarray:
@@ -336,9 +326,21 @@ def uhlmann_curvature_spectral_grid(model, pts, beta: float,
     return f, lam
 
 
-def _ground_sizes(w, degeneracy_tol) -> np.ndarray:
-    scale = 1.0 + np.abs(w).max(axis=1, keepdims=True)
-    return ((w - w[:, :1]) <= degeneracy_tol * scale).sum(axis=1)
+def _ground_size(w, degeneracy_tol, gap_floor) -> int:
+    """Size D of the ground cluster (cluster_labels == 0) of a batch of
+    spectra (B, N). Raises GapClosed if D varies over the batch, if the
+    cluster is the whole space, or if its gap is at or below gap_floor
+    anywhere."""
+    sizes = (cluster_labels(w, degeneracy_tol) == 0).sum(axis=1)
+    d = int(sizes[0])
+    if not (sizes == d).all():
+        raise GapClosed("ground degeneracy varies across the batch")
+    if d == w.shape[1]:
+        raise GapClosed("no excited level: the ground cluster is the whole space")
+    gap = float((w[:, d] - w[:, d - 1]).min())
+    if gap <= gap_floor:
+        raise GapClosed(f"ground-cluster gap {gap:.3e} at or below {gap_floor:.0e}")
+    return d
 
 
 def ground_block_curvature_grid(
@@ -351,20 +353,11 @@ def ground_block_curvature_grid(
     degeneracy. Raises GapClosed if the cluster size varies over the
     batch or its gap falls below gap_floor anywhere.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    w, v, _, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
-    sizes = _ground_sizes(w, degeneracy_tol)
-    d = int(sizes[0])
-    if not (sizes == d).all():
-        raise GapClosed("ground degeneracy varies across the batch")
-    if d == w.shape[1]:
-        raise GapClosed("no excited level: the ground cluster is the whole space")
-    gap = w[:, d] - w[:, d - 1]
-    if float(gap.min()) <= gap_floor:
-        raise GapClosed(f"ground-cluster gap {float(gap.min()):.3e} at or below {gap_floor:.0e}")
+    w, _, _, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
+    d = _ground_size(w, degeneracy_tol, gap_floor)
     pairs = direction_pairs(model.dim)
     tg = t[:, :, :d, d:]  # ground rows, excited columns
-    f = np.empty((len(pairs), pts.shape[0], d, d), dtype=np.complex128)
+    f = np.empty((len(pairs), w.shape[0], d, d), dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):
         # T_kb = -conj(T_bk) across the gap, so the restricted sum
         # -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) becomes M - M^dagger
@@ -445,8 +438,7 @@ def uhlmann_curvature_grid(
 
 
 def _point_data(model, p, beta, degeneracy_tol):
-    pts = np.asarray(p, dtype=np.float64)[None, :]
-    w, v, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
+    w, v, lam, t = spectral_data_grid(model, np.asarray(p)[None], beta, degeneracy_tol)
     return w[0], v[0], lam[0], t[:, 0]
 
 
@@ -460,13 +452,11 @@ def berry_curvature(model, p, band: int = 0, grad_provider=None,
     """
     p = np.asarray(p, dtype=np.float64)
     if grad_provider is None:
-        w, v, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
+        w, _, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
     else:
-        h = model.hamiltonian(p)
-        w, v = eigh_batch(h[None])
-        grads = np.stack([grad_provider(p, mu)[None] for mu in range(model.dim)])
-        t = _tangent_batch(w, v, grads, degeneracy_tol)[:, 0]
-        w = w[0]
+        sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol)
+        grads = [grad_provider(p, mu) for mu in range(model.dim)]
+        w, t = sd.eigenvalues, _point_tangents(sd, grads)[:, 0]
     band = int(band)
     if not 0 <= band < w.size:
         raise DegenerateBand(f"band index {band} outside 0..{w.size - 1}")
@@ -485,6 +475,14 @@ def berry_curvature(model, p, band: int = 0, grad_provider=None,
     return CurvatureComponents(pairs, mats)
 
 
+def _point_tangents(sd, grads) -> np.ndarray:
+    """Tangent matrices (d, 1, N, N) of a SpectralDecomposition, given
+    the dH/dmu matrices at its point."""
+    g = np.stack([np.asarray(x, dtype=np.complex128)[None] for x in grads])
+    g = _eigenbasis_gradients(sd.eigenvectors[None], g)
+    return _tangent_from_gradients(sd.eigenvalues[None], g, sd.tolerance)
+
+
 def _require_maximal_cluster(group, groups):
     group = tuple(sorted(int(i) for i in group))
     if group not in tuple(map(tuple, groups)):
@@ -494,31 +492,23 @@ def _require_maximal_cluster(group, groups):
     return group
 
 
-def wz_curvature(model, p, group, grad_provider=None,
-                 degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
+def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
     """Non-abelian curvature of a maximal degenerate cluster.
 
     F_{ab, mu nu} = -sum_{k outside} (T^mu_ak T^nu_kb - T^nu_ak T^mu_kb)
     for a, b in the cluster; returned in the cluster eigenbasis (basis
     attribute holds the column vectors).
     """
-    from .linalg import hermitian_eig
-
-    p = np.asarray(p, dtype=np.float64)
-    sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
-    group = _require_maximal_cluster(group, sd.groups)
+    w, v, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
+    group = _require_maximal_cluster(group, _group_eigenvalues(w, degeneracy_tol))
     idx = np.array(group)
-    rest = np.array([k for k in range(sd.dim) if k not in group])
-    if grad_provider is None:
-        grad_provider = model.gradient
-    grads = np.stack([grad_provider(p, mu)[None] for mu in range(model.dim)])
-    t = _tangent_batch(sd.eigenvalues[None], sd.eigenvectors[None], grads, degeneracy_tol)[:, 0]
+    rest = np.array([k for k in range(w.size) if k not in group])
     pairs = direction_pairs(model.dim)
     mats = np.empty((len(pairs), idx.size, idx.size), dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):
         fwd = t[mu][np.ix_(idx, rest)] @ t[nu][np.ix_(rest, idx)]
         mats[i] = -(fwd - fwd.conj().T)
-    return CurvatureComponents(pairs, mats, basis=sd.eigenvectors[:, idx])
+    return CurvatureComponents(pairs, mats, basis=v[:, idx])
 
 
 def projector_limit_curvature(model, p, group=None,
@@ -530,25 +520,15 @@ def projector_limit_curvature(model, p, group=None,
     This is the limit object of the thermal curvature, independent of
     any beta; at beta = 0 the thermal curvature itself is zero instead.
     """
-    from .linalg import hermitian_eig
-
-    p = np.asarray(p, dtype=np.float64)
-    sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
-    ground = tuple(sd.groups[0])
+    w, v, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
+    d = _ground_size(w[None], degeneracy_tol, GAP_FLOOR)
+    ground = tuple(range(d))
     if group is not None and tuple(sorted(int(i) for i in group)) != ground:
         raise GapClosed(f"requested group {tuple(group)} is not the ground cluster {ground}")
-    d = len(ground)
-    if d == sd.dim:
-        raise GapClosed("no excited level: the ground cluster is the whole space")
-    gap = sd.eigenvalues[d] - sd.eigenvalues[d - 1]
-    if gap <= GAP_FLOOR:
-        raise GapClosed(f"ground-cluster gap {gap:.3e} at or below {GAP_FLOOR:.0e}")
-    grads = _gradient_stack(model, p[None, :])
-    t = _tangent_batch(sd.eigenvalues[None], sd.eigenvectors[None], grads, degeneracy_tol)[:, 0]
     # dP in the eigenbasis: +T on excited-ground entries, -T on
     # ground-excited, zero elsewhere.
-    chi = np.zeros(sd.dim)
-    chi[list(ground)] = 1.0
+    chi = np.zeros(w.size)
+    chi[:d] = 1.0
     sign = chi[None, :] - chi[:, None]
     dp = sign[None, :, :] * t
     pairs = direction_pairs(model.dim)
@@ -556,7 +536,7 @@ def projector_limit_curvature(model, p, group=None,
     for i, (mu, nu) in enumerate(pairs):
         m = dp[mu] @ dp[nu] - dp[nu] @ dp[mu]
         mats[i] = m[:d, :d]
-    return CurvatureComponents(pairs, mats, basis=sd.eigenvectors[:, :d])
+    return CurvatureComponents(pairs, mats, basis=v[:, :d])
 
 
 def uhlmann_connection_spectral(state, grads) -> ConnectionField:
@@ -567,14 +547,9 @@ def uhlmann_connection_spectral(state, grads) -> ConnectionField:
     state is a ThermalState; grads is the list of analytic dH/dmu
     matrices at the same point.
     """
-    w = state.spectrum.eigenvalues
-    v = state.spectrum.eigenvectors
-    grads = np.stack([np.asarray(g, dtype=np.complex128)[None] for g in grads])
-    t = _tangent_batch(w[None], v[None], grads, state.spectrum.tolerance)[:, 0]
-    c = _mixing_batch(state.weights[None])[0]
-    a_tilde = -c[None, :, :] * t
-    a = np.einsum("ij,djk,lk->dil", v, a_tilde, v.conj(), optimize=True)
-    return ConnectionField(a)
+    t = _point_tangents(state.spectrum, grads)
+    v = state.spectrum.eigenvectors[None]
+    return ConnectionField(_connection_from_data(v, state.weights[None], t)[:, 0])
 
 
 def uhlmann_connection_sqrt_fd(model, p, beta: float, h: float | None = None,
@@ -651,12 +626,8 @@ def thermal_trace_spectral(state, grads) -> np.ndarray:
     weighted double sum over energy eigenstates (no finite differences).
     Purely imaginary up to roundoff.
     """
-    w = state.spectrum.eigenvalues
-    v = state.spectrum.eigenvectors
-    grads = np.stack([np.asarray(g, dtype=np.complex128)[None] for g in grads])
-    t = _tangent_batch(w[None], v[None], grads, state.spectrum.tolerance)
-    dim = len(grads)
-    return _trace_pairs(state.weights[None], t[:, 0][:, None], direction_pairs(dim))[:, 0]
+    t = _point_tangents(state.spectrum, grads)
+    return _trace_pairs(state.weights[None], t, direction_pairs(len(t)))[:, 0]
 
 
 def weighted_trace(state, curvature: CurvatureComponents) -> np.ndarray:

@@ -98,18 +98,29 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * phases.conj()
 
 
+def cluster_labels(w, tol: float) -> np.ndarray:
+    """Degenerate-cluster label of each ascending eigenvalue, (..., N)
+    integers counting up from 0 at the lowest level.
+
+    A new cluster starts wherever a consecutive gap exceeds
+    tol * (1 + max |E|) of that spectrum, so a chain of small gaps is
+    one cluster even when its ends lie further apart than the
+    threshold. This is the one rule that groups levels everywhere: the
+    zero-temperature ground cluster is labels == 0, and the tangent
+    matrices are zero between levels with equal labels.
+    """
+    w = np.asarray(w)
+    # max |E| of an ascending spectrum sits at one of its ends
+    scale = tol * (1.0 + np.maximum(-w[..., :1], w[..., -1:]))
+    return np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > scale, axis=-1)
+
+
 def _group_eigenvalues(w: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
-    """Partition ascending eigenvalues into degenerate clusters using a
-    relative gap threshold tol * (1 + max |w|)."""
-    scale = tol * (1.0 + float(np.abs(w).max())) if w.size else tol
-    groups: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > scale:
-            groups.append(tuple(range(start, i)))
-            start = i
-    groups.append(tuple(range(start, w.size)))
-    return tuple(groups)
+    """Degenerate clusters of one ascending spectrum as index tuples:
+    the tuple view of cluster_labels."""
+    labels = cluster_labels(w, tol)
+    return tuple(tuple(map(int, np.flatnonzero(labels == k)))
+                 for k in range(labels.max(initial=0) + 1))
 
 
 @dataclass(frozen=True)
@@ -155,12 +166,8 @@ class SpectralDecomposition:
 
 
 def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The solver is the dense LAPACK path; its internal QR iteration cap
-    surfaces as ConvergenceFailure. Output is deterministic: two calls
-    on bit-identical input return bit-identical decompositions, with
-    each eigenvector's largest-modulus component made real positive.
+    """Eigendecomposition of a Hermitian matrix: eigh_batch on a batch
+    of one, with its degenerate clusters as index tuples.
 
     Parameters
     ----------
@@ -170,24 +177,18 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
         Relative eigenvalue tolerance for clustering, applied as
         degeneracy_tol * (1 + max |eigenvalue|).
     """
-    m = require_hermitian(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare path
-        raise ConvergenceFailure(str(exc)) from exc
-    _require_finite_width(w)
-    v = _fix_phases(v.astype(np.complex128, copy=False))
-    groups = _group_eigenvalues(w, degeneracy_tol)
-    return SpectralDecomposition(w, np.ascontiguousarray(v), groups, degeneracy_tol)
+    (w,), (v,) = eigh_batch(require_hermitian(m)[None])
+    return SpectralDecomposition(w, v, _group_eigenvalues(w, degeneracy_tol), degeneracy_tol)
 
 
 def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
     """Eigendecompose a stack of Hermitian matrices (..., N, N).
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    the same deterministic phase fixing as hermitian_eig. Grouping is
-    left to the caller, which usually wants vectorized cluster masks
-    rather than per-matrix index tuples.
+    The one call site of the dense LAPACK solver; its iteration cap
+    surfaces as ConvergenceFailure. Returns (eigenvalues, eigenvectors)
+    with eigenvalues ascending and each eigenvector's largest-modulus
+    component made real positive, so bit-identical input gives
+    bit-identical output. Grouping is left to cluster_labels.
 
     Each matrix is checked against rtol on its own scale. A non-finite
     entry, or a spectral width w_max - w_min that overflows, raises
@@ -201,17 +202,12 @@ def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
         w, v = np.linalg.eigh(ms)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
-    _require_finite_width(w)
-    return w, _fix_phases(v)
-
-
-def _require_finite_width(w) -> None:
-    """Raise NonFiniteInput unless every spectrum's width w_max - w_min
-    is finite; catches entries whose eigenvalues overflow."""
+    # A finite width catches entries whose eigenvalues overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(w[..., -1] - w[..., 0]).all()
     if not finite:
         raise NonFiniteInput("spectral width w_max - w_min is not finite")
+    return w, _fix_phases(v)
 
 
 def _require_hermitian_batch(ms, rtol: float) -> None:
@@ -257,9 +253,5 @@ def unitary_exp(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise NonAntiHermitianInput(
             f"anti-hermiticity defect {defect:.3e} exceeds tolerance"
         )
-    h = require_hermitian(1j * a, rtol=1e-10)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
+    (w,), (v,) = eigh_batch((1j * a)[None], rtol=1e-10)
     return (v * np.exp(-1j * w)) @ v.conj().T

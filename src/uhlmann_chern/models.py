@@ -43,6 +43,7 @@ from .errors import (
 from .linalg import (
     DEGENERACY_TOL,
     SpectralDecomposition,
+    cluster_labels,
     eigh_batch,
     hermitian_eig,
     unitary_exp,
@@ -685,6 +686,17 @@ class ThermalState:
         return self.spectrum.groups[0]
 
 
+def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Thermal occupations for batches of ascending eigenvalues (B, N).
+    At BETA_INF the ground cluster (cluster_labels == 0) carries 1/D
+    each and every other level exactly 0."""
+    if math.isinf(beta):
+        ground = cluster_labels(w, degeneracy_tol) == 0
+        return ground / ground.sum(axis=1, keepdims=True)
+    x = np.exp(-beta * (w - w[:, :1]))
+    return x / x.sum(axis=1, keepdims=True)
+
+
 def thermal_weights(energies: np.ndarray, beta: float, groups=None) -> np.ndarray:
     """Normalized Gibbs weights for ascending energies.
 
@@ -692,15 +704,13 @@ def thermal_weights(energies: np.ndarray, beta: float, groups=None) -> np.ndarra
     cluster (first entry of groups) carries 1/D each.
     """
     energies = np.asarray(energies, dtype=np.float64)
-    if math.isinf(beta):
-        if groups is None:
-            raise ValueError("BETA_INF weights need the degeneracy groups")
-        w = np.zeros_like(energies)
-        ground = list(groups[0])
-        w[ground] = 1.0 / len(ground)
-        return w
-    x = np.exp(-beta * (energies - energies.min()))
-    return x / x.sum()
+    if not math.isinf(beta):
+        return weights_batch(energies[None], beta)[0]
+    if groups is None:
+        raise ValueError("BETA_INF weights need the degeneracy groups")
+    w = np.zeros_like(energies)
+    w[list(groups[0])] = 1.0 / len(groups[0])
+    return w
 
 
 def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> ThermalState:
@@ -717,7 +727,7 @@ def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL)
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
-    w = thermal_weights(sd.eigenvalues, beta, sd.groups)
+    w = weights_batch(sd.eigenvalues[None], beta, degeneracy_tol)[0]
     check = getattr(model, "_check_thermal_truncation", None)
     if check is not None and not math.isinf(beta):
         check(w)

@@ -2,8 +2,10 @@
 
 np.einsum with three or more operands and no optimize= contracts them
 in one naive loop nest, O(N^4) for N x N matrices; such calls once took
-95% of the oscillator integral's time. The check parses src/ with ast
-so it sees every call regardless of formatting.
+95% of the oscillator integral's time. Every eigendecomposition goes
+through linalg.eigh_batch, so the Hermiticity check, the width check
+and the phase fixing are applied once, in one place. The checks parse
+src/ with ast so they see every call regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -46,3 +48,48 @@ def test_no_unoptimised_multi_operand_einsum_in_src():
         for line in unoptimised_einsums(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not offenders, f"einsum with >= 3 operands and no optimize=: {offenders}"
+
+
+def eigh_call_sites(tree: ast.AST):
+    """(enclosing function name or None, line) of every call to an
+    eigh: x.linalg.eigh(...) or a bare eigh(...)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "eigh"
+                    and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg") or (
+                    isinstance(f, ast.Name) and f.id == "eigh"):
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_detector_finds_eigh_calls_and_their_functions():
+    code = "\n".join([
+        "np.linalg.eigh(a)",
+        "def eigh_batch(ms):",
+        "    return np.linalg.eigh(ms)",
+        "def other(m):",
+        "    np.linalg.eigvalsh(m)",
+        "    return numpy.linalg.eigh(m)",
+        "def more(m):",
+        "    return eigh(m)",
+    ])
+    assert eigh_call_sites(ast.parse(code)) == [
+        (None, 1), ("eigh_batch", 3), ("other", 6), ("more", 8)]
+
+
+def test_eigh_is_called_only_inside_eigh_batch():
+    sites = [
+        (str(path.relative_to(SRC)), func)
+        for path in sorted(SRC.rglob("*.py"))
+        for func, _ in eigh_call_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert sites == [("uhlmann_chern/linalg.py", "eigh_batch")]
