@@ -9,11 +9,16 @@ oracle for pure-state Chern numbers, and temperature sweeps with
 per-point diagnostics, which still use the finite-difference curvature
 as a cross-check.
 
-Determinism: a grid is split into fixed-size chunks in row-major index
-order; each chunk is summed with numpy's blocked pairwise summation and
-the chunk partials are combined by a fixed pairwise tree. The worker
-count moves chunks between processes but never changes what is summed
-in which order, so results are bitwise reproducible at fixed chunking.
+Determinism: all grid work goes through one chunk engine, which splits
+a grid into fixed-size chunks in row-major order and runs a job on each,
+in at most one process pool per call. Each chunk partial (one per
+temperature, or per route) is a blocked pairwise numpy sum, and the
+partials are combined by a fixed pairwise tree per temperature or
+route; the lattice oracle concatenates chunk frames instead. A sweep is
+one pass that evaluates every temperature on each chunk's eigen-data.
+Workers move chunks between processes but never change what is summed
+in which order, so results are bitwise reproducible at fixed chunking,
+and a sweep value equals its single-temperature integral bit for bit.
 """
 from __future__ import annotations
 
@@ -36,11 +41,11 @@ from .errors import (
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
     GAP_FLOOR,
-    direction_pairs,
+    curvature_frame_grid,
     ground_block_curvature_grid,
     thermal_trace_grid,
+    uhlmann_curvature_from_frame,
     uhlmann_curvature_grid,
-    uhlmann_curvature_spectral_grid,
 )
 from .models import BETA_INF, Manifold, model_id
 
@@ -107,8 +112,27 @@ class GridSpec:
         return np.column_stack(cols)
 
     def chunk_ranges(self, chunk_size: int = CHUNK_SIZE):
-        n = self.n_points
-        return [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
+        return _chunk_ranges(self.n_points, chunk_size)
+
+
+def _chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE):
+    return [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
+
+
+class _PoleClosedGrid:
+    """A sphere grid with the two exact pole rows added: points
+    row-major over (theta, phi), theta running 0, the grid's theta axis,
+    pi. The lattice oracle closes sphere charts with it."""
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.resolution = (grid.resolution[0] + 2, grid.resolution[1])
+        self.n_points = self.resolution[0] * self.resolution[1]
+
+    def points_range(self, start: int, stop: int) -> np.ndarray:
+        theta = np.concatenate([[0.0], self.grid.axis(0), [math.pi]])
+        i, j = np.unravel_index(np.arange(start, stop), self.resolution)
+        return np.column_stack([theta[i], self.grid.axis(1)[j]])
 
 
 def default_grid(model, resolution) -> GridSpec:
@@ -159,20 +183,24 @@ def _pairwise_tree(values):
 
 
 def _chunk_job(args):
-    integrand, model, grid, beta, tol, start, stop = args
-    return complex(np.sum(integrand(model, grid.points_range(start, stop), beta, tol)))
+    job, model, points, params, tol, start, stop = args
+    return job(model, points.points_range(start, stop), params, tol)
 
 
-def _map_chunks(integrand, model, grid, beta, tol, workers):
-    """Pairwise-tree sum of integrand(model, pts, beta, tol) over the
-    grid's chunks; a module-level integrand, so pools pickle it by name."""
-    jobs = [(integrand, model, grid, beta, tol, s, e) for s, e in grid.chunk_ranges()]
+def _map_chunks(job, model, points, params, tol, workers):
+    """job(model, pts, params, tol) on each fixed chunk of points (a
+    GridSpec or a _PoleClosedGrid), in chunk order, in at most one
+    process pool; module-level jobs, so pools pickle them by name."""
+    jobs = [(job, model, points, params, tol, s, e) for s, e in _chunk_ranges(points.n_points)]
     if workers <= 1:
-        partials = [_chunk_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_chunk_job, jobs, chunksize=1))
-    return _pairwise_tree(partials)
+        return [_chunk_job(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_chunk_job, jobs, chunksize=1))
+
+
+def _tree_sums(rows):
+    """Pairwise-tree sum of each column of the per-chunk partial rows."""
+    return [_pairwise_tree(column) for column in zip(*rows)]
 
 
 def _require_grid(model, grid: GridSpec, dim: int):
@@ -189,8 +217,24 @@ def _require_grid(model, grid: GridSpec, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def _trace_integrand(model, pts, beta, tol):
-    return thermal_trace_grid(model, pts, beta, tol)[0]
+def _first_order_job(model, pts, betas, tol):
+    """Partial sums of Tr(rho F_U) over one chunk, one per beta."""
+    return [complex(np.sum(traces[0])) for traces in thermal_trace_grid(model, pts, betas, tol)]
+
+
+def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
+    _require_grid(model, grid, 2)
+    man = model.manifold
+    rows = _map_chunks(_first_order_job, model, grid, tuple(betas), degeneracy_tol, workers)
+    out = []
+    for beta, total in zip(betas, _tree_sums(rows)):
+        raw = 1j * total * grid.point_measure * man.orientation / (2.0 * math.pi * man.multiplicity)
+        out.append(IntegralResult(
+            value=float(raw.real),
+            imag_residual=abs(raw.imag),
+            extra={"beta": beta, "order": 1},
+        ))
+    return out
 
 
 def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
@@ -201,15 +245,7 @@ def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     The cover multiplicity and chart orientation of the model's cell
     are folded in, so values are chart-independent.
     """
-    _require_grid(model, grid, 2)
-    man = model.manifold
-    total = _map_chunks(_trace_integrand, model, grid, beta, degeneracy_tol, workers)
-    raw = 1j * total * grid.point_measure * man.orientation / (2.0 * math.pi * man.multiplicity)
-    return IntegralResult(
-        value=float(raw.real),
-        imag_residual=abs(raw.imag),
-        extra={"beta": beta, "order": 1},
-    )
+    return _first_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,43 +285,62 @@ def _eps_contraction_weighted(f, lam) -> np.ndarray:
     return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
 
 
-def _ground_integrand(model, pts, beta, tol):
-    """Ground-cluster curvature contraction weighted by rho = P / D."""
-    f, d = ground_block_curvature_grid(model, pts, tol)
-    return _eps_contraction(f) * (2.0 / d)
-
-
-def _thermal_integrand(model, pts, beta, tol):
-    f, lam = uhlmann_curvature_spectral_grid(model, pts, beta, tol)
-    return _eps_contraction_weighted(f, lam)
-
-
-def _pure_integrand(model, pts, beta, tol):
-    """Ground-cluster curvature contraction, unweighted."""
-    f, _ = ground_block_curvature_grid(model, pts, tol)
-    return _eps_contraction(f) * 2.0
-
-
 # Orientation of the closed-form determinant integrand relative to the
 # Levi-Civita route; fixed once by the cross-route calibration run.
 _DET_ROUTE_SIGN = -1.0
 
 
-def _closed_form_second_integrand(model, pts, beta: float, tol) -> np.ndarray:
-    """Closed-form second-order integrand for five-component Dirac
-    models: det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by
-    tanh^5(beta |R|), up to the route normalization applied by the
-    caller. tol is unused: no level grouping enters the closed form."""
+def _closed_form_partials(model, pts, betas) -> list[complex]:
+    """Partial sums over one chunk of the closed-form second-order
+    integrand for five-component Dirac models, one per beta:
+    det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|),
+    up to the route normalization applied by the caller."""
     r = model.r_vector_batch(pts)
     cols = [r] + [model.r_gradient_batch(pts, mu) for mu in range(4)]
     mat = np.stack(cols, axis=-1)  # (B, 5, 5): columns R, dR...
     det = np.linalg.det(mat)
     rnorm = np.sqrt((r * r).sum(axis=-1))
-    tanh = np.ones_like(rnorm) if math.isinf(beta) else np.tanh(beta * rnorm)
-    return _DET_ROUTE_SIGN * det / rnorm**5 * tanh**5
+    base = _DET_ROUTE_SIGN * det / rnorm**5
+    return [complex(np.sum(base if math.isinf(beta) else base * np.tanh(beta * rnorm) ** 5))
+            for beta in betas]
 
 
-def _check_second_order_grid(grid: GridSpec):
+def _second_order_job(model, pts, betas, tol):
+    """Partial sums over one chunk of the Levi-Civita route (ground
+    block weighted by P / D at BETA_INF, closed-form Uhlmann curvature
+    weighted by rho otherwise) and the determinant route, per beta:
+    (eps_0, det_0, eps_1, det_1, ...)."""
+    frame = None
+    row = []
+    for beta, closed in zip(betas, _closed_form_partials(model, pts, betas)):
+        if math.isinf(beta):
+            f, d = ground_block_curvature_grid(model, pts, tol)
+            values = _eps_contraction(f) * (2.0 / d)
+        else:
+            if frame is None:
+                frame = curvature_frame_grid(model, pts, tol)
+            values = _eps_contraction_weighted(*uhlmann_curvature_from_frame(frame, beta))
+        row += [complex(np.sum(values)), closed]
+    return row
+
+
+def _pure_job(model, pts, _params, tol):
+    """Partial sum over one chunk of the unweighted ground-cluster
+    curvature contraction."""
+    f, _ = ground_block_curvature_grid(model, pts, tol)
+    return [complex(np.sum(_eps_contraction(f) * 2.0))]
+
+
+def _check_second_order(model, grid: GridSpec, dirac_route: bool):
+    """Grid and model checks shared by the second-order engines, raised
+    before any grid work; warns below the accepted resolution."""
+    _require_grid(model, grid, 4)
+    missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
+    if dirac_route and missing:
+        raise MissingModelHook(
+            f"the closed-form route needs a Dirac-form model; {type(model).__name__} "
+            f"lacks {', '.join(missing)}"
+        )
     if any(r < SECOND_ORDER_ACCEPTED_RESOLUTION for r in grid.resolution):
         warnings.warn(
             f"resolution {grid.resolution} below "
@@ -296,60 +351,58 @@ def _check_second_order_grid(grid: GridSpec):
         )
 
 
+def _second_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
+    man = model.manifold
+    rows = _map_chunks(_second_order_job, model, grid, tuple(betas), degeneracy_tol, workers)
+    sums = _tree_sums(rows)
+    norm = grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
+    out = []
+    for beta, total, closed in zip(betas, sums[0::2], sums[1::2]):
+        raw = -total * norm
+        closed_val = float(
+            (closed * grid.point_measure * man.orientation).real
+            * 3.0
+            / (16.0 * math.pi**2 * man.multiplicity)
+        )
+        out.append(IntegralResult(
+            value=float(raw.real),
+            imag_residual=abs(complex(raw).imag),
+            extra={
+                "beta": beta,
+                "order": 2,
+                "epsilon_route": float(raw.real),
+                "closed_form_route": closed_val,
+                "route_disagreement": abs(float(raw.real) - closed_val),
+            },
+        ))
+    return out
+
+
 def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
                       degeneracy_tol: float = DEGENERACY_TOL) -> IntegralResult:
     """Second-order thermal Chern integral -(1/8 pi^2) int tr(rho
     F_U ^ F_U) on the 4D torus.
 
-    Two routes are computed and both reported: (a) the Levi-Civita
-    contraction of the full curvature components (exact projector
-    kernels at BETA_INF, the closed-form Uhlmann curvature in the energy
-    eigenbasis at finite beta), which is the returned value, and (b) the
-    model's closed-form determinant integrand, kept as the independent
-    check in extra["closed_form_route"]. Route (b) needs the model's Dirac vector
-    hooks r_vector_batch and r_gradient_batch; without them the call
-    raises MissingModelHook before any grid work.
+    Two routes are computed in one chunk pass and both reported: (a) the
+    Levi-Civita contraction of the full curvature components (exact
+    projector kernels at BETA_INF, the closed-form Uhlmann curvature in
+    the energy eigenbasis at finite beta), which is the returned value,
+    and (b) the model's closed-form determinant integrand, kept as the
+    independent check in extra["closed_form_route"]. Route (b) needs the
+    model's Dirac vector hooks r_vector_batch and r_gradient_batch;
+    without them the call raises MissingModelHook before any grid work.
     """
-    _require_grid(model, grid, 4)
-    missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
-    if missing:
-        raise MissingModelHook(
-            f"the closed-form route needs a Dirac-form model; {type(model).__name__} "
-            f"lacks {', '.join(missing)}"
-        )
-    _check_second_order_grid(grid)
-    man = model.manifold
-    norm = grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
-    integrand = _ground_integrand if math.isinf(beta) else _thermal_integrand
-    total = _map_chunks(integrand, model, grid, beta, degeneracy_tol, workers)
-    raw = -total * norm
-    closed = _map_chunks(_closed_form_second_integrand, model, grid, beta, degeneracy_tol, workers)
-    closed_val = float(
-        (closed * grid.point_measure * man.orientation).real
-        * 3.0
-        / (16.0 * math.pi**2 * man.multiplicity)
-    )
-    return IntegralResult(
-        value=float(raw.real),
-        imag_residual=abs(complex(raw).imag),
-        extra={
-            "beta": beta,
-            "order": 2,
-            "epsilon_route": float(raw.real),
-            "closed_form_route": closed_val,
-            "route_disagreement": abs(float(raw.real) - closed_val),
-        },
-    )
+    _check_second_order(model, grid, dirac_route=True)
+    return _second_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
 
 
 def second_chern_pure(model, grid: GridSpec, workers: int = 1,
                       degeneracy_tol: float = DEGENERACY_TOL) -> IntegralResult:
     """Second Chern number of the ground cluster from its non-abelian
     curvature; near-integer for gapped four-band models."""
-    _require_grid(model, grid, 4)
-    _check_second_order_grid(grid)
+    _check_second_order(model, grid, dirac_route=False)
     man = model.manifold
-    total = _map_chunks(_pure_integrand, model, grid, BETA_INF, degeneracy_tol, workers)
+    (total,) = _tree_sums(_map_chunks(_pure_job, model, grid, None, degeneracy_tol, workers))
     raw = -total * grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
     return IntegralResult(float(raw.real), abs(raw.imag), extra={"order": 2, "pure": True})
 
@@ -383,61 +436,69 @@ def _frame_grid(model, pts, group, degeneracy_tol):
         raise GapClosed("band group touches the level below somewhere on the grid")
     if hi + 1 < w.shape[1] and bool(touch[:, hi].any()):
         raise GapClosed("band group touches the level above somewhere on the grid")
-    return v[:, :, lo : hi + 1]
+    return v[:, :, lo : hi + 1].copy()  # a view would keep all of v alive
 
 
 def _link_phases(frames_a, frames_b):
     """Unimodular overlap determinants between two frame stacks."""
-    ov = np.einsum("...ji,...jk->...ik", frames_a.conj(), frames_b, optimize=True)
+    ov = frames_a.conj().swapaxes(-1, -2) @ frames_b
     det = np.linalg.det(ov)
+    del ov
     mag = np.abs(det)
     if float(mag.min()) < 1e-12:
         raise NonIntegerPlaquetteSum(
             "vanishing link overlap; refine the grid or check the gap"
         )
-    return det / mag
+    det /= mag
+    return det
 
 
-def pure_chern_fhs(model, group, grid: GridSpec, degeneracy_tol: float = DEGENERACY_TOL) -> int:
+def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
+    """Band-group frames at every point of a GridSpec or _PoleClosedGrid,
+    built chunk by chunk and laid out on its 2D index grid."""
+    chunks = _map_chunks(_frame_grid, model, points, group, degeneracy_tol, workers)
+    return np.concatenate(chunks).reshape(*points.resolution, -1, len(group))
+
+
+def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
+                   degeneracy_tol: float = DEGENERACY_TOL) -> int:
     """Integer Chern number of a band or ground group from plaquette
     phases of frame-overlap links on the grid.
 
     Torus charts wrap with the model's boundary twist; sphere charts
     are closed by adding the two exact pole rows, whose intra-row links
     are identities. The plaquette-phase sum must land within 0.05 of an
-    integer multiple of 2 pi times the cover multiplicity.
+    integer multiple of 2 pi times the cover multiplicity. The frames
+    are built chunk by chunk through the chunk engine; links and
+    plaquettes are formed in the calling process.
     """
     _require_grid(model, grid, 2)
     group = _normalize_group(group)
     man = model.manifold
-    nx, ny = grid.resolution
     if man.kind == "sphere":
-        theta = np.concatenate([[0.0], grid.axis(0), [math.pi]])
-        phi = grid.axis(1)
-        pts = np.column_stack([np.repeat(theta, phi.size), np.tile(phi, theta.size)])
-        psi = _frame_grid(model, pts, group, degeneracy_tol).reshape(
-            theta.size, phi.size, -1, len(group)
-        )
+        psi = _frames(model, _PoleClosedGrid(grid), group, degeneracy_tol, workers)
         ux = _link_phases(psi[:-1], psi[1:])  # along theta, rows closed by poles
         uy = _link_phases(psi, np.roll(psi, -1, axis=1))  # along phi, periodic
         plaq = ux * uy[1:] * np.roll(ux, -1, axis=1).conj() * uy[:-1].conj()
     else:
-        pts = grid.points_range(0, grid.n_points)
-        psi = _frame_grid(model, pts, group, degeneracy_tol).reshape(
-            nx, ny, -1, len(group)
-        )
+        psi = _frames(model, grid, group, degeneracy_tol, workers)
         # Seam frames beyond the cell are the twisted copies of the
         # first row/column; with constant commuting twists, rolling the
         # link arrays then reproduces every seam and corner link.
-        wx = model.boundary_twist(0)
-        wy = model.boundary_twist(1)
-        psi_x_next = np.roll(psi, -1, axis=0)
-        psi_x_next[-1] = np.einsum("ij,bjk->bik", wx, psi[0], optimize=True)
-        psi_y_next = np.roll(psi, -1, axis=1)
-        psi_y_next[:, -1] = np.einsum("ij,bjk->bik", wy, psi[:, 0], optimize=True)
-        ux = _link_phases(psi, psi_x_next)
-        uy = _link_phases(psi, psi_y_next)
-        plaq = ux * np.roll(uy, -1, axis=0) * np.roll(ux, -1, axis=1).conj() * uy.conj()
+        # Each shifted frame stack is dropped once its links exist, and
+        # the plaquette product is formed in place: at 1024^2 the frames
+        # and links are tens of MB apiece.
+        psi_next = np.roll(psi, -1, axis=0)
+        psi_next[-1] = np.einsum("ij,bjk->bik", model.boundary_twist(0), psi[0], optimize=True)
+        ux = _link_phases(psi, psi_next)
+        psi_next = np.roll(psi, -1, axis=1)
+        psi_next[:, -1] = np.einsum("ij,bjk->bik", model.boundary_twist(1), psi[:, 0],
+                                    optimize=True)
+        uy = _link_phases(psi, psi_next)
+        del psi, psi_next
+        plaq = ux * np.roll(uy, -1, axis=0)
+        plaq *= np.roll(ux, -1, axis=1).conj()
+        plaq *= uy.conj()
     total = float(np.angle(plaq).sum())
     # The loop product winds opposite to the (i / 2 pi) integral
     # convention used everywhere else (links exponentiate +A while the
@@ -460,11 +521,14 @@ def pure_chern_fhs(model, group, grid: GridSpec, degeneracy_tol: float = DEGENER
 
 def beta_from_temperature(t_over_r0: float, r0: float) -> float:
     """Inverse temperature 1 / (T R0) for a temperature in units of the
-    model's energy scale R0; T = 0 is BETA_INF. Raises NonFiniteInput
-    when a positive T R0 underflows to zero."""
+    model's energy scale R0; T = 0 is BETA_INF and T = +inf is beta = 0,
+    the infinite-temperature limit. Raises NonFiniteInput for a NaN
+    temperature or T R0, and when a positive T R0 underflows to zero."""
     if t_over_r0 == 0.0:
         return BETA_INF
     scale = t_over_r0 * r0
+    if math.isnan(scale):
+        raise NonFiniteInput(f"T R0 is NaN at T/R0 = {t_over_r0!r}, R0 = {r0!r}")
     if scale == 0.0:
         raise NonFiniteInput(f"beta = 1 / (T R0) overflows at T/R0 = {t_over_r0!r}, R0 = {r0!r}")
     return 1.0 / scale
@@ -481,10 +545,12 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
     """Thermal Chern number across a scan of temperatures (in units of
     the model's energy scale R0), with per-temperature diagnostics.
 
-    Each temperature records the integral's imaginary residual, the
-    maximum curvature-trace magnitude over a fixed point sample
-    (tracelessness check), and a route disagreement: first order
-    compares the spectral trace against Tr(rho F) with the
+    All temperatures are integrated in one pass over the grid (one
+    process pool at most), and each value equals the single-temperature
+    integral bit for bit. Each temperature records the integral's
+    imaginary residual, the maximum curvature-trace magnitude over a
+    fixed point sample (tracelessness check), and a route disagreement:
+    first order compares the spectral trace against Tr(rho F) with the
     finite-difference curvature at the sample points; second order
     compares the two integral routes.
     """
@@ -495,26 +561,23 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
         raise ValueError("temperatures must be positive and strictly ascending")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    r0 = model.r0
+    betas = [beta_from_temperature(t, model.r0) for t in temps]
+    if order == 1:
+        results = _first_order_results(model, betas, grid, workers, degeneracy_tol)
+    else:
+        _check_second_order(model, grid, dirac_route=True)
+        results = _second_order_results(model, betas, grid, workers, degeneracy_tol)
     sample = _diagnostic_points(grid)
-    values = []
     diags = []
-    for t in temps:
-        beta = beta_from_temperature(t, r0)
+    for t, beta, res in zip(temps, betas, results):
+        f, rho = uhlmann_curvature_grid(model, sample, beta, None, degeneracy_tol)
+        trace_residual = float(np.abs(np.einsum("pbii->pb", f)).max())
         if order == 1:
-            res = first_thermal_uc(model, beta, grid, workers, degeneracy_tol)
-            f, rho = uhlmann_curvature_grid(model, sample, beta, None, degeneracy_tol)
-            traces = np.einsum("pbii->pb", f)
             spectral = thermal_trace_grid(model, sample, beta, degeneracy_tol)
             weighted = np.einsum("bij,pbji->pb", rho, f)
             disagreement = float(np.abs(weighted - spectral).max())
-            trace_residual = float(np.abs(traces).max())
         else:
-            res = second_thermal_uc(model, beta, grid, workers, degeneracy_tol)
-            f, _ = uhlmann_curvature_grid(model, sample, beta, None, degeneracy_tol)
-            trace_residual = float(np.abs(np.einsum("pbii->pb", f)).max())
             disagreement = res.extra["route_disagreement"]
-        values.append(res.value)
         diags.append(
             {
                 "T_over_R0": t,
@@ -528,7 +591,7 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
         model=model_id(model),
         order=order,
         temperatures=tuple(temps),
-        values=tuple(values),
+        values=tuple(res.value for res in results),
         grid=grid,
         diagnostics=tuple(diags),
     )

@@ -25,6 +25,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -222,7 +223,8 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
     dim = model.manifold.dim
     tol = _degeneracy_tol(cfg)
     if dim == 2:
-        value = chern.pure_chern_fhs(model, run.get("band", 0), grid, degeneracy_tol=tol)
+        value = chern.pure_chern_fhs(model, run.get("band", 0), grid, workers=workers,
+                                     degeneracy_tol=tol)
         kind = "first"
     else:
         result = chern.second_chern_pure(model, grid, workers=workers, degeneracy_tol=tol)
@@ -285,8 +287,11 @@ def _check_coefficient_bounds(cfg, rng):
     worst = 0.0
     ok = True
     for _ in range(40):
-        lam = rng.dirichlet(np.ones(6))[None, :]
-        c = geometry._mixing_batch(lam)[0]
+        # Spectra and temperatures wide enough that some weights underflow.
+        w = np.sort(rng.normal(0.0, 5.0, 6))[None, :]
+        beta = rng.uniform(0.1, 200.0)
+        lam = models.weights_batch(w, beta)
+        c = geometry._mixing_batch(lam, geometry._pair_exponents(w, beta))[0]
         ok &= bool(np.all(c >= -1e-15) and np.all(c <= 1.0 + 1e-15))
         ok &= bool(np.allclose(c, c.T, atol=1e-15))
         ok &= bool(np.allclose(np.diag(c), 0.0, atol=1e-15))
@@ -427,24 +432,37 @@ _VERIFY_CHECKS = [
 ]
 
 
+def _warning_summary(caught) -> str:
+    """Count and categories of recorded warnings, e.g. '3 warnings
+    (RuntimeWarning x2, TruncationWeightWarning x1)'."""
+    counts = Counter(w.category.__name__ for w in caught)
+    kinds = ", ".join(f"{name} x{n}" for name, n in sorted(counts.items()))
+    total = sum(counts.values())
+    return f"{total} warning{'' if total == 1 else 's'}" + (f" ({kinds})" if kinds else "")
+
+
 def cmd_verify(cfg: dict, out_dir: Path, workers: int) -> int:
     rng = np.random.default_rng(_SAMPLE_SEED)
     failures = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for module, name, check in _VERIFY_CHECKS:
+    caught_all = []
+    for module, name, check in _VERIFY_CHECKS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 ok, detail = check(cfg, rng)
             except UhlmannChernError as exc:
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            status = "PASS" if ok else "FAIL"
-            print(f"{status}  {module}.{name}  ({detail})")
-            if not ok:
-                failures.append(f"{module}.{name}")
+        caught_all += caught
+        status = "PASS" if ok else "FAIL"
+        print(f"{status}  {module}.{name}  ({detail}; {_warning_summary(caught)})")
+        if not ok:
+            failures.append(f"{module}.{name}")
+    summary = _warning_summary(caught_all)
     if failures:
         print("verify failure: " + ", ".join(failures), file=sys.stderr)
+        print(f"verify: {len(failures)} of {len(_VERIFY_CHECKS)} checks failed, {summary}")
         return 1
-    print(f"verify: {len(_VERIFY_CHECKS)} checks passed")
+    print(f"verify: {len(_VERIFY_CHECKS)} checks passed, {summary}")
     return 0
 
 

@@ -19,9 +19,12 @@ and the degeneracy mask of the tangent matrices all come from it.
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 uhlmann_curvature_spectral_grid differentiates the spectral connection
 in closed form from the eigen-data of one point, and is what the
-integrals use. uhlmann_curvature_grid and uhlmann_curvature difference
-the connection field on a central stencil; they are kept as its
-cross-check and for the temperature-sweep diagnostics.
+integrals use, through its temperature-independent half
+(curvature_frame_grid) and its per-temperature half
+(uhlmann_curvature_from_frame), so a temperature scan builds the first
+once. uhlmann_curvature_grid and uhlmann_curvature difference the
+connection field on a central stencil; they are kept as its cross-check
+and for the temperature-sweep diagnostics.
 """
 from __future__ import annotations
 
@@ -167,11 +170,10 @@ def _eigenbasis_gradients(v, grads) -> np.ndarray:
     return np.einsum("bji,dbjk,bkl->dbil", v.conj(), grads, v, optimize=True)
 
 
-def _gap_mask(w, degeneracy_tol):
+def _gap_mask(w, labels):
     """Level gaps den_jk = E_k - E_j (B, N, N) and the mask of pairs in
-    different degenerate clusters (cluster_labels)."""
+    different degenerate clusters, from the cluster_labels of w."""
     den = w[:, None, :] - w[:, :, None]
-    labels = cluster_labels(w, degeneracy_tol)
     return den, labels[:, :, None] != labels[:, None, :]
 
 
@@ -180,16 +182,21 @@ def _divide_gaps(num, den, keep) -> np.ndarray:
     return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
 
 
-def _tangent_from_gradients(w, g, degeneracy_tol) -> np.ndarray:
-    """Eigenbasis tangent matrices T_jk = G_jk / (E_k - E_j), zero
-    within degenerate clusters. w (B, N), g (d, B, N, N)."""
-    return _divide_gaps(g, *_gap_mask(w, degeneracy_tol))
+def _pair_exponents(w, beta: float):
+    """x_jk = beta (E_j - E_k) for eigenvalue batches (B, N), or None at
+    zero temperature."""
+    return None if math.isinf(beta) else beta * (w[:, :, None] - w[:, None, :])
 
 
-def _mixing_batch(lam) -> np.ndarray:
+def _mixing_batch(lam, x=None) -> np.ndarray:
     """Weight-mixing coefficients C_jk = (sqrt l_j - sqrt l_k)^2 /
-    (l_j + l_k) for weight batches (B, N); the 0/0 case (both weights
-    underflowed to zero) continues the large-beta limit C -> 1."""
+    (l_j + l_k) for weight batches lam (B, N). Given the pair exponents
+    x of a finite beta, C = 1 - sech(x/2) = expm1(-|x|/2)^2 / (1 +
+    exp(-|x|)), exact where the weights underflow; otherwise it is read
+    off the weights, 0/0 continuing the large-beta limit C -> 1."""
+    if x is not None:
+        ax = np.abs(x)
+        return np.expm1(-0.5 * ax) ** 2 / (1.0 + np.exp(-ax))
     s = np.sqrt(lam)
     num = (s[:, :, None] - s[:, None, :]) ** 2
     den = lam[:, :, None] + lam[:, None, :]
@@ -234,39 +241,100 @@ def _frame_data(model, pts):
     return w, v, _eigenbasis_gradients(v, _gradient_stack(model, pts))
 
 
-def spectral_data_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL):
+def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch: (w, v, lam, t) with shapes
     (B, N), (B, N, N), (B, N), (d, B, N, N).
 
     A model with an eigenframe_batch method supplies its exact
     eigenvalues, eigenvectors and eigenbasis gradients; every other
     model goes through one stacked eigendecomposition of H. Both paths
-    share the same gap division and degeneracy mask.
+    share the same gap division and degeneracy mask, and the cluster
+    labels are computed once per batch. beta may also be a sequence of
+    K inverse temperatures: lam then has shape (K, B, N), one weight
+    batch per beta on the same eigen-data.
     """
     pts = np.asarray(pts, dtype=np.float64)
     w, v, g = _frame_data(model, pts)
-    lam = weights_batch(w, beta, degeneracy_tol)
-    t = _tangent_from_gradients(w, g, degeneracy_tol)
+    labels = cluster_labels(w, degeneracy_tol)
+    t = _divide_gaps(g, *_gap_mask(w, labels))
+    if np.ndim(beta):
+        lam = np.stack([weights_batch(w, b, degeneracy_tol, labels) for b in beta])
+    else:
+        lam = weights_batch(w, beta, degeneracy_tol, labels)
     return w, v, lam, t
 
 
-def thermal_trace_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B)."""
+def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B); for
+    a sequence of K betas, shape (K, P, B), from one set of eigen-data."""
     _, _, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
-    return _trace_pairs(lam, t, direction_pairs(model.dim))
+    pairs = direction_pairs(model.dim)
+    if np.ndim(beta):
+        return np.stack([_trace_pairs(lam_k, t, pairs) for lam_k in lam])
+    return _trace_pairs(lam, t, pairs)
 
 
 def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Spectral-route Uhlmann connection components over a point batch,
     shape (d, B, N, N), in the original (not eigen-) basis."""
-    _, v, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
-    return _connection_from_data(v, lam, t)
+    w, v, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
+    return _connection_from_data(v, _mixing_batch(lam, _pair_exponents(w, beta)), t)
 
 
-def _connection_from_data(v, lam, t) -> np.ndarray:
-    """A = v (-C o T) v^dagger, (d, B, N, N), from spectral data."""
-    a_tilde = -_mixing_batch(lam)[None, :, :, :] * t
-    return np.einsum("bij,dbjk,blk->dbil", v, a_tilde, v.conj(), optimize=True)
+def _connection_from_data(v, c, t) -> np.ndarray:
+    """A = v (-C o T) v^dagger, (d, B, N, N), from the eigenvectors, the
+    mixing coefficients and the tangent matrices."""
+    return np.einsum("bij,dbjk,blk->dbil", v, -c[None] * t, v.conj(), optimize=True)
+
+
+def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
+    """The temperature-independent half of
+    uhlmann_curvature_spectral_grid: (w, labels, t, delta, dt) with w
+    (B, N) and its cluster labels, the tangents t (d, B, N, N), the
+    energy-derivative gaps delta (d, B, N, N), and per direction pair
+    the off-cluster parallel-gauge derivative dt = d_mu T_nu - d_nu T_mu
+    (P, B, N, N)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    w, _, g = _frame_data(model, pts)
+    labels = cluster_labels(w, degeneracy_tol)
+    den, keep = _gap_mask(w, labels)
+    t = _divide_gaps(g, den, keep)
+    de = np.diagonal(g, axis1=-2, axis2=-1).real
+    delta = de[:, :, :, None] - de[:, :, None, :]
+    pairs = direction_pairs(model.dim)
+    dt = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
+    for i, (mu, nu) in enumerate(pairs):
+        # Hermitian G and anti-Hermitian T make the commutators one
+        # product: [G_nu, T_mu] - [G_mu, T_nu] = q + q^dagger.
+        q = g[nu] @ t[mu] - g[mu] @ t[nu]
+        num = q + q.conj().swapaxes(-1, -2) + t[nu] * delta[mu] - t[mu] * delta[nu]
+        dt[i] = _divide_gaps(num, den, keep)
+    return w, labels, t, delta, dt
+
+
+def uhlmann_curvature_from_frame(frame, beta: float):
+    """The temperature-dependent half of uhlmann_curvature_spectral_grid:
+    (f, lam) at one beta from a curvature_frame_grid result."""
+    w, labels, t, delta, dt = frame
+    lam = weights_batch(w, beta, labels=labels)
+    x = _pair_exponents(w, beta)
+    c = _mixing_batch(lam, x)
+    k = (1.0 - c) * t  # T + M
+    if x is None:
+        dc = np.zeros_like(delta)  # C is piecewise constant at zero temperature
+    else:
+        # (beta/2) sech(x/2) with sech(x/2) = 2e / (1 + e^2), e = exp(-|x|/2):
+        # no overflow at any finite x.
+        e = np.exp(-0.5 * np.abs(x))
+        dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
+    pairs = direction_pairs(t.shape[0])
+    f = np.empty_like(dt)
+    for i, (mu, nu) in enumerate(pairs):
+        # With anti-Hermitian T, M and K, [T_mu, M_nu] - [T_nu, M_mu] +
+        # [M_mu, M_nu] = [K_mu, K_nu] - [T_mu, T_nu] = p - p^dagger.
+        p = k[mu] @ k[nu] - t[mu] @ t[nu]
+        f[i] = p - p.conj().swapaxes(-1, -2) - (dc[mu] * t[nu] - dc[nu] * t[mu]) - c * dt[i]
+    return f, lam
 
 
 def uhlmann_curvature_spectral_grid(model, pts, beta: float,
@@ -292,46 +360,20 @@ def uhlmann_curvature_spectral_grid(model, pts, beta: float,
 
     The second-derivative term v^dagger d_mu d_nu H v is symmetric in
     (mu, nu) and cancels, so only the eigen-data of one evaluation of H
-    and dH per point enter: no finite differences, no Hessians.
+    and dH per point enter: no finite differences, no Hessians. The
+    temperature-independent part is curvature_frame_grid, so a scan over
+    temperatures builds it once per batch.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    w, _, g = _frame_data(model, pts)
-    lam = weights_batch(w, beta, degeneracy_tol)
-    den, keep = _gap_mask(w, degeneracy_tol)
-    t = _divide_gaps(g, den, keep)
-    c = _mixing_batch(lam)
-    k = (1.0 - c) * t  # T + M
-    de = np.diagonal(g, axis1=-2, axis2=-1).real
-    delta = de[:, :, :, None] - de[:, :, None, :]
-    if math.isinf(beta):
-        dc = np.zeros_like(delta)  # C is piecewise constant at zero temperature
-    else:
-        x = beta * (w[:, :, None] - w[:, None, :])
-        # (beta/2) sech(x/2) with sech(x/2) = 2e / (1 + e^2), e = exp(-|x|/2):
-        # no overflow at any finite x.
-        e = np.exp(-0.5 * np.abs(x))
-        dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
-    pairs = direction_pairs(model.dim)
-    f = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        # Hermitian G and anti-Hermitian T, M, K make every commutator one
-        # product: [G_nu, T_mu] - [G_mu, T_nu] = q + q^dagger, and
-        # [T_mu, M_nu] - [T_nu, M_mu] + [M_mu, M_nu] = [K_mu, K_nu] -
-        # [T_mu, T_nu] = p - p^dagger.
-        q = g[nu] @ t[mu] - g[mu] @ t[nu]
-        num = q + q.conj().swapaxes(-1, -2) + t[nu] * delta[mu] - t[mu] * delta[nu]
-        p = k[mu] @ k[nu] - t[mu] @ t[nu]
-        f[i] = (p - p.conj().swapaxes(-1, -2) - (dc[mu] * t[nu] - dc[nu] * t[mu])
-                - c * _divide_gaps(num, den, keep))
-    return f, lam
+    return uhlmann_curvature_from_frame(curvature_frame_grid(model, pts, degeneracy_tol), beta)
 
 
-def _ground_size(w, degeneracy_tol, gap_floor) -> int:
-    """Size D of the ground cluster (cluster_labels == 0) of a batch of
-    spectra (B, N). Raises GapClosed if D varies over the batch, if the
+def _ground_size(w, lam, gap_floor) -> int:
+    """Size D of the ground cluster of a batch of spectra (B, N), read
+    off the zero-temperature weights lam (positive exactly on the
+    cluster). Raises GapClosed if D varies over the batch, if the
     cluster is the whole space, or if its gap is at or below gap_floor
     anywhere."""
-    sizes = (cluster_labels(w, degeneracy_tol) == 0).sum(axis=1)
+    sizes = (lam > 0).sum(axis=1)
     d = int(sizes[0])
     if not (sizes == d).all():
         raise GapClosed("ground degeneracy varies across the batch")
@@ -353,8 +395,8 @@ def ground_block_curvature_grid(
     degeneracy. Raises GapClosed if the cluster size varies over the
     batch or its gap falls below gap_floor anywhere.
     """
-    w, _, _, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
-    d = _ground_size(w, degeneracy_tol, gap_floor)
+    w, _, lam, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
+    d = _ground_size(w, lam, gap_floor)
     pairs = direction_pairs(model.dim)
     tg = t[:, :, :d, d:]  # ground rows, excited columns
     f = np.empty((len(pairs), w.shape[0], d, d), dtype=np.complex128)
@@ -422,8 +464,8 @@ def uhlmann_curvature_grid(
     b = pts.shape[0]
     shifts = np.stack([_fd_shift_stack(p, h, dim) for p in pts])  # (B, S, d)
     flat = shifts.transpose(1, 0, 2).reshape(n_shift * b, dim)
-    _, v, lam, t = spectral_data_grid(model, flat, beta, degeneracy_tol)
-    a_flat = _connection_from_data(v, lam, t)
+    w, v, lam, t = spectral_data_grid(model, flat, beta, degeneracy_tol)
+    a_flat = _connection_from_data(v, _mixing_batch(lam, _pair_exponents(w, beta)), t)
     n = a_flat.shape[-1]
     a_stack = a_flat.reshape(dim, n_shift, b, n, n).transpose(1, 0, 2, 3, 4)
     f = _curvature_from_stack(a_stack, h, dim, direction_pairs(dim))
@@ -480,7 +522,8 @@ def _point_tangents(sd, grads) -> np.ndarray:
     the dH/dmu matrices at its point."""
     g = np.stack([np.asarray(x, dtype=np.complex128)[None] for x in grads])
     g = _eigenbasis_gradients(sd.eigenvectors[None], g)
-    return _tangent_from_gradients(sd.eigenvalues[None], g, sd.tolerance)
+    w = sd.eigenvalues[None]
+    return _divide_gaps(g, *_gap_mask(w, cluster_labels(w, sd.tolerance)))
 
 
 def _require_maximal_cluster(group, groups):
@@ -520,8 +563,8 @@ def projector_limit_curvature(model, p, group=None,
     This is the limit object of the thermal curvature, independent of
     any beta; at beta = 0 the thermal curvature itself is zero instead.
     """
-    w, v, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
-    d = _ground_size(w[None], degeneracy_tol, GAP_FLOOR)
+    w, v, lam, t = _point_data(model, p, BETA_INF, degeneracy_tol)
+    d = _ground_size(w[None], lam[None], GAP_FLOOR)
     ground = tuple(range(d))
     if group is not None and tuple(sorted(int(i) for i in group)) != ground:
         raise GapClosed(f"requested group {tuple(group)} is not the ground cluster {ground}")
@@ -548,8 +591,9 @@ def uhlmann_connection_spectral(state, grads) -> ConnectionField:
     matrices at the same point.
     """
     t = _point_tangents(state.spectrum, grads)
-    v = state.spectrum.eigenvectors[None]
-    return ConnectionField(_connection_from_data(v, state.weights[None], t)[:, 0])
+    sd = state.spectrum
+    c = _mixing_batch(state.weights[None], _pair_exponents(sd.eigenvalues[None], state.beta))
+    return ConnectionField(_connection_from_data(sd.eigenvectors[None], c, t)[:, 0])
 
 
 def uhlmann_connection_sqrt_fd(model, p, beta: float, h: float | None = None,

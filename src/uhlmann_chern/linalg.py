@@ -54,39 +54,6 @@ def hermiticity_defect(m):
     return defects if stack else float(defects)
 
 
-def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate and return m as a square complex Hermitian array.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix expected to satisfy m == m^dagger.
-    rtol : float
-        Allowed relative defect, measured against the largest entry.
-
-    Returns
-    -------
-    numpy.ndarray
-        A fresh complex128 copy of m.
-
-    Raises
-    ------
-    NonHermitianInput
-        If m is not square or the defect exceeds rtol.
-    NonFiniteInput
-        If an entry of m is NaN or infinite.
-    """
-    m = np.array(m, dtype=np.complex128, order="C")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if not np.isfinite(defect):
-        raise NonFiniteInput("matrix has a non-finite entry")
-    if defect > rtol:
-        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds rtol {rtol:.1e}")
-    return m
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-modulus component of each eigenvector column
     real and positive. Accepts stacked (..., N, N) arrays of columns.
@@ -172,12 +139,16 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
     Parameters
     ----------
     m : array_like
-        Hermitian matrix (checked to relative tolerance 1e-12).
+        Hermitian matrix (checked once, by eigh_batch, to relative
+        tolerance 1e-12).
     degeneracy_tol : float
         Relative eigenvalue tolerance for clustering, applied as
         degeneracy_tol * (1 + max |eigenvalue|).
     """
-    (w,), (v,) = eigh_batch(require_hermitian(m)[None])
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
+    (w,), (v,) = eigh_batch(m[None])
     return SpectralDecomposition(w, v, _group_eigenvalues(w, degeneracy_tol), degeneracy_tol)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     ManifoldMismatch,
+    NonFiniteInput,
     TruncationTooSmall,
     TruncationWeightWarning,
     UnsupportedDirection,
@@ -289,6 +290,10 @@ class Haldane:
     def __post_init__(self):
         if self.t1 == 0:
             raise ManifoldMismatch("t1 must be nonzero")
+        # Other non-finite parameters surface as a non-finite spectrum;
+        # math.sin would raise an untyped ValueError on an infinite phi.
+        if math.isinf(self.phi):
+            raise NonFiniteInput(f"phi must be finite, got {self.phi!r}")
 
     dim = 2
 
@@ -633,11 +638,10 @@ class CoherentOscillator:
         levels n and m of the undisplaced thermal state."""
         if math.isinf(beta):
             return 0.0 if n == m == 0 else 1.0
-        en = math.exp(-beta * self.hbar_omega * n)
-        em = math.exp(-beta * self.hbar_omega * m)
-        num = (math.sqrt(en) - math.sqrt(em)) ** 2
-        den = en + em
-        return num / den
+        # 1 - sech(x/2) with x = beta hbar_omega (n - m), in a form that
+        # holds where exp(-beta hbar_omega n) underflows.
+        half = 0.5 * beta * self.hbar_omega * abs(n - m)
+        return math.expm1(-half) ** 2 / (1.0 + math.exp(-2.0 * half))
 
 
 MODEL_VARIANTS = {
@@ -686,12 +690,16 @@ class ThermalState:
         return self.spectrum.groups[0]
 
 
-def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL,
+                  labels=None) -> np.ndarray:
     """Thermal occupations for batches of ascending eigenvalues (B, N).
     At BETA_INF the ground cluster (cluster_labels == 0) carries 1/D
-    each and every other level exactly 0."""
+    each and every other level exactly 0; a caller that already holds
+    the cluster labels of w passes them instead of the tolerance."""
     if math.isinf(beta):
-        ground = cluster_labels(w, degeneracy_tol) == 0
+        if labels is None:
+            labels = cluster_labels(w, degeneracy_tol)
+        ground = labels == 0
         return ground / ground.sum(axis=1, keepdims=True)
     x = np.exp(-beta * (w - w[:, :1]))
     return x / x.sum(axis=1, keepdims=True)

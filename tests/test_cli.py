@@ -269,3 +269,35 @@ def test_verify_catches_corrupted_table(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "FAIL  models.gamma anticommutation" in captured.out
     assert "verify failure: models.gamma anticommutation" in captured.err
+
+
+def test_verify_counts_warnings_per_check(tmp_path, capsys, monkeypatch):
+    import warnings
+
+    def noisy(cfg, rng):
+        warnings.warn("first", UserWarning)
+        warnings.warn("second", UserWarning)
+        warnings.warn("third", RuntimeWarning)
+        return True, "ok"
+
+    def quiet(cfg, rng):
+        return True, "ok"
+
+    monkeypatch.setattr(cli, "_VERIFY_CHECKS", [("demo", "noisy", noisy), ("demo", "quiet", quiet)])
+    path = _verify_config(tmp_path)
+    assert cli.main(["--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "PASS  demo.noisy  (ok; 3 warnings (RuntimeWarning x1, UserWarning x2))",
+        "PASS  demo.quiet  (ok; 0 warnings)",
+        "verify: 2 checks passed, 3 warnings (RuntimeWarning x1, UserWarning x2)",
+    ]
+
+
+def test_verify_reports_warning_counts_on_every_row(tmp_path, capsys):
+    path = _verify_config(tmp_path)
+    assert cli.main(["--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert all("warning" in line for line in lines)
+    assert lines[-1].startswith("verify: 12 checks passed, ")

@@ -84,3 +84,26 @@ def test_tangent_and_connection_vanish_inside_the_cluster(beta):
     # H(0) is diagonal, so the original basis is the eigenbasis
     a = geometry.connection_grid(model, ORIGIN[None], beta)[:, 0]
     assert not a[:, :3, :3].any()
+
+
+def test_cluster_labels_are_computed_once_per_batch(monkeypatch):
+    calls = []
+
+    def counted(w, tol):
+        calls.append(np.shape(w))
+        return linalg.cluster_labels(w, tol)
+
+    monkeypatch.setattr(geometry, "cluster_labels", counted)
+    monkeypatch.setattr(models, "cluster_labels", counted)
+    pts = np.array([[0.01, 0.02], [0.03, -0.01], [-0.02, 0.01]])
+    model = ChainModel()
+    for run in (
+        lambda: geometry.spectral_data_grid(model, pts, models.BETA_INF),
+        lambda: geometry.spectral_data_grid(model, pts, (0.5, models.BETA_INF)),
+        lambda: geometry.ground_block_curvature_grid(model, pts),
+        lambda: geometry.uhlmann_curvature_spectral_grid(model, pts, 0.5),
+        lambda: geometry.thermal_trace_grid(model, pts, (0.5, 2.0, models.BETA_INF)),
+    ):
+        calls.clear()
+        run()
+        assert calls == [(3, 4)]

@@ -459,3 +459,38 @@ def test_trace_grid_matches_spectral(haldane, rng):
         state = models.thermal_state(haldane, p, beta)
         one = thermal_trace_spectral(state, _grads(haldane, p))
         assert np.abs(grid[:, b] - one).max() <= 1e-14
+
+
+def test_mixing_from_energies_survives_weight_underflow():
+    # At beta = 20 the oscillator weights of levels 37 and 38 are a
+    # subnormal 4e-322 and an exact 0; read off the weights, C_37,38
+    # would be 1 instead of 1 - sech(10).
+    model = models.CoherentOscillator(fock_dim=40)
+    beta = 20.0
+    pts = np.array([[0.3, -0.2]])
+    w, v, lam, t = geometry.spectral_data_grid(model, pts, beta)
+    assert 0.0 < lam[0, 37] < 1e-300 and lam[0, 38] == 0.0
+    exact = 1.0 - 1.0 / math.cosh(0.5 * beta * (w[0, 38] - w[0, 37]))
+    assert exact == pytest.approx(0.9999092, abs=1e-7)
+    c = geometry._mixing_batch(lam, geometry._pair_exponents(w, beta))[0]
+    assert abs(c[37, 38] - exact) <= 1e-12
+    assert abs(c[37, 38] - model.uhlmann_mixing_exact(beta, 37, 38)) <= 1e-12
+    # the connection entry A~_37,38 = -C T_37,38 in the eigenbasis
+    a = geometry.connection_grid(model, pts, beta)
+    for mu in range(2):
+        a_tilde = v[0].conj().T @ a[mu, 0] @ v[0]
+        assert abs(t[mu, 0, 37, 38]) > 1.0
+        assert abs(a_tilde[37, 38] + exact * t[mu, 0, 37, 38]) <= 1e-12 * abs(t[mu, 0, 37, 38])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+@settings(max_examples=40, deadline=None)
+def test_mixing_from_energies_matches_the_weights(seed, n):
+    rng = np.random.default_rng(seed)
+    w = np.sort(rng.normal(0.0, 2.0, n))[None]
+    beta = float(rng.uniform(0.05, 5.0))
+    lam = models.weights_batch(w, beta)
+    c = geometry._mixing_batch(lam, geometry._pair_exponents(w, beta))
+    assert np.abs(c - geometry._mixing_batch(lam)).max() <= 1e-12
+    assert np.all(c >= 0) and np.all(c <= 1)
+    assert np.array_equal(c[0], c[0].T) and np.all(np.diag(c[0]) == 0.0)

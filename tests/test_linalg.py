@@ -211,3 +211,22 @@ def test_hermiticity_defect_scales():
     assert linalg.hermiticity_defect(np.eye(2)) == 0.0
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert linalg.hermiticity_defect(m) == pytest.approx(1.0)
+
+
+def test_hermitian_eig_checks_hermiticity_once(monkeypatch, rng):
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return defect(m)
+
+    defect = linalg.hermiticity_defect
+    monkeypatch.setattr(linalg, "hermiticity_defect", counted)
+    linalg.hermitian_eig(random_hermitian(rng, 5))
+    assert calls == [(1, 5, 5)]
+    with pytest.raises(NonHermitianInput):
+        linalg.hermitian_eig(np.ones((2, 3)))
+    with pytest.raises(NonHermitianInput):
+        linalg.hermitian_eig(np.ones((1, 2, 2)))
+    with pytest.raises(NonHermitianInput):
+        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -179,3 +179,19 @@ def test_underflowing_temperature_raises_non_finite_input(tmp_path):
     path = tmp_path / "cold.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf])
+def test_infinite_haldane_phase_raises_non_finite_input(tmp_path, capsys, phi):
+    with pytest.raises(NonFiniteInput):
+        models.Haldane(t1=1.0, t2=0.0, phi=phi, M=0.0)
+    cfg = {
+        "model": {"variant": "haldane",
+                  "parameters": {"t1": 1.0, "t2": 0.0, "phi": phi, "M": 0.0}},
+        "grid": {"resolution": [8, 8]},
+        "run": {"type": "chern"},
+    }
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "Traceback" not in capsys.readouterr().err

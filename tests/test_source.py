@@ -4,8 +4,10 @@ np.einsum with three or more operands and no optimize= contracts them
 in one naive loop nest, O(N^4) for N x N matrices; such calls once took
 95% of the oscillator integral's time. Every eigendecomposition goes
 through linalg.eigh_batch, so the Hermiticity check, the width check
-and the phase fixing are applied once, in one place. The checks parse
-src/ with ast so they see every call regardless of formatting.
+and the phase fixing are applied once, in one place. Process pools are
+started only by the chunk engine, chern._map_chunks, so each top-level
+call starts at most one. The checks parse src/ with ast so they see
+every call regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -93,3 +95,47 @@ def test_eigh_is_called_only_inside_eigh_batch():
         for func, _ in eigh_call_sites(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert sites == [("uhlmann_chern/linalg.py", "eigh_batch")]
+
+
+def pool_construction_sites(tree: ast.AST):
+    """(enclosing function name or None, line) of every
+    ProcessPoolExecutor(...) construction, bare or as an attribute."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "ProcessPoolExecutor":
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_detector_finds_pool_constructions_and_their_functions():
+    code = "\n".join([
+        "ProcessPoolExecutor(2)",
+        "def _map_chunks(jobs):",
+        "    with ProcessPoolExecutor(max_workers=2) as pool:",
+        "        return pool",
+        "def other():",
+        "    ThreadPoolExecutor(2)",
+        "    return concurrent.futures.ProcessPoolExecutor()",
+        "x = ProcessPoolExecutor",
+    ])
+    assert pool_construction_sites(ast.parse(code)) == [
+        (None, 1), ("_map_chunks", 3), ("other", 7)]
+
+
+def test_process_pools_are_started_only_by_the_chunk_engine():
+    sites = [
+        (str(path.relative_to(SRC)), func)
+        for path in sorted(SRC.rglob("*.py"))
+        for func, _ in pool_construction_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert sites == [("uhlmann_chern/chern.py", "_map_chunks")]
