@@ -77,63 +77,6 @@ from .chern import (
     temperature_sweep,
 )
 
-__all__ = [
-    "BETA_INF",
-    "ConfigError",
-    "ConnectionField",
-    "CoherentOscillator",
-    "CurvatureComponents",
-    "DEGENERACY_TOL",
-    "DegenerateBand",
-    "DimensionMismatch",
-    "FourBandGamma",
-    "GAMMA",
-    "GapClosed",
-    "GridSpec",
-    "Haldane",
-    "IntegralResult",
-    "MODEL_VARIANTS",
-    "Manifold",
-    "ManifoldMismatch",
-    "MissingModelHook",
-    "NonFiniteInput",
-    "NonIntegerPlaquetteSum",
-    "NotMaximalCluster",
-    "PAULI",
-    "ResolutionTooLowWarning",
-    "SpectralDecomposition",
-    "StepTooLarge",
-    "SweepResult",
-    "ThermalState",
-    "TruncationTooSmall",
-    "TruncationWeightWarning",
-    "TwoLevelSphere",
-    "UhlmannChernError",
-    "UnsupportedDirection",
-    "VanishingDenominatorWarning",
-    "berry_curvature",
-    "commutator",
-    "default_grid",
-    "direction_pairs",
-    "eigh_batch",
-    "first_thermal_uc",
-    "gamma_anticommutation_residual",
-    "hermitian_eig",
-    "hermiticity_defect",
-    "model_id",
-    "projector_limit_curvature",
-    "psd_sqrt",
-    "pure_chern_fhs",
-    "second_chern_pure",
-    "second_thermal_uc",
-    "temperature_sweep",
-    "thermal_state",
-    "thermal_trace_spectral",
-    "thermal_weights",
-    "uhlmann_connection_spectral",
-    "uhlmann_connection_sqrt_fd",
-    "uhlmann_curvature",
-    "unitary_exp",
-    "weighted_trace",
-    "wz_curvature",
-]
+# The public names are the ones imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(errors)))

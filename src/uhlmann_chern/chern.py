@@ -14,8 +14,9 @@ a grid into fixed-size chunks in row-major order and runs a job on each,
 in at most one process pool per call. Each chunk partial (one per
 temperature, or per route) is a blocked pairwise numpy sum, and the
 partials are combined by a fixed pairwise tree per temperature or
-route; the lattice oracle concatenates chunk frames instead. A sweep is
-one pass that evaluates every temperature on each chunk's eigen-data.
+route. The lattice oracle's chunks are blocks of whole grid rows, sized
+by the grid alone, whose jobs return their plaquette-angle sums. A sweep
+is one pass that evaluates every temperature on each chunk's eigen-data.
 Workers move chunks between processes but never change what is summed
 in which order, so results are bitwise reproducible at fixed chunking,
 and a sweep value equals its single-temperature integral bit for bit.
@@ -50,6 +51,9 @@ from .geometry import (
 from .models import BETA_INF, Manifold, model_id
 
 CHUNK_SIZE = 4096
+# Points per lattice-oracle chunk, rounded up to whole grid rows; each
+# chunk also builds one halo row.
+FHS_BLOCK_POINTS = 4 * CHUNK_SIZE
 
 # How far a plaquette-phase sum may sit from an integer multiple of
 # 2 pi before the lattice oracle refuses to round.
@@ -91,9 +95,6 @@ class GridSpec:
     @property
     def point_measure(self) -> float:
         return self.manifold.volume / self.n_points
-
-    def steps(self) -> np.ndarray:
-        return np.array(self.manifold.cell) / np.array(self.resolution)
 
     def axis(self, d: int) -> np.ndarray:
         h = self.manifold.cell[d] / self.resolution[d]
@@ -187,11 +188,13 @@ def _chunk_job(args):
     return job(model, points.points_range(start, stop), params, tol)
 
 
-def _map_chunks(job, model, points, params, tol, workers):
-    """job(model, pts, params, tol) on each fixed chunk of points (a
-    GridSpec or a _PoleClosedGrid), in chunk order, in at most one
-    process pool; module-level jobs, so pools pickle them by name."""
-    jobs = [(job, model, points, params, tol, s, e) for s, e in _chunk_ranges(points.n_points)]
+def _map_chunks(job, model, points, params, tol, workers, chunk_size=CHUNK_SIZE):
+    """job(model, points.points_range(start, stop), params, tol) on each
+    fixed chunk [start, stop) of points (a GridSpec, _PoleClosedGrid or
+    _PlaquetteRows), in chunk order, in at most one process pool;
+    module-level jobs, so pools pickle them by name."""
+    ranges = _chunk_ranges(points.n_points, chunk_size)
+    jobs = [(job, model, points, params, tol, s, e) for s, e in ranges]
     if workers <= 1:
         return [_chunk_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -440,70 +443,87 @@ def _frame_grid(model, pts, group, degeneracy_tol):
 
 
 def _link_phases(frames_a, frames_b):
-    """Unimodular overlap determinants between two frame stacks."""
-    ov = frames_a.conj().swapaxes(-1, -2) @ frames_b
-    det = np.linalg.det(ov)
-    del ov
-    mag = np.abs(det)
-    if float(mag.min()) < 1e-12:
-        raise NonIntegerPlaquetteSum(
-            "vanishing link overlap; refine the grid or check the gap"
-        )
-    det /= mag
-    return det
+    """Link overlaps det(a^dagger b) between two frame stacks (..., N, G),
+    the overlap itself for one band; the links are their phases."""
+    if frames_a.shape[-1] == 1:
+        return (frames_a.conj() * frames_b).sum(axis=(-2, -1))
+    return np.linalg.det(frames_a.conj().swapaxes(-1, -2) @ frames_b)
 
 
 def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
     """Band-group frames at every point of a GridSpec or _PoleClosedGrid,
-    built chunk by chunk and laid out on its 2D index grid."""
+    built chunk by chunk and laid out on its 2D index grid: the frames
+    the lattice oracle's row blocks rebuild."""
     chunks = _map_chunks(_frame_grid, model, points, group, degeneracy_tol, workers)
     return np.concatenate(chunks).reshape(*points.resolution, -1, len(group))
 
 
+class _PlaquetteRows:
+    """The lattice oracle's chunks over a GridSpec or _PoleClosedGrid:
+    item i is the plaquette row between layout rows i and i + 1. A
+    torus (twist given) closes on its first row times the twist."""
+
+    def __init__(self, layout, twist=None):
+        self.layout, self.twist = layout, twist
+        self.rows, self.n_cols = layout.resolution
+        self.n_points = self.rows - (twist is None)
+
+    def points_range(self, start, stop):
+        """Points of layout rows start..stop (the halo) and the halo's twist."""
+        n = self.n_cols
+        if stop < self.rows:
+            return self.layout.points_range(start * n, (stop + 1) * n), None
+        pts = self.layout.points_range(start * n, self.rows * n)
+        return np.concatenate([pts, self.layout.points_range(0, n)]), self.twist
+
+
+def _fhs_job(model, block, params, tol):
+    """Plaquette-angle sum and smallest link |det| over one block of
+    _PlaquetteRows; params = (group, columns, column twist or None)."""
+    (pts, halo_twist), (group, n_cols, col_twist) = block, params
+    psi = _frame_grid(model, pts, group, tol)
+    psi = psi.reshape(-1, n_cols, *psi.shape[1:])
+    if halo_twist is not None:
+        psi[-1] = halo_twist @ psi[-1]
+    ux = _link_phases(psi[:-1], psi[1:])
+    nxt = np.roll(psi, -1, axis=1)
+    if col_twist is not None:
+        nxt[:, -1] = col_twist @ psi[:, 0]
+    uy = _link_phases(psi, nxt)
+    plaq = ux * uy[1:] * np.roll(ux, -1, axis=1).conj() * uy[:-1].conj()
+    return float(np.angle(plaq).sum()), float(np.minimum(np.abs(ux).min(), np.abs(uy).min()))
+
+
 def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
-                   degeneracy_tol: float = DEGENERACY_TOL) -> int:
+                   degeneracy_tol: float = DEGENERACY_TOL, detail: bool = False):
     """Integer Chern number of a band or ground group from plaquette
     phases of frame-overlap links on the grid.
 
-    Torus charts wrap with the model's boundary twist; sphere charts
+    Torus charts wrap with the model's boundary twists; sphere charts
     are closed by adding the two exact pole rows, whose intra-row links
     are identities. The plaquette-phase sum must land within 0.05 of an
-    integer multiple of 2 pi times the cover multiplicity. The frames
-    are built chunk by chunk through the chunk engine; links and
-    plaquettes are formed in the calling process.
+    integer multiple of 2 pi times the cover multiplicity. Each chunk
+    job forms the frames, links and plaquettes of a fixed block of rows
+    and returns two scalars. detail=True returns a dict: the integer
+    "value", the sum before rounding "plaquette_sum", their distance
+    "integer_distance" and the smallest link |det| "min_link_det".
     """
     _require_grid(model, grid, 2)
     group = _normalize_group(group)
     man = model.manifold
     if man.kind == "sphere":
-        psi = _frames(model, _PoleClosedGrid(grid), group, degeneracy_tol, workers)
-        ux = _link_phases(psi[:-1], psi[1:])  # along theta, rows closed by poles
-        uy = _link_phases(psi, np.roll(psi, -1, axis=1))  # along phi, periodic
-        plaq = ux * uy[1:] * np.roll(ux, -1, axis=1).conj() * uy[:-1].conj()
+        rows, col_twist = _PlaquetteRows(_PoleClosedGrid(grid)), None
     else:
-        psi = _frames(model, grid, group, degeneracy_tol, workers)
-        # Seam frames beyond the cell are the twisted copies of the
-        # first row/column; with constant commuting twists, rolling the
-        # link arrays then reproduces every seam and corner link.
-        # Each shifted frame stack is dropped once its links exist, and
-        # the plaquette product is formed in place: at 1024^2 the frames
-        # and links are tens of MB apiece.
-        psi_next = np.roll(psi, -1, axis=0)
-        psi_next[-1] = np.einsum("ij,bjk->bik", model.boundary_twist(0), psi[0], optimize=True)
-        ux = _link_phases(psi, psi_next)
-        psi_next = np.roll(psi, -1, axis=1)
-        psi_next[:, -1] = np.einsum("ij,bjk->bik", model.boundary_twist(1), psi[:, 0],
-                                    optimize=True)
-        uy = _link_phases(psi, psi_next)
-        del psi, psi_next
-        plaq = ux * np.roll(uy, -1, axis=0)
-        plaq *= np.roll(ux, -1, axis=1).conj()
-        plaq *= uy.conj()
-    total = float(np.angle(plaq).sum())
+        rows, col_twist = _PlaquetteRows(grid, model.boundary_twist(0)), model.boundary_twist(1)
+    sums, dets = zip(*_map_chunks(_fhs_job, model, rows, (group, rows.n_cols, col_twist),
+                                  degeneracy_tol, workers, -(-FHS_BLOCK_POINTS // rows.n_cols)))
+    min_det = float(np.min(dets))
+    if min_det < 1e-12:
+        raise NonIntegerPlaquetteSum("vanishing link overlap; refine the grid or check the gap")
     # The loop product winds opposite to the (i / 2 pi) integral
     # convention used everywhere else (links exponentiate +A while the
     # integral weighs F by +i), hence the leading minus.
-    value = -man.orientation * total / (2.0 * math.pi * man.multiplicity)
+    value = -man.orientation * _pairwise_tree(sums) / (2.0 * math.pi * man.multiplicity)
     if not math.isfinite(value):
         raise NonFiniteInput(f"plaquette sum is {value}")
     nearest = round(value)
@@ -511,6 +531,9 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
         raise NonIntegerPlaquetteSum(
             f"plaquette sum {value:.6f} is {abs(value - nearest):.3f} from an integer"
         )
+    if detail:
+        return {"value": int(nearest), "plaquette_sum": value,
+                "integer_distance": abs(value - nearest), "min_link_det": min_det}
     return int(nearest)
 
 

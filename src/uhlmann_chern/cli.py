@@ -195,21 +195,25 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     beta = chern.beta_from_temperature(t_over_r0, model.r0)
     tol = _degeneracy_tol(cfg)
 
-    trace_rows = []
-    berry_rows = []
-    for start, stop in grid.chunk_ranges():
-        pts = grid.points_range(start, stop)
-        trace = geometry.thermal_trace_grid(model, pts, beta, degeneracy_tol=tol)[0]
-        f, _ = geometry.ground_block_curvature_grid(model, pts, degeneracy_tol=tol)
-        berry = np.trace(f[0], axis1=-2, axis2=-1)
-        for i in range(pts.shape[0]):
-            trace_rows.append((pts[i, 0], pts[i, 1], trace[i].imag))
-            berry_rows.append((pts[i, 0], pts[i, 1], berry[i].imag))
+    columns = chern._map_chunks(_map_job, model, grid, beta, tol, workers)
+    pts = grid.points_range(0, grid.n_points)
+    trace, berry = (np.concatenate(c) for c in zip(*columns))
+    trace_rows = zip(pts[:, 0], pts[:, 1], trace)
+    berry_rows = zip(pts[:, 0], pts[:, 1], berry)
 
     _write_csv(out_dir / "curvature.csv", "kx,ky,Im_Tr_rhoFU", trace_rows)
     _write_csv(out_dir / "berry.csv", "kx,ky,Im_F_B", berry_rows)
-    print(f"map: {len(trace_rows)} points, T/R0={_format(t_over_r0)}")
+    print(f"map: {grid.n_points} points, T/R0={_format(t_over_r0)}")
     return 0
+
+
+def _map_job(model, pts, beta, tol):
+    """Im Tr(rho F_U) at beta and the ground-cluster Berry curvature over
+    one chunk, from one spectral pass at (beta, zero temperature)."""
+    w, _, lam, t = geometry.spectral_data_grid(model, pts, (beta, models.BETA_INF), tol)
+    trace = geometry._trace_pairs(lam[0], t, geometry.direction_pairs(2))[0]
+    f, _ = geometry.ground_block_from_data(w, lam[1], t)
+    return trace.imag, np.trace(f[0], axis1=-2, axis2=-1).imag
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +227,14 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
     dim = model.manifold.dim
     tol = _degeneracy_tol(cfg)
     if dim == 2:
-        value = chern.pure_chern_fhs(model, run.get("band", 0), grid, workers=workers,
-                                     degeneracy_tol=tol)
+        report = chern.pure_chern_fhs(model, run.get("band", 0), grid, workers=workers,
+                                      degeneracy_tol=tol, detail=True)
         kind = "first"
     else:
         result = chern.second_chern_pure(model, grid, workers=workers, degeneracy_tol=tol)
-        value = float(result)
+        report = {"value": float(result)}
         kind = "second"
+    value = report["value"]
     _write_json(
         out_dir / "chern.json",
         {
@@ -237,7 +242,7 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
             "kind": kind,
             "model": models.model_id(model),
             "grid_resolution": list(grid.resolution),
-            "value": value,
+            **report,
             "version": _version_string(),
         },
     )

@@ -396,8 +396,14 @@ def ground_block_curvature_grid(
     batch or its gap falls below gap_floor anywhere.
     """
     w, _, lam, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
+    return ground_block_from_data(w, lam, t, gap_floor)
+
+
+def ground_block_from_data(w, lam, t, gap_floor: float = GAP_FLOOR):
+    """ground_block_curvature_grid from spectral_data_grid's w, its
+    zero-temperature weights lam and the tangents t."""
     d = _ground_size(w, lam, gap_floor)
-    pairs = direction_pairs(model.dim)
+    pairs = direction_pairs(t.shape[0])
     tg = t[:, :, :d, d:]  # ground rows, excited columns
     f = np.empty((len(pairs), w.shape[0], d, d), dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):

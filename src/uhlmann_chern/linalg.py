@@ -155,11 +155,13 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
 def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
     """Eigendecompose a stack of Hermitian matrices (..., N, N).
 
-    The one call site of the dense LAPACK solver; its iteration cap
-    surfaces as ConvergenceFailure. Returns (eigenvalues, eigenvectors)
-    with eigenvalues ascending and each eigenvector's largest-modulus
-    component made real positive, so bit-identical input gives
-    bit-identical output. Grouping is left to cluster_labels.
+    The one eigensolver call site: 2x2 stacks take the closed form of
+    _eigh_2x2, every other N the dense LAPACK solver and _fix_phases
+    (its iteration cap surfaces as ConvergenceFailure). Returns
+    (eigenvalues, eigenvectors) with eigenvalues ascending and each
+    eigenvector's largest-modulus component real positive, so
+    bit-identical input gives bit-identical output. Grouping is left
+    to cluster_labels.
 
     Each matrix is checked against rtol on its own scale. A non-finite
     entry, or a spectral width w_max - w_min that overflows, raises
@@ -169,16 +171,47 @@ def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
     if ms.shape[-1] != ms.shape[-2]:
         raise NonHermitianInput(f"expected square matrices, got shape {ms.shape}")
     _require_hermitian_batch(ms, rtol)
-    try:
-        w, v = np.linalg.eigh(ms)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
+    two = ms.shape[-1] == 2
+    if two:
+        w, v = _eigh_2x2(ms)
+    else:
+        try:
+            w, v = np.linalg.eigh(ms)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise ConvergenceFailure(str(exc)) from exc
     # A finite width catches entries whose eigenvalues overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(w[..., -1] - w[..., 0]).all()
     if not finite:
         raise NonFiniteInput("spectral width w_max - w_min is not finite")
-    return w, _fix_phases(v)
+    return w, v if two else _fix_phases(v)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow makes r, so the width, infinite
+def _eigh_2x2(ms):
+    """Eigenpairs c -+ r, r = hypot(a, |b|), of [[c + a, conj(b)],
+    [b, c - a]] stacks. In each vector the entry r + |a|, which cannot
+    cancel, is the largest and real positive (first row on the tie
+    a = 0, as in _fix_phases); scaling by max(|a|, |b|) keeps every
+    entry finite, and H = cI gives I."""
+    h0, h1, b = ms[..., 0, 0].real, ms[..., 1, 1].real, ms[..., 1, 0]
+    a = 0.5 * h0 - 0.5 * h1
+    c = 0.5 * h0 + 0.5 * h1
+    aabs, babs = np.abs(a), np.abs(b)
+    r = np.hypot(a, babs)
+    s = np.maximum(aabs, babs)
+    live = s > 0
+    s = np.where(live, s, 1.0)
+    t = np.where(live, r / s + aabs / s, 1.0)
+    norm = np.hypot(t, babs / s)
+    # Real arithmetic: numpy's complex division overflows on subnormal divisors.
+    t, br, bi = t / norm, b.real / s / norm, b.imag / s / norm
+    lo, hi, z = a > 0, (a >= 0) & live, np.zeros_like(t)
+    # (re, im) of v00, v01, v10, v11; column 0 has eigenvalue c - r
+    v = np.stack([np.where(lo, -br, t), np.where(lo, bi, z), np.where(hi, t, br),
+                  np.where(hi, z, -bi), np.where(lo, t, -br), np.where(lo, z, -bi),
+                  np.where(hi, br, t), np.where(hi, bi, z)], axis=-1)
+    return np.stack([c - r, c + r], axis=-1), v.view(np.complex128).reshape(ms.shape)
 
 
 def _require_hermitian_batch(ms, rtol: float) -> None:

@@ -127,13 +127,41 @@ def _check_direction(mu: int, dim: int) -> int:
 
 
 def _sigma_dot(r):
-    """Contract (..., 3) real vectors with the Pauli triple."""
-    return np.einsum("...i,ijk->...jk", r, PAULI)
+    """Contract (..., 3) real vectors with the Pauli triple, entry by
+    entry."""
+    x, y, z = np.moveaxis(r, -1, 0)
+    out = np.empty(np.shape(r)[:-1] + (2, 2), dtype=np.complex128)
+    out[..., 0, 0], out[..., 1, 1] = z, -z
+    out[..., 0, 1], out[..., 1, 0] = x - 1j * y, x + 1j * y
+    return out
 
 
 def _gamma_dot(r):
     """Contract (..., 5) real vectors with the anticommuting quintet."""
     return np.einsum("...i,ijk->...jk", r, GAMMA)
+
+
+class _DiracModel:
+    """H = r(k) . basis for a model's r_vector_batch and r_gradient_batch;
+    subclasses set _basis_dot, the contraction with their matrix basis."""
+
+    _basis_dot = staticmethod(_sigma_dot)
+
+    def hamiltonian(self, p):
+        return self.hamiltonian_batch(_point(p, self.dim)[None, :])[0]
+
+    def gradient(self, p, mu):
+        return self.gradient_batch(_point(p, self.dim)[None, :], mu)[0]
+
+    def hamiltonian_batch(self, pts):
+        return self._basis_dot(self.r_vector_batch(pts))
+
+    def gradient_batch(self, pts, mu):
+        return self._basis_dot(self.r_gradient_batch(pts, mu))
+
+    def gap_batch(self, pts):
+        r = self.r_vector_batch(pts)
+        return 2.0 * np.sqrt((r * r).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +180,7 @@ def _sphere_frame(theta, phi):
 
 
 @dataclass(frozen=True)
-class TwoLevelSphere:
+class TwoLevelSphere(_DiracModel):
     """H = R * rhat(theta, phi) . sigma with fixed radius R > 0.
 
     Coordinates are (theta, phi). Closed-form Berry and mixed-state
@@ -177,22 +205,14 @@ class TwoLevelSphere:
         """Natural energy unit: the sphere radius."""
         return self.radius
 
-    def hamiltonian(self, p):
-        return self.hamiltonian_batch(_point(p, 2)[None, :])[0]
-
-    def gradient(self, p, mu):
-        return self.gradient_batch(_point(p, 2)[None, :], mu)[0]
-
-    def hamiltonian_batch(self, pts):
+    def r_vector_batch(self, pts):
         pts = _points(pts, 2)
-        rhat, _, _ = _sphere_frame(pts[:, 0], pts[:, 1])
-        return self.radius * _sigma_dot(rhat)
+        return self.radius * _sphere_frame(pts[:, 0], pts[:, 1])[0]
 
-    def gradient_batch(self, pts, mu):
+    def r_gradient_batch(self, pts, mu):
         pts = _points(pts, 2)
         mu = _check_direction(mu, 2)
-        _, d_theta, d_phi = _sphere_frame(pts[:, 0], pts[:, 1])
-        return self.radius * _sigma_dot(d_theta if mu == 0 else d_phi)
+        return self.radius * _sphere_frame(pts[:, 0], pts[:, 1])[1 + mu]
 
     def boundary_twist(self, mu):
         return np.eye(2, dtype=np.complex128)
@@ -271,7 +291,7 @@ _HALDANE_CELL = (4 * math.pi / (3 * _SQ3), 4 * math.pi / 3)
 
 
 @dataclass(frozen=True)
-class Haldane:
+class Haldane(_DiracModel):
     """Two-band honeycomb model with staggered mass and complex
     next-neighbor hopping.
 
@@ -330,22 +350,6 @@ class Haldane:
         d3 = -2 * self.t2 * math.sin(self.phi) * (np.cos(kb) * db).sum(axis=1)
         return np.stack([d1, d2, d3], axis=-1)
 
-    def hamiltonian(self, p):
-        return self.hamiltonian_batch(_point(p, 2)[None, :])[0]
-
-    def gradient(self, p, mu):
-        return self.gradient_batch(_point(p, 2)[None, :], mu)[0]
-
-    def hamiltonian_batch(self, pts):
-        return _sigma_dot(self.r_vector_batch(pts))
-
-    def gradient_batch(self, pts, mu):
-        return _sigma_dot(self.r_gradient_batch(pts, mu))
-
-    def gap_batch(self, pts):
-        r = self.r_vector_batch(pts)
-        return 2.0 * np.sqrt((r * r).sum(axis=-1))
-
     def boundary_twist(self, mu):
         """Constant unitary W with H(k + cell_mu) = W H(k) W^dagger."""
         mu = _check_direction(mu, 2)
@@ -360,7 +364,7 @@ class Haldane:
 
 
 @dataclass(frozen=True)
-class FourBandGamma:
+class FourBandGamma(_DiracModel):
     """H = sum_i R_i(k) Gamma_i with R = (cos 2k_x, cos 2k_y, cos 2k_z,
     cos 2k_w, m + sum_i sin 2k_i).
 
@@ -371,6 +375,7 @@ class FourBandGamma:
     m: float
 
     dim = 4
+    _basis_dot = staticmethod(_gamma_dot)
 
     @property
     def manifold(self) -> Manifold:
@@ -399,22 +404,6 @@ class FourBandGamma:
         out[:, mu] = -2.0 * np.sin(2.0 * pts[:, mu])
         out[:, 4] = 2.0 * np.cos(2.0 * pts[:, mu])
         return out
-
-    def hamiltonian(self, p):
-        return self.hamiltonian_batch(_point(p, 4)[None, :])[0]
-
-    def gradient(self, p, mu):
-        return self.gradient_batch(_point(p, 4)[None, :], mu)[0]
-
-    def hamiltonian_batch(self, pts):
-        return _gamma_dot(self.r_vector_batch(pts))
-
-    def gradient_batch(self, pts, mu):
-        return _gamma_dot(self.r_gradient_batch(pts, mu))
-
-    def gap_batch(self, pts):
-        r = self.r_vector_batch(pts)
-        return 2.0 * np.sqrt((r * r).sum(axis=-1))
 
     def boundary_twist(self, mu):
         _check_direction(mu, 4)

@@ -317,3 +317,19 @@ def test_model_variants_complete():
         "four_band_gamma",
         "coherent_oscillator",
     }
+
+
+def test_dirac_models_assemble_r_dot_basis(rng, sphere, haldane, fourband):
+    # The shared Dirac base builds H and dH as r . sigma or r . Gamma,
+    # equal entry for entry to the contraction with the basis table.
+    for model, basis in ((sphere, models.PAULI), (haldane, models.PAULI),
+                         (fourband, models.GAMMA)):
+        pts = random_points(model, rng, 40)
+        r = model.r_vector_batch(pts)
+        assert np.array_equal(model.hamiltonian_batch(pts), np.einsum("bi,ijk->bjk", r, basis))
+        for mu in range(model.dim):
+            dr = model.r_gradient_batch(pts, mu)
+            assert np.array_equal(model.gradient_batch(pts, mu),
+                                  np.einsum("bi,ijk->bjk", dr, basis))
+            assert np.array_equal(model.gradient(pts[0], mu), model.gradient_batch(pts[:1], mu)[0])
+        assert np.array_equal(model.hamiltonian(pts[0]), model.hamiltonian_batch(pts[:1])[0])

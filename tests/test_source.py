@@ -6,8 +6,10 @@ in one naive loop nest, O(N^4) for N x N matrices; such calls once took
 through linalg.eigh_batch, so the Hermiticity check, the width check
 and the phase fixing are applied once, in one place. Process pools are
 started only by the chunk engine, chern._map_chunks, so each top-level
-call starts at most one. The checks parse src/ with ast so they see
-every call regardless of formatting.
+call starts at most one. The lattice oracle forms its links only in
+its chunk job, so pure_chern_fhs never holds a grid of frames or
+links. The checks parse src/ with ast so they see every call
+regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -139,3 +141,46 @@ def test_process_pools_are_started_only_by_the_chunk_engine():
         for func, _ in pool_construction_sites(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert sites == [("uhlmann_chern/chern.py", "_map_chunks")]
+
+
+def named_calls(tree: ast.AST, names):
+    """(enclosing function name or None, called name, line) of every
+    call to one of names, bare (f(...)) or as an attribute (np.f(...))."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in names:
+                found.append((func, name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_detector_finds_named_calls_and_their_functions():
+    code = "\n".join([
+        "np.roll(a, 1)",
+        "def pure_chern_fhs(model):",
+        "    ux = _link_phases(a, b)",
+        "    return numpy.roll(ux, -1, axis=0)",
+        "def _fhs_job(model):",
+        "    rolled = np.rollaxis(a, 1)",
+        "    return chern._link_phases(a, rolled)",
+        "x = _link_phases",
+    ])
+    assert named_calls(ast.parse(code), {"_link_phases", "roll"}) == [
+        (None, "roll", 1), ("pure_chern_fhs", "_link_phases", 3),
+        ("pure_chern_fhs", "roll", 4), ("_fhs_job", "_link_phases", 7)]
+
+
+def test_fhs_links_are_formed_only_in_the_chunk_job():
+    path = SRC / "uhlmann_chern" / "chern.py"
+    sites = named_calls(ast.parse(path.read_text(), filename=str(path)), {"_link_phases", "roll"})
+    assert not [site for site in sites if site[0] == "pure_chern_fhs"]
+    assert {func for func, name, _ in sites if name == "_link_phases"} == {"_fhs_job"}
