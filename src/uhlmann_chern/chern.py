@@ -6,8 +6,8 @@ on the 4D torus (two independent routes; at finite temperature the
 first contracts the closed-form Uhlmann curvature in the energy
 eigenbasis, one eigendecomposition per point), the lattice-plaquette
 oracle for pure-state Chern numbers, and temperature sweeps with
-per-point diagnostics, which still use the finite-difference curvature
-as a cross-check.
+per-point diagnostics from the same closed-form curvature. Every
+integral normalises its chunk sums in one place (_integrate).
 
 Determinism: all grid work goes through one chunk engine, which splits
 a grid into fixed-size chunks in row-major order and runs a job on each,
@@ -42,11 +42,12 @@ from .errors import (
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
     GAP_FLOOR,
+    _trace_pairs,
     curvature_frame_grid,
+    direction_pairs,
     ground_block_curvature_grid,
     thermal_trace_grid,
     uhlmann_curvature_from_frame,
-    uhlmann_curvature_grid,
 )
 from .models import BETA_INF, Manifold, model_id
 
@@ -201,9 +202,14 @@ def _map_chunks(job, model, points, params, tol, workers, chunk_size=CHUNK_SIZE)
         return list(pool.map(_chunk_job, jobs, chunksize=1))
 
 
-def _tree_sums(rows):
-    """Pairwise-tree sum of each column of the per-chunk partial rows."""
-    return [_pairwise_tree(column) for column in zip(*rows)]
+def _integrate(job, model, grid: GridSpec, params, workers, tol, scale) -> list[complex]:
+    """Runs job over the grid's chunks (_map_chunks), sums each column
+    of the per-chunk partial rows by the pairwise tree and returns the
+    sums times scale * point measure * orientation / cover multiplicity."""
+    man = model.manifold
+    rows = _map_chunks(job, model, grid, params, tol, workers)
+    norm = scale * grid.point_measure * man.orientation / man.multiplicity
+    return [_pairwise_tree(column) * norm for column in zip(*rows)]
 
 
 def _require_grid(model, grid: GridSpec, dim: int):
@@ -227,17 +233,10 @@ def _first_order_job(model, pts, betas, tol):
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
     _require_grid(model, grid, 2)
-    man = model.manifold
-    rows = _map_chunks(_first_order_job, model, grid, tuple(betas), degeneracy_tol, workers)
-    out = []
-    for beta, total in zip(betas, _tree_sums(rows)):
-        raw = 1j * total * grid.point_measure * man.orientation / (2.0 * math.pi * man.multiplicity)
-        out.append(IntegralResult(
-            value=float(raw.real),
-            imag_residual=abs(raw.imag),
-            extra={"beta": beta, "order": 1},
-        ))
-    return out
+    totals = _integrate(_first_order_job, model, grid, tuple(betas), workers, degeneracy_tol,
+                        1j / (2.0 * math.pi))
+    return [IntegralResult(float(raw.real), abs(raw.imag), extra={"beta": beta, "order": 1})
+            for beta, raw in zip(betas, totals)]
 
 
 def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
@@ -258,28 +257,14 @@ def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
 _P01, _P02, _P03, _P12, _P13, _P23 = range(6)
 
 
-def _eps_contraction(f) -> np.ndarray:
-    """Levi-Civita contraction eps^{mu nu rho sigma} tr(F_mn F_rs) / 2
-    for stored-pair curvature stacks f (6, B, D, D), returning (B,).
-
-    The 24 permutations collapse onto the three complementary pair
-    partitions with weight 8: 8 [tr(F01 F23) - tr(F02 F13) +
-    tr(F03 F12)]. The caller supplies any density-weight factor; this
-    helper returns half the contraction (weight 4 per partition) so the
-    weighted variant below can share the combinatorics.
-    """
-    def t2(a, b):
-        return np.einsum("bij,bji->b", f[a], f[b], optimize=True)
-
-    return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
-
-
-def _eps_contraction_weighted(f, lam) -> np.ndarray:
-    """eps^{mu nu rho sigma} tr(rho F_mn F_rs) for eigenbasis curvature
-    stacks f (6, B, N, N) and rho = diag(lam), lam (B, N). Both orders
-    of each product survive, as an anticommutator, because rho need not
-    commute with F: sum_i lam_i {F_a, F_b}_ii = sum_ik (lam_i + lam_k)
-    F_a,ik F_b,ki."""
+def _eps_contraction(f, lam) -> np.ndarray:
+    """eps^{mu nu rho sigma} tr(rho F_mn F_rs) for stored-pair curvature
+    stacks f (6, B, N, N) and rho = diag(lam), lam (B, N). The 24
+    permutations collapse onto the three complementary pair partitions
+    with weight 8: 8 [tr(F01 F23) - tr(F02 F13) + tr(F03 F12)] with rho
+    inside each trace. Both orders of each product survive, as an
+    anticommutator, because rho need not commute with F: sum_i lam_i
+    {F_a, F_b}_ii = sum_ik (lam_i + lam_k) F_a,ik F_b,ki."""
     pair_weight = lam[:, :, None] + lam[:, None, :]
 
     def t2(a, b):
@@ -288,50 +273,50 @@ def _eps_contraction_weighted(f, lam) -> np.ndarray:
     return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
 
 
-# Orientation of the closed-form determinant integrand relative to the
-# Levi-Civita route; fixed once by the cross-route calibration run.
-_DET_ROUTE_SIGN = -1.0
+# Weight of the closed-form determinant integrand that puts it under the
+# Levi-Civita route's normalisation (the sign was fixed once by the
+# cross-route calibration run).
+_DET_ROUTE_WEIGHT = 6.0
 
 
 def _closed_form_partials(model, pts, betas) -> list[complex]:
     """Partial sums over one chunk of the closed-form second-order
     integrand for five-component Dirac models, one per beta:
-    det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|),
-    up to the route normalization applied by the caller."""
+    det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|)."""
     r = model.r_vector_batch(pts)
     cols = [r] + [model.r_gradient_batch(pts, mu) for mu in range(4)]
     mat = np.stack(cols, axis=-1)  # (B, 5, 5): columns R, dR...
     det = np.linalg.det(mat)
     rnorm = np.sqrt((r * r).sum(axis=-1))
-    base = _DET_ROUTE_SIGN * det / rnorm**5
+    base = _DET_ROUTE_WEIGHT * det / rnorm**5
     return [complex(np.sum(base if math.isinf(beta) else base * np.tanh(beta * rnorm) ** 5))
             for beta in betas]
 
 
 def _second_order_job(model, pts, betas, tol):
     """Partial sums over one chunk of the Levi-Civita route (ground
-    block weighted by P / D at BETA_INF, closed-form Uhlmann curvature
-    weighted by rho otherwise) and the determinant route, per beta:
-    (eps_0, det_0, eps_1, det_1, ...)."""
+    block weighted by rho = P / D at BETA_INF, closed-form Uhlmann
+    curvature weighted by rho otherwise) and the determinant route, per
+    beta: (eps_0, det_0, eps_1, det_1, ...)."""
     frame = None
     row = []
     for beta, closed in zip(betas, _closed_form_partials(model, pts, betas)):
-        if math.isinf(beta):
+        if beta == BETA_INF:  # -inf takes the thermal branch, whose weights reject it
             f, d = ground_block_curvature_grid(model, pts, tol)
-            values = _eps_contraction(f) * (2.0 / d)
+            values = _eps_contraction(f, np.full(f.shape[1:3], 1.0 / d))
         else:
             if frame is None:
                 frame = curvature_frame_grid(model, pts, tol)
-            values = _eps_contraction_weighted(*uhlmann_curvature_from_frame(frame, beta))
+            values = _eps_contraction(*uhlmann_curvature_from_frame(frame, beta))
         row += [complex(np.sum(values)), closed]
     return row
 
 
 def _pure_job(model, pts, _params, tol):
-    """Partial sum over one chunk of the unweighted ground-cluster
-    curvature contraction."""
+    """Partial sum over one chunk of the ground-cluster curvature
+    contraction with unit weights."""
     f, _ = ground_block_curvature_grid(model, pts, tol)
-    return [complex(np.sum(_eps_contraction(f) * 2.0))]
+    return [complex(np.sum(_eps_contraction(f, np.ones(f.shape[1:3]))))]
 
 
 def _check_second_order(model, grid: GridSpec, dirac_route: bool):
@@ -354,28 +339,25 @@ def _check_second_order(model, grid: GridSpec, dirac_route: bool):
         )
 
 
+# -(1/8 pi^2) times the 1/4 of tr(rho F ^ F) = (1/4) eps tr(rho F F) d^4k.
+_SECOND_ORDER_SCALE = -1.0 / (32.0 * math.pi**2)
+
+
 def _second_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
-    man = model.manifold
-    rows = _map_chunks(_second_order_job, model, grid, tuple(betas), degeneracy_tol, workers)
-    sums = _tree_sums(rows)
-    norm = grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
+    sums = _integrate(_second_order_job, model, grid, tuple(betas), workers, degeneracy_tol,
+                      _SECOND_ORDER_SCALE)
     out = []
-    for beta, total, closed in zip(betas, sums[0::2], sums[1::2]):
-        raw = -total * norm
-        closed_val = float(
-            (closed * grid.point_measure * man.orientation).real
-            * 3.0
-            / (16.0 * math.pi**2 * man.multiplicity)
-        )
+    for beta, raw, closed in zip(betas, sums[0::2], sums[1::2]):
+        value, closed_val = float(raw.real), float(closed.real)
         out.append(IntegralResult(
-            value=float(raw.real),
-            imag_residual=abs(complex(raw).imag),
+            value=value,
+            imag_residual=abs(raw.imag),
             extra={
                 "beta": beta,
                 "order": 2,
-                "epsilon_route": float(raw.real),
+                "epsilon_route": value,
                 "closed_form_route": closed_val,
-                "route_disagreement": abs(float(raw.real) - closed_val),
+                "route_disagreement": abs(value - closed_val),
             },
         ))
     return out
@@ -404,9 +386,7 @@ def second_chern_pure(model, grid: GridSpec, workers: int = 1,
     """Second Chern number of the ground cluster from its non-abelian
     curvature; near-integer for gapped four-band models."""
     _check_second_order(model, grid, dirac_route=False)
-    man = model.manifold
-    (total,) = _tree_sums(_map_chunks(_pure_job, model, grid, None, degeneracy_tol, workers))
-    raw = -total * grid.point_measure * man.orientation / (32.0 * math.pi**2 * man.multiplicity)
+    (raw,) = _integrate(_pure_job, model, grid, None, workers, degeneracy_tol, _SECOND_ORDER_SCALE)
     return IntegralResult(float(raw.real), abs(raw.imag), extra={"order": 2, "pure": True})
 
 
@@ -419,6 +399,8 @@ def _normalize_group(group) -> tuple[int, ...]:
     if np.isscalar(group):
         return (int(group),)
     g = tuple(sorted(int(i) for i in group))
+    if not g:
+        raise DegenerateBand("empty band group")
     if g != tuple(range(g[0], g[-1] + 1)):
         raise GapClosed(f"band group {g} is not contiguous in energy order")
     return g
@@ -570,11 +552,13 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
 
     All temperatures are integrated in one pass over the grid (one
     process pool at most), and each value equals the single-temperature
-    integral bit for bit. Each temperature records the integral's
-    imaginary residual, the maximum curvature-trace magnitude over a
-    fixed point sample (tracelessness check), and a route disagreement:
-    first order compares the spectral trace against Tr(rho F) with the
-    finite-difference curvature at the sample points; second order
+    integral bit for bit. The diagnostics come from the closed-form
+    Uhlmann curvature F at a fixed sample of 12 grid points, whose
+    temperature-independent frame is built once (one eigendecomposition
+    of the sample). Each temperature records the integral's imaginary
+    residual, the maximum |tr F| over the sample (tracelessness check),
+    and a route disagreement: first order compares Tr(rho F) from F
+    against the spectral trace from the same frame; second order
     compares the two integral routes.
     """
     temps = [float(t) for t in temperatures]
@@ -590,14 +574,15 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
     else:
         _check_second_order(model, grid, dirac_route=True)
         results = _second_order_results(model, betas, grid, workers, degeneracy_tol)
-    sample = _diagnostic_points(grid)
+    frame = curvature_frame_grid(model, _diagnostic_points(grid), degeneracy_tol)
+    pairs = direction_pairs(model.dim)
     diags = []
     for t, beta, res in zip(temps, betas, results):
-        f, rho = uhlmann_curvature_grid(model, sample, beta, None, degeneracy_tol)
-        trace_residual = float(np.abs(np.einsum("pbii->pb", f)).max())
+        f, lam = uhlmann_curvature_from_frame(frame, beta)
+        f_diag = np.diagonal(f, axis1=-2, axis2=-1)  # (P, B, N)
         if order == 1:
-            spectral = thermal_trace_grid(model, sample, beta, degeneracy_tol)
-            weighted = np.einsum("bij,pbji->pb", rho, f)
+            weighted = (f_diag * lam).sum(axis=-1)
+            spectral = _trace_pairs(lam, frame[2], pairs)  # frame[2]: the tangents
             disagreement = float(np.abs(weighted - spectral).max())
         else:
             disagreement = res.extra["route_disagreement"]
@@ -606,7 +591,7 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
                 "T_over_R0": t,
                 "beta": beta,
                 "imag_residual": res.imag_residual,
-                "max_trace_residual": trace_residual,
+                "max_trace_residual": float(np.abs(f_diag.sum(axis=-1)).max()),
                 "route_disagreement": disagreement,
             }
         )

@@ -39,6 +39,10 @@ class UnsupportedDirection(UhlmannChernError):
     """A derivative direction index is out of range for the manifold."""
 
 
+class NegativeBeta(UhlmannChernError, ValueError):
+    """An inverse temperature is negative (-inf included)."""
+
+
 class TruncationTooSmall(UhlmannChernError):
     """The requested displacement exceeds what the Fock truncation
     can represent (|z|^2 must stay below fock_dim / 8)."""

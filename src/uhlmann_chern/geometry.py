@@ -22,9 +22,9 @@ in closed form from the eigen-data of one point, and is what the
 integrals use, through its temperature-independent half
 (curvature_frame_grid) and its per-temperature half
 (uhlmann_curvature_from_frame), so a temperature scan builds the first
-once. uhlmann_curvature_grid and uhlmann_curvature difference the
-connection field on a central stencil; they are kept as its cross-check
-and for the temperature-sweep diagnostics.
+once; the temperature-sweep diagnostics use the same halves.
+uhlmann_curvature_grid and uhlmann_curvature difference the connection
+field on a central stencil; they are kept as its independent cross-check.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ from .linalg import (
     cluster_labels,
     commutator,
     eigh_batch,
-    hermitian_eig,
     psd_sqrt,
 )
 from .models import BETA_INF, thermal_state, weights_batch
@@ -490,21 +489,14 @@ def _point_data(model, p, beta, degeneracy_tol):
     return w[0], v[0], lam[0], t[:, 0]
 
 
-def berry_curvature(model, p, band: int = 0, grad_provider=None,
+def berry_curvature(model, p, band: int = 0,
                     degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
     """Abelian curvature of one non-degenerate band.
 
     F_{mu nu} = -sum_{k != band} (T^mu_bk T^nu_kb - T^nu_bk T^mu_kb),
-    purely imaginary. grad_provider overrides the model's analytic
-    gradient (signature (p, mu) -> matrix); the default uses it.
+    purely imaginary.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if grad_provider is None:
-        w, _, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
-    else:
-        sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol)
-        grads = [grad_provider(p, mu) for mu in range(model.dim)]
-        w, t = sd.eigenvalues, _point_tangents(sd, grads)[:, 0]
+    w, _, _, t = _point_data(model, np.asarray(p, dtype=np.float64), BETA_INF, degeneracy_tol)
     band = int(band)
     if not 0 <= band < w.size:
         raise DegenerateBand(f"band index {band} outside 0..{w.size - 1}")

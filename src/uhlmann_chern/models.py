@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     ManifoldMismatch,
+    NegativeBeta,
     NonFiniteInput,
     TruncationTooSmall,
     TruncationWeightWarning,
@@ -684,7 +685,13 @@ def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL,
     """Thermal occupations for batches of ascending eigenvalues (B, N).
     At BETA_INF the ground cluster (cluster_labels == 0) carries 1/D
     each and every other level exactly 0; a caller that already holds
-    the cluster labels of w passes them instead of the tolerance."""
+    the cluster labels of w passes them instead of the tolerance. Every
+    thermal weight comes from here, so beta is checked here: NaN raises
+    NonFiniteInput and a negative beta (-inf included) NegativeBeta."""
+    if math.isnan(beta):
+        raise NonFiniteInput("beta is NaN")
+    if beta < 0:
+        raise NegativeBeta(f"beta must be nonnegative, got {beta!r}")
     if math.isinf(beta):
         if labels is None:
             labels = cluster_labels(w, degeneracy_tol)
@@ -701,7 +708,7 @@ def thermal_weights(energies: np.ndarray, beta: float, groups=None) -> np.ndarra
     cluster (first entry of groups) carries 1/D each.
     """
     energies = np.asarray(energies, dtype=np.float64)
-    if not math.isinf(beta):
+    if beta != BETA_INF:
         return weights_batch(energies[None], beta)[0]
     if groups is None:
         raise ValueError("BETA_INF weights need the degeneracy groups")
@@ -721,8 +728,6 @@ def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL)
     beta : inverse temperature, 0 <= beta <= BETA_INF
     degeneracy_tol : relative tolerance for eigenvalue clustering
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
     sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
     w = weights_batch(sd.eigenvalues[None], beta, degeneracy_tol)[0]
     check = getattr(model, "_check_thermal_truncation", None)

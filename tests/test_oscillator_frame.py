@@ -87,11 +87,16 @@ def test_connection_matches_generic_path(coherent, pts, beta):
 def test_berry_curvature_matches_generic_path(coherent, pts):
     # The displaced vacuum has the same Berry curvature at every point:
     # the plane's flat symplectic area form.
+    # The generic path is the thermal trace at BETA_INF: one eigh of H,
+    # and with a non-degenerate ground level its coefficients reduce
+    # term by term to the Berry sum.
     values = []
     for p in pts:
         fast = geometry.berry_curvature(coherent, p, band=0).scalar(0, 1)
-        slow = geometry.berry_curvature(coherent, p, band=0, grad_provider=coherent.gradient)
-        assert fast == pytest.approx(slow.scalar(0, 1), rel=1e-12, abs=1e-12)
+        grads = [coherent.gradient(p, mu) for mu in range(2)]
+        state = models.thermal_state(coherent, p, models.BETA_INF)
+        slow = geometry.thermal_trace_spectral(state, grads)[0]
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
         values.append(fast)
     np.testing.assert_allclose(values, values[0], atol=1e-12)
 

@@ -11,13 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from uhlmann_chern import chern, cli, linalg, models
+from uhlmann_chern import chern, cli, geometry, linalg, models
 from uhlmann_chern.errors import (
     DegenerateBand,
     GapClosed,
     MissingModelHook,
+    NegativeBeta,
     NonFiniteInput,
     NonHermitianInput,
+    ResolutionTooLowWarning,
     UhlmannChernError,
 )
 
@@ -113,6 +115,46 @@ def test_second_thermal_uc_needs_dirac_hooks_before_grid_work(monkeypatch):
 def test_typed_errors_share_the_package_base():
     for exc in (NonFiniteInput, MissingModelHook):
         assert issubclass(exc, UhlmannChernError)
+
+
+def beta_entry_points(model, beta):
+    """Every route from a beta to thermal weights: the integral, the
+    batched connection, the per-point curvature and the Gibbs state."""
+    p = np.array([0.1, 0.2])
+    return [
+        lambda: chern.first_thermal_uc(model, beta, chern.default_grid(model, 16)),
+        lambda: geometry.connection_grid(model, p[None], beta),
+        lambda: geometry.uhlmann_curvature(model, p, beta),
+        lambda: models.thermal_state(model, p, beta),
+        lambda: models.thermal_weights(np.array([-1.0, 1.0]), beta, [(0,), (1,)]),
+    ]
+
+
+def test_nan_beta_raises_non_finite_input():
+    for call in beta_entry_points(haldane_with_mass(0.3), math.nan):
+        with pytest.raises(NonFiniteInput):
+            call()
+
+
+@pytest.mark.parametrize("beta", [-1.0, -math.inf])
+def test_negative_beta_raises_a_typed_value_error(beta):
+    assert issubclass(NegativeBeta, UhlmannChernError) and issubclass(NegativeBeta, ValueError)
+    for call in beta_entry_points(haldane_with_mass(0.3), beta):
+        with pytest.raises(NegativeBeta):
+            call()
+
+
+@pytest.mark.parametrize("beta, error", [(math.nan, NonFiniteInput), (-math.inf, NegativeBeta)])
+def test_second_order_rejects_bad_beta(beta, error):
+    model = models.FourBandGamma(m=1.5)
+    with pytest.warns(ResolutionTooLowWarning), pytest.raises(error):
+        chern.second_thermal_uc(model, beta, chern.default_grid(model, 8))
+
+
+def test_pure_chern_fhs_rejects_an_empty_band_group():
+    model = haldane_with_mass(0.3)
+    with pytest.raises(DegenerateBand, match="empty"):
+        chern.pure_chern_fhs(model, [], chern.default_grid(model, 16))
 
 
 def test_cli_chern_with_nan_mass_exits_3(tmp_path, capsys):

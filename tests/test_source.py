@@ -8,7 +8,10 @@ and the phase fixing are applied once, in one place. Process pools are
 started only by the chunk engine, chern._map_chunks, so each top-level
 call starts at most one. The lattice oracle forms its links only in
 its chunk job, so pure_chern_fhs never holds a grid of frames or
-links. The checks parse src/ with ast so they see every call
+links. chern never references the finite-difference curvature
+(uhlmann_curvature_grid, _fd_shift_stack, _curvature_from_stack): its
+integrals and sweep diagnostics use the closed-form curvature, and the
+stencil stays an independent cross-check outside it. The checks parse src/ with ast so they see every call
 regardless of formatting.
 """
 import ast
@@ -184,3 +187,46 @@ def test_fhs_links_are_formed_only_in_the_chunk_job():
     sites = named_calls(ast.parse(path.read_text(), filename=str(path)), {"_link_phases", "roll"})
     assert not [site for site in sites if site[0] == "pure_chern_fhs"]
     assert {func for func, name, _ in sites if name == "_link_phases"} == {"_fhs_job"}
+
+
+STENCIL_NAMES = {"uhlmann_curvature_grid", "_fd_shift_stack", "_curvature_from_stack"}
+
+
+def name_references(tree: ast.AST, names):
+    """(enclosing function name or None, name, line) of every reference
+    to one of names: a bare name, an attribute or an imported name."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in names:
+            found.append((func, name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_detector_finds_name_references_and_their_functions():
+    code = "\n".join([
+        "from .geometry import uhlmann_curvature_grid, thermal_trace_grid",
+        "def temperature_sweep(model):",
+        "    f, rho = uhlmann_curvature_grid(model, pts, beta)",
+        "    return geometry._fd_shift_stack",
+        "def other(model):",
+        "    uhlmann_curvature_grid_like = 1",
+        "    return [_curvature_from_stack]",
+    ])
+    assert name_references(ast.parse(code), STENCIL_NAMES) == [
+        (None, "uhlmann_curvature_grid", 1), ("temperature_sweep", "uhlmann_curvature_grid", 3),
+        ("temperature_sweep", "_fd_shift_stack", 4), ("other", "_curvature_from_stack", 7)]
+
+
+def test_chern_never_references_the_stencil():
+    path = SRC / "uhlmann_chern" / "chern.py"
+    assert name_references(ast.parse(path.read_text(), filename=str(path)), STENCIL_NAMES) == []
