@@ -4,7 +4,7 @@ Engines here turn the pointwise geometry kernels into numbers: the
 first-order thermal integral on 2D manifolds, the second-order integral
 on the 4D torus (two independent routes; at finite temperature the
 first contracts the closed-form Uhlmann curvature in the energy
-eigenbasis, one eigendecomposition per point), the lattice-plaquette
+eigenbasis, one eigenframe per point), the lattice-plaquette
 oracle for pure-state Chern numbers, and temperature sweeps with
 per-point diagnostics from the same closed-form curvature. Every
 integral normalises its chunk sums in one place (_integrate).
@@ -105,13 +105,7 @@ class GridSpec:
     def points_range(self, start: int, stop: int) -> np.ndarray:
         """Grid points for flat row-major indices [start, stop)."""
         idx = np.unravel_index(np.arange(start, stop), self.resolution)
-        shift = 0.5 if self.offset else 0.0
-        cols = [
-            self.manifold.origin[d]
-            + (idx[d] + shift) * (self.manifold.cell[d] / self.resolution[d])
-            for d in range(len(self.resolution))
-        ]
-        return np.column_stack(cols)
+        return np.column_stack([self.axis(d)[i] for d, i in enumerate(idx)])
 
     def chunk_ranges(self, chunk_size: int = CHUNK_SIZE):
         return _chunk_ranges(self.n_points, chunk_size)
@@ -554,7 +548,7 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
     process pool at most), and each value equals the single-temperature
     integral bit for bit. The diagnostics come from the closed-form
     Uhlmann curvature F at a fixed sample of 12 grid points, whose
-    temperature-independent frame is built once (one eigendecomposition
+    temperature-independent frame is built once (one eigenframe batch
     of the sample). Each temperature records the integral's imaginary
     residual, the maximum |tr F| over the sample (tracelessness check),
     and a route disagreement: first order compares Tr(rho F) from F

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .linalg import (
     DEGENERACY_TOL,
+    _eigenbasis_gradients,
     _group_eigenvalues,
     cluster_labels,
     commutator,
@@ -68,6 +69,12 @@ FD_STEP_LIMIT_FRACTION = 0.1
 def direction_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     """Ordered coordinate pairs (mu, nu) with mu < nu, lexicographic."""
     return tuple((m, n) for m in range(dim) for n in range(m + 1, dim))
+
+
+def _anti_hermiticity_defect(a) -> float:
+    """max |a + a^dagger| over a stack (n, N, N), relative to max |a|."""
+    scale = np.abs(a).max()
+    return 0.0 if scale == 0.0 else float(np.abs(a + a.conj().transpose(0, 2, 1)).max() / scale)
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,7 @@ class ConnectionField:
         return self.components[mu]
 
     def anti_hermiticity_defect(self) -> float:
-        a = self.components
-        scale = np.abs(a).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(a + a.conj().transpose(0, 2, 1)).max() / scale)
+        return _anti_hermiticity_defect(self.components)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,7 @@ class CurvatureComponents:
     Only mu < nu is stored (pairs lists them); the reversed component
     is the negative. basis, when set, holds the column eigenvectors
     that define the matrix indices of subspace-restricted curvatures.
+    Their gauge is that of the model's frame (_frame_data).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -146,27 +150,12 @@ class CurvatureComponents:
         return np.trace(self.matrices, axis1=-2, axis2=-1)
 
     def anti_hermiticity_defect(self) -> float:
-        f = self.matrices
-        scale = np.abs(f).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(f + f.conj().transpose(0, 2, 1)).max() / scale)
+        return _anti_hermiticity_defect(self.matrices)
 
 
 # ---------------------------------------------------------------------------
 # Batched kernels
 # ---------------------------------------------------------------------------
-
-
-def _gradient_stack(model, pts) -> np.ndarray:
-    """Analytic gradient matrices for a point batch, shape (d, B, N, N)."""
-    return np.stack([model.gradient_batch(pts, mu) for mu in range(model.dim)])
-
-
-def _eigenbasis_gradients(v, grads) -> np.ndarray:
-    """Gradients rotated into the eigenbasis, G = v^dagger dH v. v
-    (B, N, N), grads (d, B, N, N); returns (d, B, N, N)."""
-    return np.einsum("bji,dbjk,bkl->dbil", v.conj(), grads, v, optimize=True)
 
 
 def _gap_mask(w, labels):
@@ -227,17 +216,14 @@ def _trace_pairs(lam, t, pairs) -> np.ndarray:
 def _frame_data(model, pts):
     """Eigenvalues (B, N), eigenvectors (B, N, N) and eigenbasis
     gradients G = v^dagger dH v (d, B, N, N) for a point batch: from the
-    model's exact eigenframe_batch when it has one, otherwise from one
-    stacked eigendecomposition of H."""
+    model's exact eigenframe_batch if any (H is then never built), else
+    from one stacked eigendecomposition of H; NonFiniteInput on overflow."""
     frame = getattr(model, "eigenframe_batch", None)
     if frame is not None:
         return frame(pts)
-    # h stays referenced until the gradients are built: freeing it
-    # earlier let the allocator keep its pages, raising the 4D
-    # finite-beta peak RSS by the size of h.
-    h = model.hamiltonian_batch(pts)
-    w, v = eigh_batch(h)
-    return w, v, _eigenbasis_gradients(v, _gradient_stack(model, pts))
+    w, v = eigh_batch(model.hamiltonian_batch(pts))
+    grads = np.stack([model.gradient_batch(pts, mu) for mu in range(model.dim)])
+    return w, v, _eigenbasis_gradients(v, grads)
 
 
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
@@ -246,11 +232,11 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
 
     A model with an eigenframe_batch method supplies its exact
     eigenvalues, eigenvectors and eigenbasis gradients; every other
-    model goes through one stacked eigendecomposition of H. Both paths
-    share the same gap division and degeneracy mask, and the cluster
-    labels are computed once per batch. beta may also be a sequence of
-    K inverse temperatures: lam then has shape (K, B, N), one weight
-    batch per beta on the same eigen-data.
+    model goes through one stacked eigendecomposition of H (_frame_data;
+    v is in its gauge). Both paths share the same gap division and
+    degeneracy mask, and the cluster labels are computed once per batch.
+    beta may also be a sequence of K inverse temperatures: lam then has
+    shape (K, B, N), one weight batch per beta on the same eigen-data.
     """
     pts = np.asarray(pts, dtype=np.float64)
     w, v, g = _frame_data(model, pts)
@@ -404,13 +390,14 @@ def ground_block_from_data(w, lam, t, gap_floor: float = GAP_FLOOR):
     d = _ground_size(w, lam, gap_floor)
     pairs = direction_pairs(t.shape[0])
     tg = t[:, :, :d, d:]  # ground rows, excited columns
+    tc = tg.conj()
     f = np.empty((len(pairs), w.shape[0], d, d), dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):
         # T_kb = -conj(T_bk) across the gap, so the restricted sum
         # -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) becomes M - M^dagger
-        # with M = tg[mu] tg[nu]^dagger.
-        m = np.einsum("bak,bck->bac", tg[mu], tg[nu].conj(), optimize=True)
-        f[i] = m - m.conj().transpose(0, 2, 1)
+        # with M = tg[mu] tg[nu]^dagger, summed over k (faster than matmul).
+        m = sum(tg[mu, :, :, None, k] * tc[nu, :, None, :, k] for k in range(tg.shape[-1]))
+        f[i] = m - m.conj().swapaxes(-1, -2)
     return f, d
 
 

@@ -179,12 +179,22 @@ def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
             w, v = np.linalg.eigh(ms)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ConvergenceFailure(str(exc)) from exc
-    # A finite width catches entries whose eigenvalues overflow.
+    require_finite_width(w)
+    return w, v if two else _fix_phases(v)
+
+
+def require_finite_width(w) -> None:
+    """NonFiniteInput unless each width w[..., -1] - w[..., 0] is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(w[..., -1] - w[..., 0]).all()
     if not finite:
         raise NonFiniteInput("spectral width w_max - w_min is not finite")
-    return w, v if two else _fix_phases(v)
+
+
+def _eigenbasis_gradients(v, grads) -> np.ndarray:
+    """Gradients rotated into the eigenbasis, G = v^dagger dH v. v
+    (B, N, N), grads (d, B, N, N); returns (d, B, N, N)."""
+    return np.einsum("bji,dbjk,bkl->dbil", v.conj(), grads, v, optimize=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes r, so the width, infinite

@@ -22,8 +22,8 @@ eigenvectors across grid points. A model whose spectrum is known in
 closed form may also provide ``eigenframe_batch(pts) -> (w, v, g)``:
 eigenvalues, eigenvectors and eigenbasis gradients v^dagger dH v. The
 geometry kernels then use that exact spectral data instead of
-eigendecomposing H (the oscillator does; the other models take the
-generic path).
+eigendecomposing H; the oscillator and the four-band model do. This
+module imports only errors and linalg from the package.
 """
 from __future__ import annotations
 
@@ -45,9 +45,11 @@ from .errors import (
 from .linalg import (
     DEGENERACY_TOL,
     SpectralDecomposition,
+    _eigenbasis_gradients,
     cluster_labels,
     eigh_batch,
     hermitian_eig,
+    require_finite_width,
     unitary_exp,
 )
 
@@ -127,26 +129,15 @@ def _check_direction(mu: int, dim: int) -> int:
     return mu
 
 
-def _sigma_dot(r):
-    """Contract (..., 3) real vectors with the Pauli triple, entry by
-    entry."""
-    x, y, z = np.moveaxis(r, -1, 0)
-    out = np.empty(np.shape(r)[:-1] + (2, 2), dtype=np.complex128)
-    out[..., 0, 0], out[..., 1, 1] = z, -z
-    out[..., 0, 1], out[..., 1, 0] = x - 1j * y, x + 1j * y
-    return out
+def _basis_dot(r, basis):
+    """Contract (..., n) real vectors with a table of n matrices (n, N, N)
+    by one matmul. Pauli and Gamma entries are 0, +-1 or +-i, at most one
+    real and one imaginary term per entry: exact, bit for bit."""
+    return (r @ basis.reshape(len(basis), -1)).reshape(np.shape(r)[:-1] + basis.shape[1:])
 
 
-def _gamma_dot(r):
-    """Contract (..., 5) real vectors with the anticommuting quintet."""
-    return np.einsum("...i,ijk->...jk", r, GAMMA)
-
-
-class _DiracModel:
-    """H = r(k) . basis for a model's r_vector_batch and r_gradient_batch;
-    subclasses set _basis_dot, the contraction with their matrix basis."""
-
-    _basis_dot = staticmethod(_sigma_dot)
+class _Model:
+    """Per-point H and dH: batch-of-one views of the batch methods."""
 
     def hamiltonian(self, p):
         return self.hamiltonian_batch(_point(p, self.dim)[None, :])[0]
@@ -154,11 +145,18 @@ class _DiracModel:
     def gradient(self, p, mu):
         return self.gradient_batch(_point(p, self.dim)[None, :], mu)[0]
 
+
+class _DiracModel(_Model):
+    """H = r(k) . basis for a model's r_vector_batch and r_gradient_batch;
+    subclasses set _basis, their table of matrices."""
+
+    _basis = PAULI
+
     def hamiltonian_batch(self, pts):
-        return self._basis_dot(self.r_vector_batch(pts))
+        return _basis_dot(self.r_vector_batch(pts), self._basis)
 
     def gradient_batch(self, pts, mu):
-        return self._basis_dot(self.r_gradient_batch(pts, mu))
+        return _basis_dot(self.r_gradient_batch(pts, mu), self._basis)
 
     def gap_batch(self, pts):
         r = self.r_vector_batch(pts)
@@ -244,8 +242,8 @@ class TwoLevelSphere(_DiracModel):
         theta, phi = _point(p, 2)
         rhat, dt, dp = _sphere_frame(theta, phi)
         c = self._mixing(beta)
-        rs = _sigma_dot(rhat)
-        return (0.5 * c) * rs @ _sigma_dot(dt), (0.5 * c) * rs @ _sigma_dot(dp)
+        rs = _basis_dot(rhat, PAULI)
+        return (0.5 * c) * rs @ _basis_dot(dt, PAULI), (0.5 * c) * rs @ _basis_dot(dp, PAULI)
 
     def uhlmann_curvature_exact(self, p, beta):
         """(theta, phi) component of the mixed-state curvature matrix on
@@ -254,8 +252,8 @@ class TwoLevelSphere(_DiracModel):
         rhat, dt, dp = _sphere_frame(theta, phi)
         c = self._mixing(beta)
         cross = np.cross(dt, dp)
-        term_two = 1j * c * _sigma_dot(cross)
-        term_three = -0.5j * c * c * float(np.dot(rhat, cross)) * _sigma_dot(rhat)
+        term_two = 1j * c * _basis_dot(cross, PAULI)
+        term_three = -0.5j * c * c * float(np.dot(rhat, cross)) * _basis_dot(rhat, PAULI)
         return term_two + term_three
 
     def thermal_trace_exact(self, p, beta):
@@ -364,6 +362,31 @@ class Haldane(_DiracModel):
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow makes |R|, so the width, infinite
+def _gamma_eigenpairs(r):
+    """Eigenpairs (-|R|, -|R|, |R|, |R|), v (B, 4, 4) of r . GAMMA, r (B, 5):
+    _eigh_2x2 with its off-diagonal entry promoted to the quaternion Q of
+    H = [[r5 I, Q], [Q^dagger, -r5 I]], Q Q^dagger = (|R|^2 - r5^2) I. With
+    c = |R| + |r5| (no cancellation) the columns [-Q; cI], [cI; Q^dagger]
+    (r5 >= 0) or [cI; -Q^dagger], [Q; cI] have norm sqrt(|Q|^2 + c^2). r is
+    scaled by max |r_i|, so only |R| can overflow; r = 0 permutes I."""
+    s = np.abs(r).max(axis=-1)
+    live = s > 0
+    u = r / np.where(live, s, 1.0)[:, None]
+    off = (u[:, :4] ** 2).sum(axis=-1)  # |Q|^2 / s^2
+    size = np.sqrt(off + u[:, 4] ** 2)
+    c = np.where(live, size + np.abs(u[:, 4]), 1.0)
+    inv = (1.0 / np.sqrt(off + c * c))[:, None, None]
+    h = _basis_dot(u, GAMMA) * inv
+    q, qd, ci = h[:, :2, 2:], h[:, 2:, :2], c[:, None, None] * inv * np.eye(2)
+    pos = (u[:, 4] >= 0)[:, None, None]
+    v = np.block([[np.where(pos, -q, ci), np.where(pos, ci, q)],
+                  [np.where(pos, ci, -qd), np.where(pos, qd, ci)]])
+    w = (s * size)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
+    require_finite_width(w)
+    return w, v
+
+
 @dataclass(frozen=True)
 class FourBandGamma(_DiracModel):
     """H = sum_i R_i(k) Gamma_i with R = (cos 2k_x, cos 2k_y, cos 2k_z,
@@ -376,7 +399,7 @@ class FourBandGamma(_DiracModel):
     m: float
 
     dim = 4
-    _basis_dot = staticmethod(_gamma_dot)
+    _basis = GAMMA
 
     @property
     def manifold(self) -> Manifold:
@@ -405,6 +428,13 @@ class FourBandGamma(_DiracModel):
         out[:, mu] = -2.0 * np.sin(2.0 * pts[:, mu])
         out[:, 4] = 2.0 * np.cos(2.0 * pts[:, mu])
         return out
+
+    def eigenframe_batch(self, pts):
+        """(w, v, g) for a point batch: _gamma_eigenpairs and the gradients
+        v^dagger dH v; each doublet's basis is the closed form's."""
+        w, v = _gamma_eigenpairs(self.r_vector_batch(pts))
+        grads = np.stack([self.gradient_batch(pts, mu) for mu in range(4)])
+        return w, v, _eigenbasis_gradients(v, grads)
 
     def boundary_twist(self, mu):
         _check_direction(mu, 4)
@@ -443,7 +473,7 @@ def _phase_divided_difference(w):
 
 
 @dataclass(frozen=True)
-class CoherentOscillator:
+class CoherentOscillator(_Model):
     """Harmonic oscillator displaced in phase space, truncated to
     fock_dim levels.
 
@@ -564,12 +594,6 @@ class CoherentOscillator:
         # d(generator)/dx = a^dagger - a, d(generator)/dy = i (a^dagger + a)
         g = (create - annihilate) if mu == 0 else 1j * (create + annihilate)
         return g * phi
-
-    def hamiltonian(self, p):
-        return self.hamiltonian_batch(_point(p, 2)[None, :])[0]
-
-    def gradient(self, p, mu):
-        return self.gradient_batch(_point(p, 2)[None, :], mu)[0]
 
     def hamiltonian_batch(self, pts):
         w, u, _ = self._displacement_frame(pts)

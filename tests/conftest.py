@@ -63,3 +63,27 @@ def random_points(model, rng, count):
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (m + m.conj().T) / 2.0
+
+
+class EighFourBand:
+    """FourBandGamma(m) without its eigenframe_batch hook, so the
+    geometry kernels build its frames from one eigh_batch of H: the
+    generic path, kept as the closed-form frame's reference."""
+
+    dim = 4
+
+    def __init__(self, m):
+        self._inner = models.FourBandGamma(m=m)
+        self.manifold = self._inner.manifold
+
+    def hamiltonian_batch(self, pts):
+        return self._inner.hamiltonian_batch(pts)
+
+    def gradient_batch(self, pts, mu):
+        return self._inner.gradient_batch(pts, mu)
+
+    def r_vector_batch(self, pts):
+        return self._inner.r_vector_batch(pts)
+
+    def r_gradient_batch(self, pts, mu):
+        return self._inner.r_gradient_batch(pts, mu)

@@ -143,10 +143,10 @@ def test_projector_route_matches_cluster_formula(fourband, rng):
         assert np.abs(a.matrices - b.matrices).max() <= 1e-10
 
 
-def _fd_projector_curvature(model, p, group, h):
+def _fd_projector_curvature(model, p, group, h, basis):
     """Oracle: difference the spectral projector itself (gauge-free)
     and assemble the commutator of its derivatives in the cluster
-    frame."""
+    frame given by the columns of basis."""
     def proj(q):
         return linalg.hermitian_eig(model.hamiltonian(q)).projector(group)
 
@@ -155,7 +155,6 @@ def _fd_projector_curvature(model, p, group, h):
         e = np.zeros(model.dim)
         e[mu] = h
         dps.append((proj(p + e) - proj(p - e)) / (2.0 * h))
-    basis = linalg.hermitian_eig(model.hamiltonian(p)).eigenvectors[:, list(group)]
     return {
         pair: basis.conj().T @ (dps[pair[0]] @ dps[pair[1]] - dps[pair[1]] @ dps[pair[0]]) @ basis
         for pair in direction_pairs(model.dim)
@@ -167,7 +166,7 @@ def test_cluster_curvature_against_projector_differences(fourband, rng):
     f = wz_curvature(fourband, p, (0, 1))
     errs = []
     for h in (1e-3, 5e-4):
-        oracle = _fd_projector_curvature(fourband, p, (0, 1), h)
+        oracle = _fd_projector_curvature(fourband, p, (0, 1), h, f.basis)
         errs.append(
             max(np.abs(oracle[pair] - f.component(*pair)).max() for pair in oracle)
         )

@@ -11,7 +11,9 @@ its chunk job, so pure_chern_fhs never holds a grid of frames or
 links. chern never references the finite-difference curvature
 (uhlmann_curvature_grid, _fd_shift_stack, _curvature_from_stack): its
 integrals and sweep diagnostics use the closed-form curvature, and the
-stencil stays an independent cross-check outside it. The checks parse src/ with ast so they see every call
+stencil stays an independent cross-check outside it. models imports no
+package module but errors and linalg, since geometry and chern import
+models. The checks parse src/ with ast so they see every call
 regardless of formatting.
 """
 import ast
@@ -230,3 +232,47 @@ def test_detector_finds_name_references_and_their_functions():
 def test_chern_never_references_the_stencil():
     path = SRC / "uhlmann_chern" / "chern.py"
     assert name_references(ast.parse(path.read_text(), filename=str(path)), STENCIL_NAMES) == []
+
+
+def package_imports(tree: ast.AST, package: str = "uhlmann_chern"):
+    """Sorted names of the package modules a module imports, relative
+    (from .x import y, from . import x) or absolute (import package.x,
+    from package.x import y)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != package and not module.startswith(package + "."):
+                    continue
+                module = module[len(package) + 1:]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith(package + "."))
+    return sorted(found)
+
+
+def test_detector_finds_package_imports():
+    code = "\n".join([
+        "import numpy as np",
+        "from .errors import NonFiniteInput",
+        "from .linalg.sub import x",
+        "from . import geometry",
+        "import uhlmann_chern.chern",
+        "def f():",
+        "    from uhlmann_chern.cli import main",
+        "from uhlmann_chern import models",
+        "from uhlmann_chern_extra import y",
+    ])
+    assert package_imports(ast.parse(code)) == [
+        "chern", "cli", "errors", "geometry", "linalg", "models"]
+
+
+def test_models_imports_only_errors_and_linalg():
+    path = SRC / "uhlmann_chern" / "models.py"
+    imported = package_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert set(imported) <= {"errors", "linalg"}, imported

@@ -13,10 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from uhlmann_chern import chern, geometry, models
+from uhlmann_chern import chern, geometry, linalg, models
 from uhlmann_chern.errors import ResolutionTooLowWarning
 
-from conftest import random_points, sphere_points
+from conftest import EighFourBand, random_points, sphere_points
 
 
 def to_original_basis(model, pts, f):
@@ -91,14 +91,16 @@ def test_second_thermal_uc_workers_bitwise_identical(fourband):
 
 
 def count_eigh_calls(monkeypatch):
+    """Shapes of every eigh_batch call, from whichever module makes it."""
     calls = []
-    original = geometry.eigh_batch
+    original = linalg.eigh_batch
 
     def counted(ms, *args, **kwargs):
         calls.append(np.shape(ms))
         return original(ms, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "eigh_batch", counted)
+    for module in (linalg, models, geometry):
+        monkeypatch.setattr(module, "eigh_batch", counted)
     return calls
 
 
@@ -112,6 +114,9 @@ def test_stencil_makes_one_eigendecomposition(monkeypatch, haldane, rng):
 def test_closed_form_makes_one_eigendecomposition_per_point(monkeypatch, fourband, rng):
     calls = count_eigh_calls(monkeypatch)
     pts = random_points(fourband, rng, 7)
+    geometry.uhlmann_curvature_spectral_grid(EighFourBand(fourband.m), pts, 1.3)
+    assert calls == [(7, 4, 4)]
+    # The model's closed-form eigenframe replaces that eigendecomposition.
     geometry.uhlmann_curvature_spectral_grid(fourband, pts, 1.3)
     assert calls == [(7, 4, 4)]
 
