@@ -291,10 +291,11 @@ def _second_order_job(model, pts, betas, tol):
     """Partial sums over one chunk of the Levi-Civita route (ground
     block weighted by rho = P / D at BETA_INF, closed-form Uhlmann
     curvature weighted by rho otherwise) and the determinant route, per
-    beta: (eps_0, det_0, eps_1, det_1, ...)."""
+    beta: (eps_0, det_0, eps_1, det_1, ...). The frames come first, so a
+    non-finite spectrum raises before the determinant route overflows."""
     frame = None
-    row = []
-    for beta, closed in zip(betas, _closed_form_partials(model, pts, betas)):
+    eps = []
+    for beta in betas:
         if beta == BETA_INF:  # -inf takes the thermal branch, whose weights reject it
             f, d = ground_block_curvature_grid(model, pts, tol)
             values = _eps_contraction(f, np.full(f.shape[1:3], 1.0 / d))
@@ -302,8 +303,8 @@ def _second_order_job(model, pts, betas, tol):
             if frame is None:
                 frame = curvature_frame_grid(model, pts, tol)
             values = _eps_contraction(*uhlmann_curvature_from_frame(frame, beta))
-        row += [complex(np.sum(values)), closed]
-    return row
+        eps.append(complex(np.sum(values)))
+    return [x for pair in zip(eps, _closed_form_partials(model, pts, betas)) for x in pair]
 
 
 def _pure_job(model, pts, _params, tol):

@@ -20,9 +20,11 @@ The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 uhlmann_curvature_spectral_grid differentiates the spectral connection
 in closed form from the eigen-data of one point, and is what the
 integrals use, through its temperature-independent half
-(curvature_frame_grid) and its per-temperature half
-(uhlmann_curvature_from_frame), so a temperature scan builds the first
-once; the temperature-sweep diagnostics use the same halves.
+(curvature_frame_grid: tangents and their commutators, which give the
+curl of the tangents by the Maurer-Cartan equation) and its
+per-temperature half (uhlmann_curvature_from_frame), so a temperature
+scan builds the first once; the temperature-sweep diagnostics use the
+same halves.
 uhlmann_curvature_grid and uhlmann_curvature difference the connection
 field on a central stencil; they are kept as its independent cross-check.
 """
@@ -274,11 +276,11 @@ def _connection_from_data(v, c, t) -> np.ndarray:
 
 def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     """The temperature-independent half of
-    uhlmann_curvature_spectral_grid: (w, labels, t, delta, dt) with w
-    (B, N) and its cluster labels, the tangents t (d, B, N, N), the
-    energy-derivative gaps delta (d, B, N, N), and per direction pair
-    the off-cluster parallel-gauge derivative dt = d_mu T_nu - d_nu T_mu
-    (P, B, N, N)."""
+    uhlmann_curvature_spectral_grid: (w, labels, t, delta, keep, tt)
+    with w (B, N) and its cluster labels, the tangents t (d, B, N, N),
+    the energy-derivative gaps delta (d, B, N, N), the off-cluster mask
+    keep (B, N, N), and per direction pair the commutator tt =
+    [T_mu, T_nu] (P, B, N, N)."""
     pts = np.asarray(pts, dtype=np.float64)
     w, _, g = _frame_data(model, pts)
     labels = cluster_labels(w, degeneracy_tol)
@@ -287,20 +289,18 @@ def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     de = np.diagonal(g, axis1=-2, axis2=-1).real
     delta = de[:, :, :, None] - de[:, :, None, :]
     pairs = direction_pairs(model.dim)
-    dt = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
+    tt = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):
-        # Hermitian G and anti-Hermitian T make the commutators one
-        # product: [G_nu, T_mu] - [G_mu, T_nu] = q + q^dagger.
-        q = g[nu] @ t[mu] - g[mu] @ t[nu]
-        num = q + q.conj().swapaxes(-1, -2) + t[nu] * delta[mu] - t[mu] * delta[nu]
-        dt[i] = _divide_gaps(num, den, keep)
-    return w, labels, t, delta, dt
+        # Anti-Hermitian T makes the commutator one product: p - p^dagger.
+        p = t[mu] @ t[nu]
+        tt[i] = p - p.conj().swapaxes(-1, -2)
+    return w, labels, t, delta, keep, tt
 
 
 def uhlmann_curvature_from_frame(frame, beta: float):
     """The temperature-dependent half of uhlmann_curvature_spectral_grid:
     (f, lam) at one beta from a curvature_frame_grid result."""
-    w, labels, t, delta, dt = frame
+    w, labels, t, delta, keep, tt = frame
     lam = weights_batch(w, beta, labels=labels)
     x = _pair_exponents(w, beta)
     c = _mixing_batch(lam, x)
@@ -312,13 +312,12 @@ def uhlmann_curvature_from_frame(frame, beta: float):
         # no overflow at any finite x.
         e = np.exp(-0.5 * np.abs(x))
         dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
+    ck = 1.0 - c * keep  # the curl of T vanishes in a cluster, where C may be 1
     pairs = direction_pairs(t.shape[0])
-    f = np.empty_like(dt)
+    f = np.empty_like(tt)
     for i, (mu, nu) in enumerate(pairs):
-        # With anti-Hermitian T, M and K, [T_mu, M_nu] - [T_nu, M_mu] +
-        # [M_mu, M_nu] = [K_mu, K_nu] - [T_mu, T_nu] = p - p^dagger.
-        p = k[mu] @ k[nu] - t[mu] @ t[nu]
-        f[i] = p - p.conj().swapaxes(-1, -2) - (dc[mu] * t[nu] - dc[nu] * t[mu]) - c * dt[i]
+        p = k[mu] @ k[nu]  # [K_mu, K_nu] = p - p^dagger
+        f[i] = p - p.conj().swapaxes(-1, -2) - ck * tt[i] - (dc[mu] * t[nu] - dc[nu] * t[mu])
     return f, lam
 
 
@@ -331,23 +330,21 @@ def uhlmann_curvature_spectral_grid(model, pts, beta: float,
 
     Differentiates the spectral connection M = -C o T in the parallel
     gauge, where v^dagger dv equals T off-cluster and vanishes inside
-    degenerate clusters:
+    degenerate clusters. With C = 1 - sech(x/2), x_jk = beta (E_j - E_k),
+    K = T + M and keep the off-cluster mask,
 
-        F = -(d_mu C o T_nu - d_nu C o T_mu) - C o (d_mu T_nu - d_nu T_mu)
-            + [T_mu, M_nu] - [T_nu, M_mu] + [M_mu, M_nu],
+        F = [K_mu, K_nu] - (1 - C o keep) o [T_mu, T_nu]
+            - (d_mu C o T_nu - d_nu C o T_mu),
 
-    with C = 1 - sech(x/2), x_jk = beta (E_j - E_k), so d_mu C =
-    (beta/2) sech(x/2) tanh(x/2) Delta_mu for Delta_mu,jk = d_mu E_j -
-    d_mu E_k and d_mu E_j = Re G_mu,jj; and, off-cluster,
-
-        (d_mu T_nu - d_nu T_mu)_jk = ([G_nu, T_mu] - [G_mu, T_nu]
-            + T_nu o Delta_mu - T_mu o Delta_nu)_jk / (E_k - E_j).
-
-    The second-derivative term v^dagger d_mu d_nu H v is symmetric in
-    (mu, nu) and cancels, so only the eigen-data of one evaluation of H
-    and dH per point enter: no finite differences, no Hessians. The
-    temperature-independent part is curvature_frame_grid, so a scan over
-    temperatures builds it once per batch.
+    where d_mu C = (beta/2) sech(x/2) tanh(x/2) Delta_mu, Delta_mu,jk =
+    d_mu E_j - d_mu E_k and d_mu E_j = Re (v^dagger d_mu H v)_jj. The
+    curl of T comes from the Maurer-Cartan equation d(v^dagger dv) +
+    (v^dagger dv)^(v^dagger dv) = 0: off-cluster, (d_mu T_nu -
+    d_nu T_mu)_jk = -[T_mu, T_nu]_jk, and inside a cluster it vanishes.
+    Only the eigen-data of one evaluation of H and dH per point enter: no
+    finite differences, no Hessians. The temperature-independent part is
+    curvature_frame_grid, so a scan over temperatures builds it once per
+    batch.
     """
     return uhlmann_curvature_from_frame(curvature_frame_grid(model, pts, degeneracy_tol), beta)
 

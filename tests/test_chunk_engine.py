@@ -16,6 +16,8 @@ import pytest
 from uhlmann_chern import chern, cli, geometry, linalg, models
 from uhlmann_chern.errors import GapClosed, NonFiniteInput, ResolutionTooLowWarning
 
+from conftest import random_points
+
 TEMPS = [0.05, 0.3, 1.0, 4.0]
 
 
@@ -68,12 +70,14 @@ def test_thermal_trace_grid_takes_a_sequence_of_betas(haldane, rng):
         assert np.array_equal(traces, geometry.thermal_trace_grid(haldane, pts, beta))
 
 
-def test_curvature_frame_serves_every_beta(fourband, rng):
-    pts = rng.uniform(0.0, 2.0 * math.pi, (6, 4))
-    frame = geometry.curvature_frame_grid(fourband, pts)
+@pytest.mark.parametrize("name", ["fourband", "coherent"])  # two clusters, and many
+def test_curvature_frame_serves_every_beta(request, rng, name):
+    model = request.getfixturevalue(name)
+    pts = random_points(model, rng, 6)
+    frame = geometry.curvature_frame_grid(model, pts)
     for beta in (0.3, 2.0, models.BETA_INF):
         f, lam = geometry.uhlmann_curvature_from_frame(frame, beta)
-        ref_f, ref_lam = geometry.uhlmann_curvature_spectral_grid(fourband, pts, beta)
+        ref_f, ref_lam = geometry.uhlmann_curvature_spectral_grid(model, pts, beta)
         assert np.array_equal(f, ref_f) and np.array_equal(lam, ref_lam)
 
 

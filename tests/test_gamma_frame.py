@@ -100,6 +100,7 @@ def test_huge_mass_gives_zero_without_overflow():
 
 
 @pytest.mark.parametrize("m", [1e308, math.inf, -math.inf, math.nan])
+@pytest.mark.filterwarnings("error")  # the typed error comes before any numpy warning
 def test_non_finite_spectrum_raises(m):
     model = models.FourBandGamma(m=m)
     grid = chern.default_grid(model, 8)

@@ -5,7 +5,9 @@ connection analytically, in the energy eigenbasis. Its references are
 the sphere's closed form, the central-difference stencil
 (uhlmann_curvature_grid), whose gap to the closed form must shrink
 fourfold when the step halves, and, for the 4D integral it feeds, the
-model's closed-form determinant route.
+model's closed-form determinant route. The curl of the tangents, which
+it reads off the Maurer-Cartan equation, is checked against first-order
+perturbation theory.
 """
 import math
 import warnings
@@ -16,7 +18,7 @@ import pytest
 from uhlmann_chern import chern, geometry, linalg, models
 from uhlmann_chern.errors import ResolutionTooLowWarning
 
-from conftest import EighFourBand, random_points, sphere_points
+from conftest import EighFourBand, random_hermitian, random_points, sphere_points
 
 
 def to_original_basis(model, pts, f):
@@ -37,11 +39,19 @@ def test_sphere_matches_closed_form(rng, beta):
         assert np.abs(got[b] - model.uhlmann_curvature_exact(p, beta)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["haldane", "fourband", "coherent"])
-def test_stencil_gap_is_its_truncation_error(request, rng, name):
+@pytest.mark.parametrize(
+    "name, zero_temperature",
+    [("haldane", False), ("fourband", False), ("coherent", False),
+     ("fourband", True), ("coherent", True)],
+    ids=["haldane", "fourband", "coherent", "fourband-beta_inf", "coherent-beta_inf"],
+)
+def test_stencil_gap_is_its_truncation_error(request, rng, name, zero_temperature):
     model = request.getfixturevalue(name)
     pts = random_points(model, rng, 5)
-    beta = 0.8 if name == "coherent" else 1.1 / model.r0
+    if zero_temperature:  # C = 1 inside excited clusters, which keep must mask
+        beta = models.BETA_INF
+    else:
+        beta = 0.8 if name == "coherent" else 1.1 / model.r0
     f, _ = geometry.uhlmann_curvature_spectral_grid(model, pts, beta)
     exact = to_original_basis(model, pts, f)
     gaps = []
@@ -49,6 +59,57 @@ def test_stencil_gap_is_its_truncation_error(request, rng, name):
         stencil, _ = geometry.uhlmann_curvature_grid(model, pts, beta, h=h)
         gaps.append(float(np.abs(stencil - exact).max()))
     assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.5)
+
+
+class RandomFamily:
+    """H(k) = H0 + sum_mu sin(k_mu) A_mu for random Hermitian 5x5
+    matrices: five non-degenerate levels, so five clusters."""
+
+    dim = 3
+
+    def __init__(self, rng, n=5):
+        self.h0 = random_hermitian(rng, n)
+        self.a = np.stack([random_hermitian(rng, n) for _ in range(self.dim)])
+
+    def hamiltonian_batch(self, pts):
+        return self.h0 + np.einsum("bd,dij->bij", np.sin(pts), self.a)
+
+    def gradient_batch(self, pts, mu):
+        return np.cos(pts[:, mu])[:, None, None] * self.a[mu]
+
+
+def curl_of_tangents(model, pts):
+    """d_mu T_nu - d_nu T_mu per direction pair by first-order
+    perturbation theory, off-cluster: ([G_nu, T_mu] - [G_mu, T_nu] +
+    T_nu o Delta_mu - T_mu o Delta_nu) / (E_k - E_j), with G = v^dagger
+    dH v and Delta_mu,jk = G_mu,jj - G_mu,kk."""
+    w, _, g = geometry._frame_data(model, pts)
+    den, keep = geometry._gap_mask(w, linalg.cluster_labels(w, linalg.DEGENERACY_TOL))
+    t = geometry._divide_gaps(g, den, keep)
+    de = np.diagonal(g, axis1=-2, axis2=-1).real
+    delta = de[:, :, :, None] - de[:, :, None, :]
+    out = []
+    for mu, nu in geometry.direction_pairs(model.dim):
+        num = (linalg.commutator(g[nu], t[mu]) - linalg.commutator(g[mu], t[nu])
+               + t[nu] * delta[mu] - t[mu] * delta[nu])
+        out.append(geometry._divide_gaps(num, den, keep))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("name", ["coherent", "haldane", "random"])
+def test_curl_of_tangents_is_the_maurer_cartan_commutator(request, rng, name):
+    if name == "random":
+        model = RandomFamily(rng)
+        pts = rng.uniform(0.0, 2.0 * math.pi, (6, model.dim))
+    else:
+        model = request.getfixturevalue(name)
+        pts = random_points(model, rng, 6)
+    _, labels, _, _, keep, tt = geometry.curvature_frame_grid(model, pts)
+    if name != "haldane":  # Haldane has two clusters; the others need three or more
+        assert labels.max() >= 2
+    dt = curl_of_tangents(model, pts)
+    # On Haldane the curl is roundoff, so the scale is that of [T, T].
+    assert np.abs(dt + keep * tt).max() <= 1e-12 * np.abs(tt).max()
 
 
 @pytest.mark.parametrize("mass, beta", [(0.9, 0.7), (3.1, 2.0), (4.7, 1.3)])
