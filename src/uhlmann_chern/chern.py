@@ -276,13 +276,15 @@ _DET_ROUTE_WEIGHT = 6.0
 def _closed_form_partials(model, pts, betas) -> list[complex]:
     """Partial sums over one chunk of the closed-form second-order
     integrand for five-component Dirac models, one per beta:
-    det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|)."""
+    det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|).
+    Nothing overflows where |R| is finite: hypot squares no entry of R,
+    and |R|^-5 underflows to 0 instead."""
     r = model.r_vector_batch(pts)
     cols = [r] + [model.r_gradient_batch(pts, mu) for mu in range(4)]
     mat = np.stack(cols, axis=-1)  # (B, 5, 5): columns R, dR...
     det = np.linalg.det(mat)
-    rnorm = np.sqrt((r * r).sum(axis=-1))
-    base = _DET_ROUTE_WEIGHT * det / rnorm**5
+    rnorm = np.hypot.reduce(r, axis=-1)
+    base = _DET_ROUTE_WEIGHT * det * rnorm**-5.0
     return [complex(np.sum(base if math.isinf(beta) else base * np.tanh(beta * rnorm) ** 5))
             for beta in betas]
 
@@ -344,17 +346,9 @@ def _second_order_results(model, betas, grid: GridSpec, workers: int, degeneracy
     out = []
     for beta, raw, closed in zip(betas, sums[0::2], sums[1::2]):
         value, closed_val = float(raw.real), float(closed.real)
-        out.append(IntegralResult(
-            value=value,
-            imag_residual=abs(raw.imag),
-            extra={
-                "beta": beta,
-                "order": 2,
-                "epsilon_route": value,
-                "closed_form_route": closed_val,
-                "route_disagreement": abs(value - closed_val),
-            },
-        ))
+        extra = {"beta": beta, "order": 2, "epsilon_route": value, "closed_form_route": closed_val,
+                 "route_disagreement": abs(value - closed_val)}
+        out.append(IntegralResult(value, abs(raw.imag), extra))
     return out
 
 
@@ -581,20 +575,8 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
             disagreement = float(np.abs(weighted - spectral).max())
         else:
             disagreement = res.extra["route_disagreement"]
-        diags.append(
-            {
-                "T_over_R0": t,
-                "beta": beta,
-                "imag_residual": res.imag_residual,
-                "max_trace_residual": float(np.abs(f_diag.sum(axis=-1)).max()),
-                "route_disagreement": disagreement,
-            }
-        )
-    return SweepResult(
-        model=model_id(model),
-        order=order,
-        temperatures=tuple(temps),
-        values=tuple(res.value for res in results),
-        grid=grid,
-        diagnostics=tuple(diags),
-    )
+        diags.append({"T_over_R0": t, "beta": beta, "imag_residual": res.imag_residual,
+                      "max_trace_residual": float(np.abs(f_diag.sum(axis=-1)).max()),
+                      "route_disagreement": disagreement})
+    return SweepResult(model_id(model), order, tuple(temps), tuple(res.value for res in results),
+                       grid, tuple(diags))

@@ -22,8 +22,9 @@ eigenvectors across grid points. A model whose spectrum is known in
 closed form may also provide ``eigenframe_batch(pts) -> (w, v, g)``:
 eigenvalues, eigenvectors and eigenbasis gradients v^dagger dH v. The
 geometry kernels then use that exact spectral data instead of
-eigendecomposing H; the oscillator and the four-band model do. This
-module imports only errors and linalg from the package.
+eigendecomposing H; the oscillator and the four-band model do, and the
+four-band frame makes no matrix product at all. This module imports
+only errors and linalg from the package.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .errors import (
 from .linalg import (
     DEGENERACY_TOL,
     SpectralDecomposition,
-    _eigenbasis_gradients,
     cluster_labels,
     eigh_batch,
     hermitian_eig,
@@ -79,7 +79,10 @@ GAMMA = np.stack(
         np.kron(SIGMA[3], SIGMA[0]),
     ]
 )
-for _m in (SIGMA, PAULI, GAMMA):
+# _gamma_eigenpairs' eigenvector tables -i Gamma_4 Gamma_i (r5 >= 0) and Gamma_5 Gamma_i.
+_FRAME = np.stack([np.kron(-SIGMA[3], p) for p in PAULI] + [-1j * np.eye(4), np.kron(SIGMA[1], SIGMA[0])]
+                  + [np.kron(1j * SIGMA[2], p) for p in PAULI] + [np.kron(-1j * SIGMA[1], SIGMA[0]), np.eye(4)])
+for _m in (SIGMA, PAULI, GAMMA, _FRAME):
     _m.setflags(write=False)
 
 
@@ -130,10 +133,11 @@ def _check_direction(mu: int, dim: int) -> int:
 
 
 def _basis_dot(r, basis):
-    """Contract (..., n) real vectors with a table of n matrices (n, N, N)
-    by one matmul. Pauli and Gamma entries are 0, +-1 or +-i, at most one
-    real and one imaginary term per entry: exact, bit for bit."""
-    return (r @ basis.reshape(len(basis), -1)).reshape(np.shape(r)[:-1] + basis.shape[1:])
+    """Contract (..., n) real vectors with a table of n matrices (n, N, N) by
+    one real matmul on its (re, im) pairs. Pauli and Gamma entries are 0, +-1
+    or +-i, at most one real and one imaginary term per entry: exact."""
+    out = r @ basis.view(np.float64).reshape(len(basis), -1)
+    return out.view(np.complex128).reshape(np.shape(r)[:-1] + basis.shape[1:])
 
 
 class _Model:
@@ -153,7 +157,10 @@ class _DiracModel(_Model):
     _basis = PAULI
 
     def hamiltonian_batch(self, pts):
-        return _basis_dot(self.r_vector_batch(pts), self._basis)
+        r = self.r_vector_batch(pts)
+        if not np.isfinite(r).all():  # before the contraction can warn
+            raise NonFiniteInput("the Dirac vector r is not finite")
+        return _basis_dot(r, self._basis)
 
     def gradient_batch(self, pts, mu):
         return _basis_dot(self.r_gradient_batch(pts, mu), self._basis)
@@ -363,28 +370,38 @@ class Haldane(_DiracModel):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes |R|, so the width, infinite
-def _gamma_eigenpairs(r):
-    """Eigenpairs (-|R|, -|R|, |R|, |R|), v (B, 4, 4) of r . GAMMA, r (B, 5):
-    _eigh_2x2 with its off-diagonal entry promoted to the quaternion Q of
-    H = [[r5 I, Q], [Q^dagger, -r5 I]], Q Q^dagger = (|R|^2 - r5^2) I. With
-    c = |R| + |r5| (no cancellation) the columns [-Q; cI], [cI; Q^dagger]
-    (r5 >= 0) or [cI; -Q^dagger], [Q; cI] have norm sqrt(|Q|^2 + c^2). r is
-    scaled by max |r_i|, so only |R| can overflow; r = 0 permutes I."""
+def _gamma_eigenpairs(r, dr=None):
+    """Eigenpairs (-|R|, -|R|, |R|, |R|), v (B, 4, 4) of H = r . GAMMA, r (B, 5),
+    and given dr (d, B, 5) also g = v^dagger (dr . GAMMA) v, with no matrix
+    product. With c = |R| + |r5| (no cancellation), v = M (a . GAMMA) / |a|:
+    a = (r1, r2, r3, -r4, c), M = -i Gamma_4 if r5 >= 0, else a = (r1..r4, c),
+    M = Gamma_5. M flips all Gamma_i but one and (a.G)(y.G)(a.G) = 2 (a.y)(a.G)
+    - |a|^2 (y.G), so g = x . GAMMA for x = e dr - alpha a, the reflection of
+    e dr through a, e = (1, 1, 1, -sgn r5, sgn r5), alpha = 2 a.(e dr) / |a|^2
+    = 2 (sum_{i<=4} r_i dr_i + sgn(r5) c dr5) / |a|^2. In blocks: G-- = -d|R| I,
+    G++ = d|R| I with d|R| = rhat . dr, G+- = G-+^dagger and G-+ = dQ^dagger -
+    alpha Q^dagger (r5 >= 0) or dQ - alpha Q, Q = r1 sx + r2 sy + r3 sz - i r4
+    the block of H = [[r5 I, Q], [Q^dagger, -r5 I]]. r is scaled by max |r_i|:
+    only |R| can overflow, g has degree 0 in it, and r = 0 permutes I."""
     s = np.abs(r).max(axis=-1)
     live = s > 0
     u = r / np.where(live, s, 1.0)[:, None]
     off = (u[:, :4] ** 2).sum(axis=-1)  # |Q|^2 / s^2
     size = np.sqrt(off + u[:, 4] ** 2)
-    c = np.where(live, size + np.abs(u[:, 4]), 1.0)
-    inv = (1.0 / np.sqrt(off + c * c))[:, None, None]
-    h = _basis_dot(u, GAMMA) * inv
-    q, qd, ci = h[:, :2, 2:], h[:, 2:, :2], c[:, None, None] * inv * np.eye(2)
-    pos = (u[:, 4] >= 0)[:, None, None]
-    v = np.block([[np.where(pos, -q, ci), np.where(pos, ci, q)],
-                  [np.where(pos, ci, -qd), np.where(pos, qd, ci)]])
+    pos = u[:, 4:] >= 0
+    e = np.where(pos, [1.0, 1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0, -1.0])
+    a = u * e
+    a[:, 4] = np.where(live, size + a[:, 4], 1.0)
+    n2 = off + a[:, 4] ** 2
+    b = a * (1.0 / np.sqrt(n2))[:, None]
+    v = _basis_dot(np.concatenate([b * pos, b * ~pos], axis=1), _FRAME)
     w = (s * size)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
     require_finite_width(w)
-    return w, v
+    if dr is None:
+        return w, v
+    x = dr * e
+    x -= (2.0 * (x * a).sum(axis=-1) / n2)[..., None] * a
+    return w, v, _basis_dot(x, GAMMA)
 
 
 @dataclass(frozen=True)
@@ -430,11 +447,11 @@ class FourBandGamma(_DiracModel):
         return out
 
     def eigenframe_batch(self, pts):
-        """(w, v, g) for a point batch: _gamma_eigenpairs and the gradients
-        v^dagger dH v; each doublet's basis is the closed form's."""
-        w, v = _gamma_eigenpairs(self.r_vector_batch(pts))
-        grads = np.stack([self.gradient_batch(pts, mu) for mu in range(4)])
-        return w, v, _eigenbasis_gradients(v, grads)
+        """(w, v, g) for a point batch from _gamma_eigenpairs: g = v^dagger dH v
+        in closed form, with no matrix product (G-- = -d|R| I, G++ = d|R| I,
+        G-+ = dQ^dagger - alpha Q^dagger or dQ - alpha Q by the sign of r5)."""
+        dr = np.stack([self.r_gradient_batch(pts, mu) for mu in range(4)])
+        return _gamma_eigenpairs(self.r_vector_batch(pts), dr)
 
     def boundary_twist(self, mu):
         _check_direction(mu, 4)

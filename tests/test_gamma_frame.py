@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from uhlmann_chern import chern, linalg, models
+from uhlmann_chern import chern, geometry, linalg, models
 from uhlmann_chern.errors import GapClosed, NonFiniteInput
 
 from conftest import EighFourBand, cell_points
@@ -42,7 +42,54 @@ def test_frame_diagonalises_h(rng, m):
     eye = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(4)).max()
     assert eye <= 1e-14
     grads = np.stack([model.gradient_batch(pts, mu) for mu in range(4)])
-    np.testing.assert_array_equal(g, linalg._eigenbasis_gradients(v, grads))
+    err = np.abs(g - linalg._eigenbasis_gradients(v, grads)).max(axis=(0, 2, 3))
+    assert (err <= 1e-14 * np.maximum(1.0, np.abs(g).max(axis=(0, 2, 3)))).all()
+
+
+def assert_clifford_blocks(r, dr):
+    """g from _gamma_eigenpairs has the closed form's block shape exactly:
+    G-- = -d|R| I, G++ = d|R| I, G+- = G-+^dagger; it equals the rotation
+    v^dagger (dr . Gamma) v to 1e-14 max(1, max|g|) per point."""
+    _, v, g = models._gamma_eigenpairs(r, dr)
+    assert g.shape == dr.shape[:2] + (4, 4) and np.isfinite(g).all()
+    d = -g[:, :, 0, 0]
+    np.testing.assert_array_equal(d.imag, 0.0)
+    for i, sign in enumerate([-1.0, -1.0, 1.0, 1.0]):
+        np.testing.assert_array_equal(g[:, :, i, i], sign * d)
+    np.testing.assert_array_equal(g[:, :, 0, 1], 0.0)
+    np.testing.assert_array_equal(g[:, :, 1, 0], 0.0)
+    np.testing.assert_array_equal(g[:, :, 2, 3], 0.0)
+    np.testing.assert_array_equal(g[:, :, 3, 2], 0.0)
+    np.testing.assert_array_equal(g[:, :, 2:, :2], g[:, :, :2, 2:].conj().swapaxes(-1, -2))
+    ref = linalg._eigenbasis_gradients(v, models._basis_dot(dr, models.GAMMA))
+    scale = np.maximum(1.0, np.abs(g).max(axis=(0, 2, 3)))
+    assert (np.abs(g - ref).max(axis=(0, 2, 3)) <= 1e-14 * scale).all()
+    return d
+
+
+@pytest.mark.parametrize("m", MASSES + [-4.0, 2.0, 1e8, -1e8, 1e200])
+def test_gradient_blocks_are_the_closed_form(rng, m):
+    model = models.FourBandGamma(m=m)
+    pts = np.concatenate([cell_points(model, rng, 200), near_gap_points()])
+    r = model.r_vector_batch(pts)
+    dr = np.stack([model.r_gradient_batch(pts, mu) for mu in range(4)])
+    d = assert_clifford_blocks(r, dr)
+    # d|R| = rhat . dr, on the scaled vector; the diagonal blocks carry it
+    u = r / np.abs(r).max(axis=1, keepdims=True)
+    rhat = u / np.linalg.norm(u, axis=1, keepdims=True)
+    ref = (rhat * dr).sum(axis=-1)
+    assert np.abs(d - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+    np.testing.assert_array_equal(model.eigenframe_batch(pts)[2], models._gamma_eigenpairs(r, dr)[2])
+
+
+def test_gradients_on_the_branch_tie_and_at_zero(rng):
+    r = rng.normal(size=(300, 5))
+    r[:, 4] = 0.0  # r5 = 0 exactly: the r5 >= 0 columns
+    assert_clifford_blocks(r, rng.normal(size=(4, 300, 5)))
+    # r = 0: the permuted identity frame, where g is the gradient itself
+    dr = rng.normal(size=(4, 1, 5))
+    d = assert_clifford_blocks(np.zeros((1, 5)), dr)
+    np.testing.assert_array_equal(d, dr[:, :, 4])
 
 
 def test_zero_vector_gives_a_unitary_frame():
@@ -91,6 +138,24 @@ def test_integrals_match_the_eigh_path(m):
     assert second_order_values(model, grid, workers=2) == got
 
 
+def test_integrals_make_no_rotation_products(monkeypatch):
+    """The four-band integrals take g from the closed form: neither dH nor
+    the rotation v^dagger dH v is built. The hookless wrapper still takes
+    the rotation, so the patch is seen to bite."""
+    def boom(*args):
+        raise AssertionError("rotation path called")
+
+    monkeypatch.setattr(models.FourBandGamma, "gradient_batch", boom)
+    for module in (linalg, geometry):
+        monkeypatch.setattr(module, "_eigenbasis_gradients", boom)
+    model = models.FourBandGamma(m=1.25)
+    grid = chern.default_grid(model, 8)
+    assert all(np.isfinite(second_order_values(model, grid)))
+    with pytest.raises(AssertionError, match="rotation path"):
+        chern.second_thermal_uc(EighFourBand(1.25), 1.1, grid)
+
+
+@pytest.mark.filterwarnings("error")  # the determinant route squares no entry of R
 def test_huge_mass_gives_zero_without_overflow():
     model = models.FourBandGamma(m=1e200)
     grid = chern.default_grid(model, 8)

@@ -29,6 +29,7 @@ def haldane_with_mass(mass):
 
 
 @pytest.mark.parametrize("mass", [math.nan, math.inf, 1e308])
+@pytest.mark.filterwarnings("error")  # the typed error comes before any numpy warning
 def test_first_thermal_uc_rejects_non_finite_spectrum(mass):
     model = haldane_with_mass(mass)
     with pytest.raises(NonFiniteInput):
