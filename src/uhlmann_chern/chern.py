@@ -262,7 +262,7 @@ def _eps_contraction(f, lam) -> np.ndarray:
     pair_weight = lam[:, :, None] + lam[:, None, :]
 
     def t2(a, b):
-        return np.einsum("bik,bik,bki->b", pair_weight, f[a], f[b], optimize=True)
+        return np.einsum("bik,bki->b", pair_weight * f[a], f[b])
 
     return 4.0 * (t2(_P01, _P23) - t2(_P02, _P13) + t2(_P03, _P12))
 
@@ -417,7 +417,7 @@ def _link_phases(frames_a, frames_b):
     """Link overlaps det(a^dagger b) between two frame stacks (..., N, G),
     the overlap itself for one band; the links are their phases."""
     if frames_a.shape[-1] == 1:
-        return (frames_a.conj() * frames_b).sum(axis=(-2, -1))
+        return np.einsum("...ij,...ij->...", frames_a.conj(), frames_b)
     return np.linalg.det(frames_a.conj().swapaxes(-1, -2) @ frames_b)
 
 
@@ -571,7 +571,7 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
         f_diag = np.diagonal(f, axis1=-2, axis2=-1)  # (P, B, N)
         if order == 1:
             weighted = (f_diag * lam).sum(axis=-1)
-            spectral = _trace_pairs(lam, frame[2], pairs)  # frame[2]: the tangents
+            spectral = _trace_pairs(lam[None], frame[2], pairs)[0]  # frame[2]: the tangents
             disagreement = float(np.abs(weighted - spectral).max())
         else:
             disagreement = res.extra["route_disagreement"]

@@ -211,7 +211,7 @@ def _map_job(model, pts, beta, tol):
     """Im Tr(rho F_U) at beta and the ground-cluster Berry curvature over
     one chunk, from one spectral pass at (beta, zero temperature)."""
     w, _, lam, t = geometry.spectral_data_grid(model, pts, (beta, models.BETA_INF), tol)
-    trace = geometry._trace_pairs(lam[0], t, geometry.direction_pairs(2))[0]
+    trace = geometry._trace_pairs(lam[:1], t, geometry.direction_pairs(2))[0, 0]
     f, _ = geometry.ground_block_from_data(w, lam[1], t)
     return trace.imag, np.trace(f[0], axis1=-2, axis2=-1).imag
 

@@ -195,23 +195,28 @@ def _mixing_batch(lam, x=None) -> np.ndarray:
 
 
 def _trace_coefficients(lam) -> np.ndarray:
-    """coef_ik = l_i (4 l_i l_k / (l_i + l_k)^2 - 1), with the ratio
-    read as 0 when both weights vanish."""
-    num = 4.0 * lam[:, :, None] * lam[:, None, :]
-    den = (lam[:, :, None] + lam[:, None, :]) ** 2
-    ok = den > 0
-    ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    return lam[:, :, None] * (ratio - 1.0)
+    """c_ik = -(l_i - l_k)^3 / (l_i + l_k)^2 over the level pairs i < k
+    (in numpy.triu_indices order) of weight stacks lam (..., N), shape
+    (..., N (N - 1) / 2); zero where both weights vanish."""
+    i, k = np.triu_indices(lam.shape[-1], 1)
+    diff, total = lam[..., i] - lam[..., k], lam[..., i] + lam[..., k]
+    q = diff / np.where(total > 0, total, 1.0)
+    return -diff * q * q
 
 
 def _trace_pairs(lam, t, pairs) -> np.ndarray:
-    """Weighted curvature-trace scalars per direction pair, (P, B)."""
+    """Weighted curvature traces (K, P, B) for K stacked weight batches
+    lam (K, B, N) on one chunk's tangents t (d, B, N, N): sum_ik l_i (4 l_i
+    l_k / (l_i + l_k)^2 - 1) Pi_ik with Pi = T_mu o T_nu^T - T_nu o T_mu^T.
+    Pi is exactly antisymmetric, so only i < k enters, weighted by
+    _trace_coefficients (built once for all K); Pi is formed once per pair
+    and one plain einsum contracts it, each row bitwise its K = 1 call."""
     coef = _trace_coefficients(lam)
-    out = np.empty((len(pairs), lam.shape[0]), dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        fwd = np.einsum("bik,bik,bki->b", coef, t[mu], t[nu], optimize=True)
-        rev = np.einsum("bik,bik,bki->b", coef, t[nu], t[mu], optimize=True)
-        out[i] = fwd - rev
+    i, k = np.triu_indices(lam.shape[-1], 1)
+    out = np.empty((lam.shape[0], len(pairs), lam.shape[1]), dtype=np.complex128)
+    for p, (mu, nu) in enumerate(pairs):
+        prod = t[mu][:, i, k] * t[nu][:, k, i] - t[nu][:, i, k] * t[mu][:, k, i]
+        out[:, p] = np.einsum("kbm,bm->kb", coef, prod)
     return out
 
 
@@ -253,12 +258,11 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
 
 def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B); for
-    a sequence of K betas, shape (K, P, B), from one set of eigen-data."""
+    a sequence of K betas, shape (K, P, B), from one set of eigen-data
+    and one _trace_pairs call, each row bitwise its single-beta call."""
     _, _, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
-    pairs = direction_pairs(model.dim)
-    if np.ndim(beta):
-        return np.stack([_trace_pairs(lam_k, t, pairs) for lam_k in lam])
-    return _trace_pairs(lam, t, pairs)
+    traces = _trace_pairs(lam if np.ndim(beta) else lam[None], t, direction_pairs(model.dim))
+    return traces if np.ndim(beta) else traces[0]
 
 
 def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -491,12 +495,9 @@ def berry_curvature(model, p, band: int = 0,
             "use wz_curvature on the degenerate cluster"
         )
     pairs = direction_pairs(model.dim)
-    mats = np.empty((len(pairs), 1, 1), dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        fwd = np.dot(t[mu][band, :], t[nu][:, band])
-        rev = np.dot(t[nu][band, :], t[mu][:, band])
-        mats[i, 0, 0] = -(fwd - rev)
-    return CurvatureComponents(pairs, mats)
+    # the weighted trace with all weight on the band: -sum_k Pi_bk
+    mats = _trace_pairs(np.eye(w.size)[band][None, None], t[:, None], pairs)
+    return CurvatureComponents(pairs, mats.reshape(len(pairs), 1, 1))
 
 
 def _point_tangents(sd, grads) -> np.ndarray:
@@ -653,7 +654,7 @@ def thermal_trace_spectral(state, grads) -> np.ndarray:
     Purely imaginary up to roundoff.
     """
     t = _point_tangents(state.spectrum, grads)
-    return _trace_pairs(state.weights[None], t, direction_pairs(len(t)))[:, 0]
+    return _trace_pairs(state.weights[None, None], t, direction_pairs(len(t)))[0, :, 0]
 
 
 def weighted_trace(state, curvature: CurvatureComponents) -> np.ndarray:

@@ -135,7 +135,10 @@ def _check_direction(mu: int, dim: int) -> int:
 def _basis_dot(r, basis):
     """Contract (..., n) real vectors with a table of n matrices (n, N, N) by
     one real matmul on its (re, im) pairs. Pauli and Gamma entries are 0, +-1
-    or +-i, at most one real and one imaginary term per entry: exact."""
+    or +-i, at most one real and one imaginary term per entry: exact. A
+    non-finite r raises NonFiniteInput before the product can warn."""
+    if not np.isfinite(r).all():
+        raise NonFiniteInput("the Dirac vector r or its gradient is not finite")
     out = r @ basis.view(np.float64).reshape(len(basis), -1)
     return out.view(np.complex128).reshape(np.shape(r)[:-1] + basis.shape[1:])
 
@@ -157,17 +160,17 @@ class _DiracModel(_Model):
     _basis = PAULI
 
     def hamiltonian_batch(self, pts):
-        r = self.r_vector_batch(pts)
-        if not np.isfinite(r).all():  # before the contraction can warn
-            raise NonFiniteInput("the Dirac vector r is not finite")
-        return _basis_dot(r, self._basis)
+        return _basis_dot(self.r_vector_batch(pts), self._basis)
 
     def gradient_batch(self, pts, mu):
         return _basis_dot(self.r_gradient_batch(pts, mu), self._basis)
 
+    @np.errstate(over="ignore")
     def gap_batch(self, pts):
-        r = self.r_vector_batch(pts)
-        return 2.0 * np.sqrt((r * r).sum(axis=-1))
+        gap = 2.0 * np.hypot.reduce(self.r_vector_batch(pts), axis=-1)
+        if not np.isfinite(gap).all():
+            raise NonFiniteInput("the gap 2|r| is not finite")
+        return gap
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +338,21 @@ class Haldane(_DiracModel):
         """Energy unit: the gap at zero momentum and zero mass, 6 |t1|."""
         return 6.0 * abs(self.t1)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a huge t1, t2 or M: r is not finite
     def r_vector_batch(self, pts):
-        pts = _points(pts, 2)
-        ka = pts @ _HALDANE_A.T
-        kb = pts @ _HALDANE_B.T
-        r1 = self.t1 * np.cos(ka).sum(axis=1)
-        r2 = self.t1 * np.sin(ka).sum(axis=1)
-        r3 = self.M - 2 * self.t2 * math.sin(self.phi) * np.sin(kb).sum(axis=1)
-        return np.stack([r1, r2, r3], axis=-1)
+        pts = _points(pts, 2).T
+        ka, kb = _HALDANE_A @ pts, _HALDANE_B @ pts
+        r3 = self.M - 2 * self.t2 * math.sin(self.phi) * _bond_sum(np.sin, kb)
+        return np.stack([self.t1 * _bond_sum(np.cos, ka), self.t1 * _bond_sum(np.sin, ka), r3],
+                        axis=-1)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def r_gradient_batch(self, pts, mu):
-        pts = _points(pts, 2)
-        mu = _check_direction(mu, 2)
-        ka = pts @ _HALDANE_A.T
-        kb = pts @ _HALDANE_B.T
-        da = _HALDANE_A[:, mu]
-        db = _HALDANE_B[:, mu]
-        d1 = -self.t1 * (np.sin(ka) * da).sum(axis=1)
-        d2 = self.t1 * (np.cos(ka) * da).sum(axis=1)
-        d3 = -2 * self.t2 * math.sin(self.phi) * (np.cos(kb) * db).sum(axis=1)
-        return np.stack([d1, d2, d3], axis=-1)
+        pts, mu = _points(pts, 2).T, _check_direction(mu, 2)
+        ka, kb = _HALDANE_A @ pts, _HALDANE_B @ pts
+        da, db = _HALDANE_A[:, mu], _HALDANE_B[:, mu]
+        return np.stack([-self.t1 * _bond_sum(np.sin, ka, da), self.t1 * _bond_sum(np.cos, ka, da),
+                         -2 * self.t2 * math.sin(self.phi) * _bond_sum(np.cos, kb, db)], axis=-1)
 
     def boundary_twist(self, mu):
         """Constant unitary W with H(k + cell_mu) = W H(k) W^dagger."""
@@ -362,6 +360,15 @@ class Haldane(_DiracModel):
         if mu == 0:
             return np.diag([np.exp(2j * math.pi / 3), 1.0]).astype(np.complex128)
         return np.eye(2, dtype=np.complex128)
+
+
+def _bond_sum(f, phases, weights=None):
+    """sum_i w_i f(k.x_i) over the three bonds of (3, B) phases, one (B,) row
+    at a time: no numpy call runs over the bond axis or holds a (3, B) trig
+    array (which measured slower for the eigendecomposition after it)."""
+    if weights is None:
+        return f(phases[0]) + f(phases[1]) + f(phases[2])
+    return weights[0] * f(phases[0]) + weights[1] * f(phases[1]) + weights[2] * f(phases[2])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ never a silent NaN, a silent 0 or an untyped exception.
 """
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,3 +239,45 @@ def test_infinite_haldane_phase_raises_non_finite_input(tmp_path, capsys, phi):
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+HUGE = [("t1", 1e308), ("t1", -1e308), ("t2", 1e308), ("t2", -1e308), ("M", 1e308),
+        ("M", -1e308)]
+
+
+@pytest.mark.parametrize("name, value", HUGE)
+def test_huge_haldane_parameters_raise_before_any_numpy_warning(name, value):
+    model = models.Haldane(**{"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "M": 0.3, name: value})
+    pts = chern.default_grid(model, 8).points_range(0, 64)
+    calls = [model.hamiltonian_batch, lambda p: model.gradient_batch(p, 0),
+             lambda p: model.gradient_batch(p, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            model.gap_batch(pts)  # |r| >= 1e308 - 4: the gap 2|r| overflows
+        if name == "M":  # r3 = M + O(1) stays finite, and dr does not involve M
+            assert all(np.isfinite(call(pts)).all() for call in calls)
+        else:
+            for call in calls:
+                with pytest.raises(NonFiniteInput):
+                    call(pts)
+        with pytest.raises(NonFiniteInput):
+            chern.first_thermal_uc(model, 1.0, chern.default_grid(model, 8))
+
+
+@pytest.mark.parametrize("run", [{"type": "chern"},
+                                 {"type": "sweep", "temperatures": [0.1, 0.5]}])
+def test_cli_with_a_huge_hopping_exits_3(tmp_path, capsys, run):
+    cfg = {
+        "model": {"variant": "haldane",
+                  "parameters": {"t1": 1e308, "t2": 0.5, "phi": math.pi / 2, "M": 0.3}},
+        "grid": {"resolution": [8, 8]},
+        "run": run,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteInput" in err and "Traceback" not in err

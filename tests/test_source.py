@@ -13,8 +13,13 @@ links. chern never references the finite-difference curvature
 integrals and sweep diagnostics use the closed-form curvature, and the
 stencil stays an independent cross-check outside it. models imports no
 package module but errors and linalg, since geometry and chern import
-models. The checks parse src/ with ast so they see every call
-regardless of formatting.
+models. The Haldane chunk kernels stay batch-major: _trace_pairs,
+_eps_contraction and _link_phases pass no optimize= to np.einsum (on
+stacks of small matrices the path search and the per-matrix products
+it picks cost more than one plain two-operand contraction), and
+Haldane.r_vector_batch, r_gradient_batch and their models._bond_sum
+make no .sum(axis=...) over the three bonds. The checks parse src/ with ast so they see
+every call regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -276,3 +281,84 @@ def test_models_imports_only_errors_and_linalg():
     path = SRC / "uhlmann_chern" / "models.py"
     imported = package_imports(ast.parse(path.read_text(), filename=str(path)))
     assert set(imported) <= {"errors", "linalg"}, imported
+
+
+def calls_by_function(tree: ast.AST):
+    """(qualified enclosing function, call node) of every call inside a
+    function; methods read Class.method and nested functions outer.inner."""
+    found = []
+
+    def visit(node, scope, in_func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            in_func = in_func or not isinstance(node, ast.ClassDef)
+        elif isinstance(node, ast.Call) and in_func:
+            found.append((scope, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_func)
+
+    visit(tree, "", False)
+    return found
+
+
+def batch_major_violations(tree: ast.AST, einsum_funcs, sum_funcs):
+    """(function, line, what) of every np.einsum call with an optimize
+    keyword inside einsum_funcs and every x.sum(axis=...) or
+    np.sum(x, axis=...) call inside sum_funcs; a function covers the
+    functions nested in it."""
+
+    def within(scope, names):
+        return any(scope == n or scope.startswith(n + ".") for n in names)
+
+    found = []
+    for scope, node in calls_by_function(tree):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        keywords = {k.arg for k in node.keywords}
+        if name == "einsum" and "optimize" in keywords and within(scope, einsum_funcs):
+            found.append((scope, node.lineno, "einsum optimize="))
+        if (name == "sum" and isinstance(f, ast.Attribute) and "axis" in keywords
+                and within(scope, sum_funcs)):
+            found.append((scope, node.lineno, "sum(axis=)"))
+    return found
+
+
+def test_detector_flags_optimised_einsums_and_axis_sums_by_function():
+    code = "\n".join([
+        "def _trace_pairs(a, b):",
+        '    return np.einsum("ij,ji->", a, b, optimize=True)',
+        "def _eps_contraction(f):",
+        "    def t2(a, b):",
+        '        return einsum("ij,ji->", a, b, optimize=False)',
+        '    return np.einsum("ij,ji->", f, f)',
+        "class Haldane:",
+        "    def r_vector_batch(self, x):",
+        "        return np.cos(x).sum(axis=1) + x.sum() + np.sum(x, axis=0)",
+        "    def gap_batch(self, x):",
+        "        return x.sum(axis=-1)",
+        "class FourBandGamma:",
+        "    def r_vector_batch(self, x):",
+        "        return x.sum(axis=1)",
+        "def _link_phases_extra(a):",
+        '    return np.einsum("i,i", a, a, optimize=True)',
+    ])
+    tree = ast.parse(code)
+    assert batch_major_violations(tree, {"_trace_pairs", "_eps_contraction", "_link_phases"},
+                                  {"Haldane.r_vector_batch", "Haldane.r_gradient_batch"}) == [
+        ("_trace_pairs", 2, "einsum optimize="), ("_eps_contraction.t2", 5, "einsum optimize="),
+        ("Haldane.r_vector_batch", 9, "sum(axis=)"), ("Haldane.r_vector_batch", 9, "sum(axis=)")]
+
+
+EINSUM_KERNELS = {"_trace_pairs", "_eps_contraction", "_link_phases"}
+BOND_SUM_KERNELS = {"Haldane.r_vector_batch", "Haldane.r_gradient_batch", "_bond_sum"}
+
+
+def test_haldane_chunk_kernels_stay_batch_major():
+    found, scopes = [], set()
+    for path in sorted((SRC / "uhlmann_chern").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes.update(scope for scope, _ in calls_by_function(tree))
+        found += [(path.name, *v) for v in batch_major_violations(tree, EINSUM_KERNELS,
+                                                                  BOND_SUM_KERNELS)]
+    assert not found, found
+    assert EINSUM_KERNELS | BOND_SUM_KERNELS <= scopes  # the rule still names live code
