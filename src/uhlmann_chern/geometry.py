@@ -67,6 +67,10 @@ GAP_FLOOR = 1e-8
 FD_STEP_FRACTION = 1e-4
 FD_STEP_LIMIT_FRACTION = 0.1
 
+# (beta, point, level pair) entries per block of trace coefficients: a
+# many-temperature trace at large N then needs no more memory than one.
+TRACE_BLOCK = 1 << 20
+
 
 def direction_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     """Ordered coordinate pairs (mu, nu) with mu < nu, lexicographic."""
@@ -209,14 +213,18 @@ def _trace_pairs(lam, t, pairs) -> np.ndarray:
     lam (K, B, N) on one chunk's tangents t (d, B, N, N): sum_ik l_i (4 l_i
     l_k / (l_i + l_k)^2 - 1) Pi_ik with Pi = T_mu o T_nu^T - T_nu o T_mu^T.
     Pi is exactly antisymmetric, so only i < k enters, weighted by
-    _trace_coefficients (built once for all K); Pi is formed once per pair
-    and one plain einsum contracts it, each row bitwise its K = 1 call."""
-    coef = _trace_coefficients(lam)
+    _trace_coefficients. Pi is formed once per pair; the coefficients are
+    built for TRACE_BLOCK entries of betas at a time (every beta at once
+    for two levels), and a plain einsum contracts each block, each row
+    bitwise its K = 1 call."""
     i, k = np.triu_indices(lam.shape[-1], 1)
+    prods = [t[mu][:, i, k] * t[nu][:, k, i] - t[nu][:, i, k] * t[mu][:, k, i] for mu, nu in pairs]
+    step = max(1, TRACE_BLOCK // max(1, lam.shape[1] * i.size))
     out = np.empty((lam.shape[0], len(pairs), lam.shape[1]), dtype=np.complex128)
-    for p, (mu, nu) in enumerate(pairs):
-        prod = t[mu][:, i, k] * t[nu][:, k, i] - t[nu][:, i, k] * t[mu][:, k, i]
-        out[:, p] = np.einsum("kbm,bm->kb", coef, prod)
+    for s in range(0, lam.shape[0], step):
+        coef = _trace_coefficients(lam[s:s + step])
+        for p, prod in enumerate(prods):
+            out[s:s + step, p] = np.einsum("kbm,bm->kb", coef, prod)
     return out
 
 
@@ -249,11 +257,8 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
     w, v, g = _frame_data(model, pts)
     labels = cluster_labels(w, degeneracy_tol)
     t = _divide_gaps(g, *_gap_mask(w, labels))
-    if np.ndim(beta):
-        lam = np.stack([weights_batch(w, b, degeneracy_tol, labels) for b in beta])
-    else:
-        lam = weights_batch(w, beta, degeneracy_tol, labels)
-    return w, v, lam, t
+    lam = np.stack([weights_batch(w, b, degeneracy_tol, labels) for b in np.ravel(beta)])
+    return w, v, (lam if np.ndim(beta) else lam[0]), t
 
 
 def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -495,9 +500,9 @@ def berry_curvature(model, p, band: int = 0,
             "use wz_curvature on the degenerate cluster"
         )
     pairs = direction_pairs(model.dim)
-    # the weighted trace with all weight on the band: -sum_k Pi_bk
-    mats = _trace_pairs(np.eye(w.size)[band][None, None], t[:, None], pairs)
-    return CurvatureComponents(pairs, mats.reshape(len(pairs), 1, 1))
+    mats = [-(np.dot(t[mu][band], t[nu][:, band]) - np.dot(t[nu][band], t[mu][:, band]))
+            for mu, nu in pairs]
+    return CurvatureComponents(pairs, np.reshape(mats, (len(pairs), 1, 1)))
 
 
 def _point_tangents(sd, grads) -> np.ndarray:
@@ -553,8 +558,7 @@ def projector_limit_curvature(model, p, group=None,
         raise GapClosed(f"requested group {tuple(group)} is not the ground cluster {ground}")
     # dP in the eigenbasis: +T on excited-ground entries, -T on
     # ground-excited, zero elsewhere.
-    chi = np.zeros(w.size)
-    chi[:d] = 1.0
+    chi = (np.arange(w.size) < d).astype(np.float64)
     sign = chi[None, :] - chi[:, None]
     dp = sign[None, :, :] * t
     pairs = direction_pairs(model.dim)

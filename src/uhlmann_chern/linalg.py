@@ -229,13 +229,11 @@ def _eigh_2x2(ms):
     # Real arithmetic: numpy's complex division overflows on subnormal divisors.
     t, br, bi = t / norm, b.real / s / norm, b.imag / s / norm
     lo, hi, z = a > 0, (a >= 0) & live, np.zeros_like(t)
-    v, w = np.empty(t.shape + (8,)), np.empty(t.shape + (2,))  # filled: a stack copies again
     # (re, im) of v00, v01, v10, v11; column 0 has eigenvalue c - r
-    for k, (mask, yes, no) in enumerate([(lo, -br, t), (lo, bi, z), (hi, t, br), (hi, z, -bi),
-                                         (lo, t, -br), (lo, z, -bi), (hi, br, t), (hi, bi, z)]):
-        v[..., k] = np.where(mask, yes, no)
-    w[..., 0], w[..., 1] = c - r, c + r
-    return w, v.view(np.complex128).reshape(ms.shape)
+    v = np.stack([np.where(lo, -br, t), np.where(lo, bi, z), np.where(hi, t, br),
+                  np.where(hi, z, -bi), np.where(lo, t, -br), np.where(lo, z, -bi),
+                  np.where(hi, br, t), np.where(hi, bi, z)], axis=-1)
+    return np.stack([c - r, c + r], axis=-1), v.view(np.complex128).reshape(ms.shape)
 
 
 def _require_hermitian_batch(ms, rtol: float) -> None:

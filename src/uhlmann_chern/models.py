@@ -70,15 +70,8 @@ PAULI = SIGMA[1:]
 # Five mutually anticommuting 4x4 matrices: the first three couple the
 # two sublattice blocks through Pauli matrices, the last two are block
 # diagonal/off-diagonal scalars.
-GAMMA = np.stack(
-    [
-        np.kron(SIGMA[1], SIGMA[1]),
-        np.kron(SIGMA[1], SIGMA[2]),
-        np.kron(SIGMA[1], SIGMA[3]),
-        np.kron(SIGMA[2], SIGMA[0]),
-        np.kron(SIGMA[3], SIGMA[0]),
-    ]
-)
+GAMMA = np.stack([np.kron(SIGMA[1], p) for p in PAULI] + [np.kron(SIGMA[2], SIGMA[0]),
+                                                           np.kron(SIGMA[3], SIGMA[0])])
 # _gamma_eigenpairs' eigenvector tables -i Gamma_4 Gamma_i (r5 >= 0) and Gamma_5 Gamma_i.
 _FRAME = np.stack([np.kron(-SIGMA[3], p) for p in PAULI] + [-1j * np.eye(4), np.kron(SIGMA[1], SIGMA[0])]
                   + [np.kron(1j * SIGMA[2], p) for p in PAULI] + [np.kron(-1j * SIGMA[1], SIGMA[0]), np.eye(4)])
@@ -283,13 +276,7 @@ _SQ3 = math.sqrt(3.0)
 # Nearest-neighbor bond vectors and the next-neighbor (Bravais) vectors
 # they generate. The Bravais lattice fixes the momentum periodicity.
 _HALDANE_A = np.array([[_SQ3, 0.0], [-_SQ3 / 2, -1.5], [-_SQ3 / 2, 1.5]])
-_HALDANE_B = np.array(
-    [
-        _HALDANE_A[1] - _HALDANE_A[2],
-        _HALDANE_A[0] - _HALDANE_A[1],
-        _HALDANE_A[2] - _HALDANE_A[0],
-    ]
-)
+_HALDANE_B = _HALDANE_A[[1, 0, 2]] - _HALDANE_A[[2, 1, 0]]  # a1 - a2, a0 - a1, a2 - a0
 _HALDANE_A.setflags(write=False)
 _HALDANE_B.setflags(write=False)
 
@@ -362,12 +349,9 @@ class Haldane(_DiracModel):
         return np.eye(2, dtype=np.complex128)
 
 
-def _bond_sum(f, phases, weights=None):
+def _bond_sum(f, phases, weights=(1.0, 1.0, 1.0)):
     """sum_i w_i f(k.x_i) over the three bonds of (3, B) phases, one (B,) row
-    at a time: no numpy call runs over the bond axis or holds a (3, B) trig
-    array (which measured slower for the eigendecomposition after it)."""
-    if weights is None:
-        return f(phases[0]) + f(phases[1]) + f(phases[2])
+    at a time, so no numpy call runs over the bond axis (1.0 * x is exact)."""
     return weights[0] * f(phases[0]) + weights[1] * f(phases[1]) + weights[2] * f(phases[2])
 
 
@@ -438,12 +422,9 @@ class FourBandGamma(_DiracModel):
         return 1.0
 
     def r_vector_batch(self, pts):
-        pts = _points(pts, 4)
-        two_k = 2.0 * pts
-        cos = np.cos(two_k)
-        sin = np.sin(two_k)
-        r5 = self.m + sin.sum(axis=1)
-        return np.concatenate([cos, r5[:, None]], axis=1)
+        two_k = 2.0 * _points(pts, 4)
+        r5 = self.m + np.sin(two_k).sum(axis=1)
+        return np.concatenate([np.cos(two_k), r5[:, None]], axis=1)
 
     def r_gradient_batch(self, pts, mu):
         pts = _points(pts, 4)
@@ -470,14 +451,9 @@ def gamma_anticommutation_residual() -> float:
     identity, over all 15 distinct pairs plus the 5 squares. Reads the
     module-level constants so a corrupted table is caught at run time.
     """
-    res = 0.0
-    eye2 = 2.0 * np.eye(4)
-    for i in range(5):
-        for j in range(i, 5):
-            anti = GAMMA[i] @ GAMMA[j] + GAMMA[j] @ GAMMA[i]
-            target = eye2 if i == j else 0.0
-            res = max(res, float(np.abs(anti - target).max()))
-    return res
+    prod = GAMMA[:, None] @ GAMMA[None, :]  # (5, 5, 4, 4): Gamma_i Gamma_j
+    target = 2.0 * np.eye(5)[:, :, None, None] * np.eye(4)
+    return float(np.abs(prod + prod.swapaxes(0, 1) - target).max())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ its earlier formula, written out below, at N = 2, 4 and 40 (where the
 kernel takes any N) to 1e-13 relative to the largest reference entry.
 The stacked-temperature trace must equal its single-temperature calls
 bit for bit, which keeps a sweep value equal to its single-temperature
-integral, and must build its weight coefficients once per chunk.
+integral, and must build its weight coefficients once per chunk for two
+levels, in blocks of at most TRACE_BLOCK entries for many levels.
 """
 import math
 
@@ -71,26 +72,6 @@ def cluster_labels_ref(w, tol):
     w = np.asarray(w)
     scale = tol * (1.0 + np.maximum(-w[..., :1], w[..., -1:]))
     return np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > scale, axis=-1)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def eigh_2x2_ref(ms):
-    h0, h1, b = ms[..., 0, 0].real, ms[..., 1, 1].real, ms[..., 1, 0]
-    a = 0.5 * h0 - 0.5 * h1
-    c = 0.5 * h0 + 0.5 * h1
-    aabs, babs = np.abs(a), np.abs(b)
-    r = np.hypot(a, babs)
-    s = np.maximum(aabs, babs)
-    live = s > 0
-    s = np.where(live, s, 1.0)
-    t = np.where(live, r / s + aabs / s, 1.0)
-    norm = np.hypot(t, babs / s)
-    t, br, bi = t / norm, b.real / s / norm, b.imag / s / norm
-    lo, hi, z = a > 0, (a >= 0) & live, np.zeros_like(t)
-    v = np.stack([np.where(lo, -br, t), np.where(lo, bi, z), np.where(hi, t, br),
-                  np.where(hi, z, -bi), np.where(lo, t, -br), np.where(lo, z, -bi),
-                  np.where(hi, br, t), np.where(hi, bi, z)], axis=-1)
-    return np.stack([c - r, c + r], axis=-1), v.view(np.complex128).reshape(ms.shape)
 
 
 def trace_pairs_ref(lam, t, pairs):
@@ -180,19 +161,6 @@ def test_cluster_labels_of_an_empty_spectrum():
         assert labels.shape == shape
 
 
-def test_eigh_2x2_matches_the_stacked_formula_bit_for_bit(rng):
-    ms = hermitian(rng, (300,), 2)
-    ms[:40, 1, 0] = ms[:40, 0, 1] = 0.0  # diagonal
-    ms[40:80, 1, 1] = ms[40:80, 0, 0]  # the tie a = 0
-    ms[80:90] = 2.5 * np.eye(2)  # H = cI
-    ms[90:100] *= 1e-310  # subnormal
-    ms[100:110] *= 1e300
-    w, v = linalg._eigh_2x2(ms)
-    w_ref, v_ref = eigh_2x2_ref(ms)
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-    assert w.flags.c_contiguous and v.flags.c_contiguous
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_trace_pairs_match_the_three_operand_einsums(rng, n):
     batch = 16 if n == 40 else 128
@@ -251,3 +219,25 @@ def test_trace_coefficients_run_once_per_chunk(monkeypatch, haldane):
         calls.clear()
         chern._first_order_results(haldane, betas, grid, 1, linalg.DEGENERACY_TOL)
         assert calls == [len(betas)] * chunks
+
+
+def test_trace_blocks_bound_the_coefficients_and_keep_every_row(monkeypatch, rng):
+    n, batch = 40, 16
+    entries = batch * n * (n - 1) // 2  # coefficient entries per beta
+    t = anti_hermitian(rng, (2, batch), n)
+    lam = np.stack([gibbs(rng, batch, n, beta) for beta in (0.2, 0.9, 3.0)])
+    pairs = geometry.direction_pairs(2)
+    whole = geometry._trace_pairs(lam, t, pairs)
+    sizes = []
+    original = geometry._trace_coefficients
+
+    def counted(lam):
+        sizes.append(lam.shape[0])
+        return original(lam)
+
+    monkeypatch.setattr(geometry, "_trace_coefficients", counted)
+    monkeypatch.setattr(geometry, "TRACE_BLOCK", 2 * entries)
+    assert np.array_equal(geometry._trace_pairs(lam, t, pairs), whole)
+    monkeypatch.setattr(geometry, "TRACE_BLOCK", entries - 1)  # below one beta: one at a time
+    assert np.array_equal(geometry._trace_pairs(lam, t, pairs), whole)
+    assert sizes == [2, 1, 1, 1, 1]
