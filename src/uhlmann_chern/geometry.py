@@ -18,15 +18,14 @@ and the degeneracy mask of the tangent matrices all come from it.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 uhlmann_curvature_spectral_grid differentiates the spectral connection
-in closed form from the eigen-data of one point, and is what the
-integrals use, through its temperature-independent half
-(curvature_frame_grid: tangents and their commutators, which give the
-curl of the tangents by the Maurer-Cartan equation) and its
-per-temperature half (uhlmann_curvature_from_frame), so a temperature
-scan builds the first once; the temperature-sweep diagnostics use the
-same halves.
+in closed form from one point's eigen-data. The integrals and sweep
+diagnostics use its temperature-independent half (curvature_frame_grid:
+tangents and their commutators, the curl of the tangents by the
+Maurer-Cartan equation) once per batch and its per-temperature half
+(uhlmann_curvature_from_frame, assembled in place) per beta; both take
+their products from _commutators, one block product per block of points.
 uhlmann_curvature_grid and uhlmann_curvature difference the connection
-field on a central stencil; they are kept as its independent cross-check.
+field on a central stencil, as its independent cross-check.
 """
 from __future__ import annotations
 
@@ -70,6 +69,8 @@ FD_STEP_LIMIT_FRACTION = 0.1
 # (beta, point, level pair) entries per block of trace coefficients: a
 # many-temperature trace at large N then needs no more memory than one.
 TRACE_BLOCK = 1 << 20
+
+COMMUTATOR_BLOCK = 256  # points per _commutators product: 1 MB at N = d = 4
 
 
 def direction_pairs(dim: int) -> tuple[tuple[int, int], ...]:
@@ -172,8 +173,25 @@ def _gap_mask(w, labels):
 
 
 def _divide_gaps(num, den, keep) -> np.ndarray:
-    """num_jk / (E_k - E_j) off-cluster, zero within a cluster."""
-    return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
+    """num_jk / (E_k - E_j) off-cluster, zero within a cluster, by one masked real
+    reciprocal for all of num (..., B, N, N): numpy's complex division does the same."""
+    return num * np.where(keep, 1.0 / np.where(keep, den, 1.0), 0.0)
+
+
+def _commutators(a, pairs) -> np.ndarray:
+    """[a_mu, a_nu] per direction pair (P, B, N, N) of a stack a (d, B, N, N): per
+    COMMUTATOR_BLOCK points one product (b, dN, N) @ (b, N, dN), whose (mu, nu)
+    block a_mu a_nu holds both orders of every pair, each point on its own."""
+    d, n = a.shape[0], a.shape[-1]
+    out = np.empty((len(pairs),) + a.shape[1:], dtype=np.complex128)
+    for s in range(0, a.shape[1], COMMUTATOR_BLOCK):
+        blk = a[:, s:s + COMMUTATOR_BLOCK].swapaxes(0, 1)  # (b, d, N, N)
+        b = len(blk)
+        full = blk.reshape(b, d * n, n) @ blk.swapaxes(1, 2).reshape(b, n, d * n)
+        full = full.reshape(b, d, n, d, n)  # full[:, mu, :, nu] = a_mu a_nu
+        for i, (mu, nu) in enumerate(pairs):
+            np.subtract(full[:, mu, :, nu], full[:, nu, :, mu], out=out[i, s:s + b])
+    return out
 
 
 def _pair_exponents(w, beta: float):
@@ -289,7 +307,7 @@ def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     with w (B, N) and its cluster labels, the tangents t (d, B, N, N),
     the energy-derivative gaps delta (d, B, N, N), the off-cluster mask
     keep (B, N, N), and per direction pair the commutator tt =
-    [T_mu, T_nu] (P, B, N, N)."""
+    [T_mu, T_nu] (P, B, N, N) from _commutators."""
     pts = np.asarray(pts, dtype=np.float64)
     w, _, g = _frame_data(model, pts)
     labels = cluster_labels(w, degeneracy_tol)
@@ -297,36 +315,31 @@ def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     t = _divide_gaps(g, den, keep)
     de = np.diagonal(g, axis1=-2, axis2=-1).real
     delta = de[:, :, :, None] - de[:, :, None, :]
-    pairs = direction_pairs(model.dim)
-    tt = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        # Anti-Hermitian T makes the commutator one product: p - p^dagger.
-        p = t[mu] @ t[nu]
-        tt[i] = p - p.conj().swapaxes(-1, -2)
-    return w, labels, t, delta, keep, tt
+    return w, labels, t, delta, keep, _commutators(t, direction_pairs(model.dim))
 
 
 def uhlmann_curvature_from_frame(frame, beta: float):
     """The temperature-dependent half of uhlmann_curvature_spectral_grid:
-    (f, lam) at one beta from a curvature_frame_grid result."""
+    (f, lam) at one beta from a curvature_frame_grid result: f = [K_mu, K_nu]
+    less the other terms in place, through one (B, N, N) buffer."""
     w, labels, t, delta, keep, tt = frame
     lam = weights_batch(w, beta, labels=labels)
     x = _pair_exponents(w, beta)
     c = _mixing_batch(lam, x)
-    k = (1.0 - c) * t  # T + M
-    if x is None:
-        dc = np.zeros_like(delta)  # C is piecewise constant at zero temperature
-    else:
+    pairs = direction_pairs(t.shape[0])
+    f = _commutators((1.0 - c) * t, pairs)  # [K_mu, K_nu] with K = T + M
+    ck = 1.0 - c * keep  # the curl of T vanishes in a cluster, where C may be 1
+    if x is not None:  # C is piecewise constant at zero temperature
         # (beta/2) sech(x/2) with sech(x/2) = 2e / (1 + e^2), e = exp(-|x|/2):
         # no overflow at any finite x.
         e = np.exp(-0.5 * np.abs(x))
         dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
-    ck = 1.0 - c * keep  # the curl of T vanishes in a cluster, where C may be 1
-    pairs = direction_pairs(t.shape[0])
-    f = np.empty_like(tt)
+    buf = np.empty(f.shape[1:], dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):
-        p = k[mu] @ k[nu]  # [K_mu, K_nu] = p - p^dagger
-        f[i] = p - p.conj().swapaxes(-1, -2) - ck * tt[i] - (dc[mu] * t[nu] - dc[nu] * t[mu])
+        f[i] -= np.multiply(ck, tt[i], out=buf)
+        if x is not None:
+            f[i] -= np.multiply(dc[mu], t[nu], out=buf)
+            f[i] += np.multiply(dc[nu], t[mu], out=buf)
     return f, lam
 
 
@@ -351,9 +364,7 @@ def uhlmann_curvature_spectral_grid(model, pts, beta: float,
     (v^dagger dv)^(v^dagger dv) = 0: off-cluster, (d_mu T_nu -
     d_nu T_mu)_jk = -[T_mu, T_nu]_jk, and inside a cluster it vanishes.
     Only the eigen-data of one evaluation of H and dH per point enter: no
-    finite differences, no Hessians. The temperature-independent part is
-    curvature_frame_grid, so a scan over temperatures builds it once per
-    batch.
+    finite differences, no Hessians.
     """
     return uhlmann_curvature_from_frame(curvature_frame_grid(model, pts, degeneracy_tol), beta)
 
@@ -408,12 +419,12 @@ def ground_block_from_data(w, lam, t, gap_floor: float = GAP_FLOOR):
 
 
 def _fd_shift_stack(p, h, dim) -> np.ndarray:
-    """Center point plus the 2*dim central-difference shifts."""
+    """Points p (..., d) and their 2*dim central-difference shifts, (2 dim + 1, ..., d)."""
     p = np.asarray(p, dtype=np.float64)
-    stack = np.repeat(p[None, :], 2 * dim + 1, axis=0)
+    stack = np.repeat(p[None], 2 * dim + 1, axis=0)
     for mu in range(dim):
-        stack[1 + 2 * mu, mu] += h
-        stack[2 + 2 * mu, mu] -= h
+        stack[1 + 2 * mu, ..., mu] += h
+        stack[2 + 2 * mu, ..., mu] -= h
     return stack
 
 
@@ -433,13 +444,9 @@ def _curvature_from_stack(a_stack, h, dim, pairs):
     """Assemble F = dA + A^A from connection fields evaluated on a
     _fd_shift_stack layout. a_stack has shape (2 dim + 1, ..., d, N, N)
     where ... are optional batch axes; returns (P, ..., N, N)."""
+    da = (a_stack[1::2] - a_stack[2::2]) / (2.0 * h)  # da[mu][nu] = d_mu A_nu
     a0 = a_stack[0]
-    out = []
-    for mu, nu in pairs:
-        d_mu_a_nu = (a_stack[1 + 2 * mu][nu] - a_stack[2 + 2 * mu][nu]) / (2.0 * h)
-        d_nu_a_mu = (a_stack[1 + 2 * nu][mu] - a_stack[2 + 2 * nu][mu]) / (2.0 * h)
-        out.append(d_mu_a_nu - d_nu_a_mu + commutator(a0[mu], a0[nu]))
-    return np.stack(out)
+    return np.stack([da[mu][nu] - da[nu][mu] + commutator(a0[mu], a0[nu]) for mu, nu in pairs])
 
 
 def uhlmann_curvature_grid(
@@ -460,8 +467,7 @@ def uhlmann_curvature_grid(
     dim = model.dim
     n_shift = 2 * dim + 1
     b = pts.shape[0]
-    shifts = np.stack([_fd_shift_stack(p, h, dim) for p in pts])  # (B, S, d)
-    flat = shifts.transpose(1, 0, 2).reshape(n_shift * b, dim)
+    flat = _fd_shift_stack(pts, h, dim).reshape(n_shift * b, dim)
     w, v, lam, t = spectral_data_grid(model, flat, beta, degeneracy_tol)
     a_flat = _connection_from_data(v, _mixing_batch(lam, _pair_exponents(w, beta)), t)
     n = a_flat.shape[-1]
@@ -562,10 +568,7 @@ def projector_limit_curvature(model, p, group=None,
     sign = chi[None, :] - chi[:, None]
     dp = sign[None, :, :] * t
     pairs = direction_pairs(model.dim)
-    mats = np.empty((len(pairs), d, d), dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        m = dp[mu] @ dp[nu] - dp[nu] @ dp[mu]
-        mats[i] = m[:d, :d]
+    mats = _commutators(dp[:, None], pairs)[:, 0, :d, :d]
     return CurvatureComponents(pairs, mats, basis=v[:, :d])
 
 

@@ -78,9 +78,10 @@ def cluster_labels(w, tol: float) -> np.ndarray:
     level-major view (N, ...), so each numpy call spans the batch.
     """
     wt = np.moveaxis(np.asarray(w), -1, 0)
-    scale = tol * (1.0 + np.maximum(-wt[:1], wt[-1:]))  # max |E| sits at an end of wt
     labels = np.zeros(wt.shape, dtype=np.intp)
-    np.cumsum(wt[1:] - wt[:-1] > scale, axis=0, out=labels[1:])
+    with np.errstate(over="ignore"):  # an overflow to inf compares as the true value
+        scale = tol * (1.0 + np.maximum(-wt[:1], wt[-1:]))  # max |E| sits at an end of wt
+        np.cumsum(wt[1:] - wt[:-1] > scale, axis=0, out=labels[1:])
     return np.moveaxis(labels, 0, -1)
 
 
@@ -94,21 +95,10 @@ def _group_eigenvalues(w: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix.
-
-    Attributes
-    ----------
-    eigenvalues : numpy.ndarray
-        Real eigenvalues in ascending order.
-    eigenvectors : numpy.ndarray
-        Unitary matrix whose columns are the matching eigenvectors,
-        phase-fixed so each column's largest-modulus entry is real
-        positive.
-    groups : tuple of tuple of int
-        Maximal degenerate clusters of eigenvalue indices, ascending.
-    tolerance : float
-        Relative degeneracy tolerance used to build the groups.
-    """
+    """Eigensystem of a Hermitian matrix: ascending eigenvalues, the
+    matching eigenvector columns (each column's largest-modulus entry
+    real positive), the maximal degenerate clusters as ascending index
+    tuples, and the relative degeneracy tolerance that built them."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

@@ -193,6 +193,8 @@ class TwoLevelSphere(_DiracModel):
     radius: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise NonFiniteInput(f"radius must be finite, got {self.radius!r}")
         if not self.radius > 0:
             raise ManifoldMismatch("radius must be positive")
 
@@ -509,6 +511,9 @@ class CoherentOscillator(_Model):
             raise ManifoldMismatch("fock_dim above 128 is not supported")
         if not 0 < self.hbar_omega < math.inf:
             raise ManifoldMismatch("hbar_omega must be positive and finite")
+        # H and dH sum fock_dim products of levels, each up to hbar_omega fock_dim.
+        if not math.isfinite(float(self.hbar_omega) * self.fock_dim**2):
+            raise NonFiniteInput(f"hbar_omega {self.hbar_omega!r} * fock_dim^2 overflows")
 
     dim = 2
 

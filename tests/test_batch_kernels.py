@@ -10,6 +10,16 @@ The stacked-temperature trace must equal its single-temperature calls
 bit for bit, which keeps a sweep value equal to its single-temperature
 integral, and must build its weight coefficients once per chunk for two
 levels, in blocks of at most TRACE_BLOCK entries for many levels.
+
+The four-band finite-temperature kernels were rewritten the same way.
+_commutators takes both orders of every direction pair from one block
+product per COMMUTATOR_BLOCK points, and a point's result must not
+depend on its block. _divide_gaps multiplies by one masked reciprocal;
+numpy divides a complex number by a real one as a product with the
+reciprocal, so its values must equal the division bit for bit, with
+exact zeros inside a cluster. uhlmann_curvature_from_frame assembles F
+in place and is checked against its earlier assembly, written out
+below, on all four models.
 """
 import math
 
@@ -19,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uhlmann_chern import chern, geometry, linalg, models
+
+from conftest import random_points
 
 RTOL = 1e-13
 SIZES = (2, 4, 40)
@@ -98,6 +110,32 @@ def eps_contraction_ref(f, lam):
 
 def link_phases_ref(frames_a, frames_b):
     return (frames_a.conj() * frames_b).sum(axis=(-2, -1))
+
+
+def divide_gaps_ref(num, den, keep):
+    return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
+
+
+def uhlmann_curvature_from_frame_ref(frame, beta):
+    w, labels, t, delta, keep, _ = frame
+    lam = models.weights_batch(w, beta, labels=labels)
+    x = geometry._pair_exponents(w, beta)
+    c = geometry._mixing_batch(lam, x)
+    k = (1.0 - c) * t
+    if x is None:
+        dc = np.zeros_like(delta)
+    else:
+        e = np.exp(-0.5 * np.abs(x))
+        dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
+    ck = 1.0 - c * keep
+    pairs = geometry.direction_pairs(t.shape[0])
+    f = np.empty((len(pairs),) + t.shape[1:], dtype=np.complex128)
+    for i, (mu, nu) in enumerate(pairs):
+        p = t[mu] @ t[nu]
+        tt = p - p.conj().swapaxes(-1, -2)
+        p = k[mu] @ k[nu]
+        f[i] = p - p.conj().swapaxes(-1, -2) - ck * tt - (dc[mu] * t[nu] - dc[nu] * t[mu])
+    return f, lam
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +223,43 @@ def test_eps_contraction_matches_the_three_operand_einsums(rng, n):
 def test_one_band_links_match_the_overlap_sum(rng, n):
     a, b = (rng.normal(size=(3, 9, n, 1)) + 1j * rng.normal(size=(3, 9, n, 1)) for _ in range(2))
     assert_close(chern._link_phases(a, b), link_phases_ref(a, b))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("batch", [1, geometry.COMMUTATOR_BLOCK + 1, 1000])
+def test_commutators_match_the_pair_products(monkeypatch, rng, n, batch):
+    d = 4 if n < 40 else 2  # the four-band shape; two directions keep N = 40 small
+    a = rng.normal(size=(d, batch, n, n)) + 1j * rng.normal(size=(d, batch, n, n))
+    pairs = geometry.direction_pairs(d)
+    whole = geometry._commutators(a, pairs)
+    assert_close(whole, np.stack([a[mu] @ a[nu] - a[nu] @ a[mu] for mu, nu in pairs]))
+    # Other block boundaries and other slices of the batch change no bit.
+    cuts = sorted({0, batch // 3, batch // 2 + 1, batch})
+    pieces = [geometry._commutators(a[:, s:e], pairs) for s, e in zip(cuts, cuts[1:]) if e > s]
+    assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+    monkeypatch.setattr(geometry, "COMMUTATOR_BLOCK", 7)
+    assert np.array_equal(geometry._commutators(a, pairs), whole)
+
+
+@pytest.mark.parametrize("name", ["sphere", "haldane", "fourband", "coherent"])
+def test_divide_gaps_equals_the_division(request, rng, name):
+    model = request.getfixturevalue(name)
+    w, _, g = geometry._frame_data(model, random_points(model, rng, 64))
+    den, keep = geometry._gap_mask(w, linalg.cluster_labels(w, linalg.DEGENERACY_TOL))
+    t = geometry._divide_gaps(g, den, keep)
+    assert np.array_equal(t, divide_gaps_ref(g, den, keep))
+    assert (t[:, ~keep] == 0).all()
+
+
+@pytest.mark.parametrize("name", ["sphere", "haldane", "fourband", "coherent"])
+def test_curvature_from_frame_matches_the_earlier_assembly(request, rng, name):
+    model = request.getfixturevalue(name)
+    frame = geometry.curvature_frame_grid(model, random_points(model, rng, 300))
+    for beta in (0.3, 1.0, 7.0, models.BETA_INF):
+        f, lam = geometry.uhlmann_curvature_from_frame(frame, beta)
+        ref_f, ref_lam = uhlmann_curvature_from_frame_ref(frame, beta)
+        assert_close(f, ref_f)
+        assert np.array_equal(lam, ref_lam)
 
 
 # ---------------------------------------------------------------------------

@@ -281,3 +281,65 @@ def test_cli_with_a_huge_hopping_exits_3(tmp_path, capsys, run):
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "NonFiniteInput" in err and "Traceback" not in err
+
+
+def run_cli_with(tmp_path, variant, parameters, run):
+    cfg = {"model": {"variant": variant, "parameters": parameters},
+           "grid": {"resolution": [8, 8]}, "run": run}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_overflowing_oscillator_levels_raise_before_any_numpy_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            models.CoherentOscillator(fock_dim=8, hbar_omega=1e308)
+        assert run_cli_with(tmp_path, "coherent_oscillator",
+                            {"fock_dim": 8, "hbar_omega": 1e308}, {"type": "chern"}) == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteInput" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fock_dim", [8, 40])
+def test_oscillator_spacing_bound_sits_where_the_matrices_overflow(fock_dim):
+    largest = np.finfo(float).max / fock_dim**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            models.CoherentOscillator(fock_dim=fock_dim, hbar_omega=1.001 * largest)
+        # Just inside the bound, every path stays finite and quiet.
+        model = models.CoherentOscillator(fock_dim=fock_dim, hbar_omega=0.999 * largest)
+        grid = chern.default_grid(model, 8)
+        assert np.isfinite(chern.first_thermal_uc(model, 1.0, grid).value)
+        assert np.isfinite(model.gradient_batch(grid.points_range(0, 64), 1)).all()
+        chern.temperature_sweep(model, [0.5, 1.0], grid)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_non_finite_sphere_radius_raises_non_finite_input(tmp_path, capsys, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            models.TwoLevelSphere(radius=radius)
+        assert run_cli_with(tmp_path, "two_level_sphere", {"radius": radius},
+                            {"type": "sweep", "temperatures": [0.5]}) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("w", [[-1e308, -1e308, 0.0, 1e308, 1e308], [-1.0, 0.0, 0.0, 2.0]])
+def test_infinite_degeneracy_threshold_groups_like_a_huge_one(w):
+    w = np.array([w, [-x for x in reversed(w)]])  # and the mirrored spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = linalg.cluster_labels(w, math.inf)
+        assert np.array_equal(labels, linalg.cluster_labels(w, 1e300))
+        assert (labels == 0).all()
+
+
+def test_overflowing_level_gaps_still_split_clusters():
+    w = np.array([[-1e308, -1e308, 1e308, 1e308]])  # the middle gap overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(linalg.cluster_labels(w, 1e-9), [[0, 0, 1, 1]])

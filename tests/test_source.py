@@ -18,8 +18,12 @@ _eps_contraction and _link_phases pass no optimize= to np.einsum (on
 stacks of small matrices the path search and the per-matrix products
 it picks cost more than one plain two-operand contraction), and
 Haldane.r_vector_batch, r_gradient_batch and their models._bond_sum
-make no .sum(axis=...) over the three bonds. The checks parse src/ with ast so they see
-every call regardless of formatting.
+make no .sum(axis=...) over the three bonds. The finite-temperature
+curvature kernels, curvature_frame_grid and uhlmann_curvature_from_frame,
+use no @ and no matmul: their matrix products go only through
+geometry._commutators, one block product per COMMUTATOR_BLOCK points
+instead of one small stacked product per direction pair. The checks
+parse src/ with ast so they see every call regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -362,3 +366,48 @@ def test_haldane_chunk_kernels_stay_batch_major():
                                                                   BOND_SUM_KERNELS)]
     assert not found, found
     assert EINSUM_KERNELS | BOND_SUM_KERNELS <= scopes  # the rule still names live code
+
+
+def matrix_products(tree: ast.AST, funcs):
+    """(function, line) of every @, @= and matmul(...) call inside the
+    named functions, nested functions included."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name not in funcs:
+            continue
+        for sub in ast.walk(node):
+            f = getattr(sub, "func", None)
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if (isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult)
+                    or isinstance(sub, ast.Call) and name == "matmul"):
+                found.append((node.name, sub.lineno))
+    return sorted(found)
+
+
+CURVATURE_KERNELS = {"curvature_frame_grid", "uhlmann_curvature_from_frame"}
+
+
+def test_detector_finds_matrix_products_by_function():
+    code = "\n".join([
+        "def curvature_frame_grid(t):",
+        "    p = t[0] @ t[1]",
+        "    def inner(a):",
+        "        a @= a",
+        "        return np.matmul(a, a)",
+        "    return p - p.conj().swapaxes(-1, -2)",
+        "def _commutators(a):",
+        "    return a @ a",
+        "def uhlmann_curvature_from_frame(k):",
+        "    return matmul(k, k) * 2",
+    ])
+    assert matrix_products(ast.parse(code), CURVATURE_KERNELS) == [
+        ("curvature_frame_grid", 2), ("curvature_frame_grid", 4), ("curvature_frame_grid", 5),
+        ("uhlmann_curvature_from_frame", 10)]
+
+
+def test_curvature_kernels_take_their_products_from_the_block_commutators():
+    path = SRC / "uhlmann_chern" / "geometry.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert matrix_products(tree, CURVATURE_KERNELS) == []
+    users = {func for func, name, _ in named_calls(tree, {"_commutators"})}
+    assert CURVATURE_KERNELS <= users  # the rule still names live code
