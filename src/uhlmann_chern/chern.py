@@ -34,6 +34,7 @@ from .errors import (
     DegenerateBand,
     DimensionMismatch,
     GapClosed,
+    ManifoldMismatch,
     MissingModelHook,
     NonFiniteInput,
     NonIntegerPlaquetteSum,
@@ -41,7 +42,8 @@ from .errors import (
 )
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
-    GAP_FLOOR,
+    _require_isolated,
+    _sorted_group,
     _trace_pairs,
     curvature_frame_grid,
     direction_pairs,
@@ -385,9 +387,7 @@ def second_chern_pure(model, grid: GridSpec, workers: int = 1,
 
 
 def _normalize_group(group) -> tuple[int, ...]:
-    if np.isscalar(group):
-        return (int(group),)
-    g = tuple(sorted(int(i) for i in group))
+    g = _sorted_group(group)
     if not g:
         raise DegenerateBand("empty band group")
     if g != tuple(range(g[0], g[-1] + 1)):
@@ -396,21 +396,15 @@ def _normalize_group(group) -> tuple[int, ...]:
 
 
 def _frame_grid(model, pts, group, degeneracy_tol):
-    """Eigenvector frames of a band group over a point batch. A
-    neighbouring level touches the group where it shares the group's
-    cluster (linalg.cluster_labels, the rule of the geometry kernels) or
-    where their gap is at or below GAP_FLOOR."""
+    """Eigenvector frames of a band group over a point batch; GapClosed
+    where a neighbouring level touches the group (geometry's gap rule,
+    _require_isolated, on the cluster_labels of the geometry kernels)."""
     w, v = eigh_batch(model.hamiltonian_batch(pts))
-    lo, hi = group[0], group[-1]
-    if lo < 0 or hi >= w.shape[1]:
+    lo, hi = group[0], group[-1] + 1
+    if lo < 0 or hi > w.shape[1]:
         raise DegenerateBand(f"band group {group} outside the levels 0..{w.shape[1] - 1}")
-    # touch[:, k]: level k + 1 touches level k
-    touch = (np.diff(cluster_labels(w, degeneracy_tol)) == 0) | (np.diff(w) <= GAP_FLOOR)
-    if lo > 0 and bool(touch[:, lo - 1].any()):
-        raise GapClosed("band group touches the level below somewhere on the grid")
-    if hi + 1 < w.shape[1] and bool(touch[:, hi].any()):
-        raise GapClosed("band group touches the level above somewhere on the grid")
-    return v[:, :, lo : hi + 1].copy()  # a view would keep all of v alive
+    _require_isolated(w, cluster_labels(w, degeneracy_tol), lo, hi, GapClosed)
+    return v[:, :, lo:hi].copy()  # a view would keep all of v alive
 
 
 def _link_phases(frames_a, frames_b):
@@ -472,7 +466,8 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
 
     Torus charts wrap with the model's boundary twists; sphere charts
     are closed by adding the two exact pole rows, whose intra-row links
-    are identities. The plaquette-phase sum must land within 0.05 of an
+    are identities; an open (plane) chart carries no integer and raises
+    ManifoldMismatch. The plaquette-phase sum must land within 0.05 of an
     integer multiple of 2 pi times the cover multiplicity. Each chunk
     job forms the frames, links and plaquettes of a fixed block of rows
     and returns two scalars. detail=True returns a dict: the integer
@@ -482,6 +477,8 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     _require_grid(model, grid, 2)
     group = _normalize_group(group)
     man = model.manifold
+    if man.kind not in ("sphere", "torus"):
+        raise ManifoldMismatch(f"the lattice oracle needs a closed chart, not a {man.kind}")
     if man.kind == "sphere":
         rows, col_twist = _PlaquetteRows(_PoleClosedGrid(grid)), None
     else:

@@ -14,7 +14,10 @@ exact eigenframe_batch when it has one. The per-point operations run
 the same kernels on a batch of one point (uhlmann_connection_sqrt_fd,
 the independent route, excepted). Levels are grouped by one rule,
 linalg.cluster_labels: the ground cluster, the zero-temperature weights
-and the degeneracy mask of the tangent matrices all come from it.
+and the degeneracy mask of the tangent matrices all come from it. The
+pure-state curvatures (Berry, Wilczek-Zee, the ground block) are blocks
+of one kernel, _cluster_curvature, and one gap rule, _require_isolated,
+decides for them and for the lattice oracle whether a run is isolated.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 uhlmann_curvature_spectral_grid differentiates the spectral connection
@@ -70,7 +73,7 @@ FD_STEP_LIMIT_FRACTION = 0.1
 # many-temperature trace at large N then needs no more memory than one.
 TRACE_BLOCK = 1 << 20
 
-COMMUTATOR_BLOCK = 256  # points per _commutators product: 1 MB at N = d = 4
+COMMUTATOR_BLOCK = 256  # points per _commutators product at d N = 16 (1 MB), times (16 / d N)^2
 
 
 def direction_pairs(dim: int) -> tuple[tuple[int, int], ...]:
@@ -180,12 +183,13 @@ def _divide_gaps(num, den, keep) -> np.ndarray:
 
 def _commutators(a, pairs) -> np.ndarray:
     """[a_mu, a_nu] per direction pair (P, B, N, N) of a stack a (d, B, N, N): per
-    COMMUTATOR_BLOCK points one product (b, dN, N) @ (b, N, dN), whose (mu, nu)
-    block a_mu a_nu holds both orders of every pair, each point on its own."""
+    block of points (COMMUTATOR_BLOCK at d N = 16) one product (b, dN, N) @ (b, N, dN),
+    whose (mu, nu) block a_mu a_nu holds both orders of every pair, each point on its own."""
     d, n = a.shape[0], a.shape[-1]
+    step = max(1, COMMUTATOR_BLOCK * 16**2 // (d * n) ** 2)
     out = np.empty((len(pairs),) + a.shape[1:], dtype=np.complex128)
-    for s in range(0, a.shape[1], COMMUTATOR_BLOCK):
-        blk = a[:, s:s + COMMUTATOR_BLOCK].swapaxes(0, 1)  # (b, d, N, N)
+    for s in range(0, a.shape[1], step):
+        blk = a[:, s:s + step].swapaxes(0, 1)  # (b, d, N, N)
         b = len(blk)
         full = blk.reshape(b, d * n, n) @ blk.swapaxes(1, 2).reshape(b, n, d * n)
         full = full.reshape(b, d, n, d, n)  # full[:, mu, :, nu] = a_mu a_nu
@@ -369,53 +373,66 @@ def uhlmann_curvature_spectral_grid(model, pts, beta: float,
     return uhlmann_curvature_from_frame(curvature_frame_grid(model, pts, degeneracy_tol), beta)
 
 
-def _ground_size(w, lam, gap_floor) -> int:
-    """Size D of the ground cluster of a batch of spectra (B, N), read
-    off the zero-temperature weights lam (positive exactly on the
-    cluster). Raises GapClosed if D varies over the batch, if the
-    cluster is the whole space, or if its gap is at or below gap_floor
-    anywhere."""
-    sizes = (lam > 0).sum(axis=1)
+def _require_isolated(w, labels, lo, hi, error) -> None:
+    """The one gap rule: raises error unless, at every point of spectra
+    w (B, N) with cluster labels (B, N), the level next to each end of
+    the run lo..hi-1 has another label and lies more than GAP_FLOOR away."""
+    for k, edge in ((lo - 1, lo), (hi, hi - 1)):  # each neighbour and the run's level next to it
+        if 0 <= k < w.shape[1] and ((labels[:, k] == labels[:, edge])
+                                    | (np.abs(w[:, k] - w[:, edge]) <= GAP_FLOOR)).any():
+            raise error(f"levels {lo}..{hi - 1} touch level {k}: one cluster, "
+                        f"or a gap at or below {GAP_FLOOR:.0e}")
+
+
+def _cluster_curvature(t, lo, hi) -> np.ndarray:
+    """Curvature (P, B, n, n) of the levels lo..hi-1 from tangents t (d, B, N, N):
+    F_ab = -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) over every k outside them. As
+    T_kb = -conj(T_bk) there, F = M - M^dagger with M = sum_k T^mu_ak conj(T^nu_bk),
+    summed over k (faster than matmul on small blocks)."""
+    tg = np.delete(t[:, :, lo:hi], slice(lo, hi), axis=-1)  # run rows, outer columns
+    tc = tg.conj()
+    pairs = direction_pairs(t.shape[0])
+    f = np.empty((len(pairs), t.shape[1], hi - lo, hi - lo), dtype=np.complex128)
+    for i, (mu, nu) in enumerate(pairs):  # zero for a run of all levels, which has no k
+        m = sum((tg[mu, :, :, None, k] * tc[nu, :, None, :, k] for k in range(tg.shape[-1])),
+                np.zeros(f.shape[1:], dtype=np.complex128))
+        f[i] = m - m.conj().swapaxes(-1, -2)
+    return f
+
+
+def _ground_size(w, lam) -> int:
+    """Size D of the ground cluster of a batch of spectra (B, N), read off
+    the zero-temperature weights lam (positive exactly on the cluster).
+    Raises GapClosed if D varies over the batch, if the cluster is the
+    whole space, or if it is not isolated (the marks lam > 0 as labels)."""
+    marks = lam > 0
+    sizes = marks.sum(axis=1)
     d = int(sizes[0])
     if not (sizes == d).all():
         raise GapClosed("ground degeneracy varies across the batch")
     if d == w.shape[1]:
         raise GapClosed("no excited level: the ground cluster is the whole space")
-    gap = float((w[:, d] - w[:, d - 1]).min())
-    if gap <= gap_floor:
-        raise GapClosed(f"ground-cluster gap {gap:.3e} at or below {gap_floor:.0e}")
+    _require_isolated(w, marks, 0, d, GapClosed)
     return d
 
 
-def ground_block_curvature_grid(
-    model, pts, degeneracy_tol: float = DEGENERACY_TOL, gap_floor: float = GAP_FLOOR
-):
+def ground_block_curvature_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     """Zero-temperature curvature restricted to the ground cluster, for
     a whole point batch at once.
 
     Returns (f, d) with f of shape (P, B, D, D) and D the common ground
     degeneracy. Raises GapClosed if the cluster size varies over the
-    batch or its gap falls below gap_floor anywhere.
+    batch or the cluster is not isolated anywhere (_ground_size).
     """
     w, _, lam, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
-    return ground_block_from_data(w, lam, t, gap_floor)
+    return ground_block_from_data(w, lam, t)
 
 
-def ground_block_from_data(w, lam, t, gap_floor: float = GAP_FLOOR):
+def ground_block_from_data(w, lam, t):
     """ground_block_curvature_grid from spectral_data_grid's w, its
     zero-temperature weights lam and the tangents t."""
-    d = _ground_size(w, lam, gap_floor)
-    pairs = direction_pairs(t.shape[0])
-    tg = t[:, :, :d, d:]  # ground rows, excited columns
-    tc = tg.conj()
-    f = np.empty((len(pairs), w.shape[0], d, d), dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        # T_kb = -conj(T_bk) across the gap, so the restricted sum
-        # -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) becomes M - M^dagger
-        # with M = tg[mu] tg[nu]^dagger, summed over k (faster than matmul).
-        m = sum(tg[mu, :, :, None, k] * tc[nu, :, None, :, k] for k in range(tg.shape[-1]))
-        f[i] = m - m.conj().swapaxes(-1, -2)
-    return f, d
+    d = _ground_size(w, lam)
+    return _cluster_curvature(t, 0, d), d
 
 
 def _fd_shift_stack(p, h, dim) -> np.ndarray:
@@ -483,32 +500,31 @@ def uhlmann_curvature_grid(
 # ---------------------------------------------------------------------------
 
 
-def _point_data(model, p, beta, degeneracy_tol):
-    w, v, lam, t = spectral_data_grid(model, np.asarray(p)[None], beta, degeneracy_tol)
-    return w[0], v[0], lam[0], t[:, 0]
+def _point_data(model, p, degeneracy_tol):
+    """Zero-temperature (w, v, lam, t) at one point, a batch of one, and the labels of w."""
+    w, v, lam, t = spectral_data_grid(model, np.asarray(p)[None], BETA_INF, degeneracy_tol)
+    return w, v, lam, t, cluster_labels(w, degeneracy_tol)
+
+
+def _sorted_group(group) -> tuple[int, ...]:
+    """A level index, or a collection of them, as a sorted index tuple."""
+    return (int(group),) if np.isscalar(group) else tuple(sorted(int(i) for i in group))
 
 
 def berry_curvature(model, p, band: int = 0,
                     degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
-    """Abelian curvature of one non-degenerate band.
+    """Abelian curvature of one isolated band (else DegenerateBand).
 
     F_{mu nu} = -sum_{k != band} (T^mu_bk T^nu_kb - T^nu_bk T^mu_kb),
     purely imaginary.
     """
-    w, _, _, t = _point_data(model, np.asarray(p, dtype=np.float64), BETA_INF, degeneracy_tol)
+    w, _, _, t, labels = _point_data(model, p, degeneracy_tol)
     band = int(band)
-    if not 0 <= band < w.size:
-        raise DegenerateBand(f"band index {band} outside 0..{w.size - 1}")
-    gaps = [abs(w[band] - w[k]) for k in (band - 1, band + 1) if 0 <= k < w.size]
-    if min(gaps) <= GAP_FLOOR:
-        raise DegenerateBand(
-            f"band {band} gap {min(gaps):.3e} at or below {GAP_FLOOR:.0e}; "
-            "use wz_curvature on the degenerate cluster"
-        )
-    pairs = direction_pairs(model.dim)
-    mats = [-(np.dot(t[mu][band], t[nu][:, band]) - np.dot(t[nu][band], t[mu][:, band]))
-            for mu, nu in pairs]
-    return CurvatureComponents(pairs, np.reshape(mats, (len(pairs), 1, 1)))
+    if not 0 <= band < w.shape[1]:
+        raise DegenerateBand(f"band index {band} outside 0..{w.shape[1] - 1}")
+    _require_isolated(w, labels, band, band + 1, DegenerateBand)
+    f = _cluster_curvature(t, band, band + 1)[:, 0]
+    return CurvatureComponents(direction_pairs(model.dim), f)
 
 
 def _point_tangents(sd, grads) -> np.ndarray:
@@ -520,32 +536,22 @@ def _point_tangents(sd, grads) -> np.ndarray:
     return _divide_gaps(g, *_gap_mask(w, cluster_labels(w, sd.tolerance)))
 
 
-def _require_maximal_cluster(group, groups):
-    group = tuple(sorted(int(i) for i in group))
-    if group not in tuple(map(tuple, groups)):
-        raise NotMaximalCluster(
-            f"index set {group} is not one of the maximal degenerate clusters {groups}"
-        )
-    return group
-
-
 def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
-    """Non-abelian curvature of a maximal degenerate cluster.
+    """Non-abelian curvature of a maximal degenerate cluster; GapClosed
+    unless it is isolated.
 
     F_{ab, mu nu} = -sum_{k outside} (T^mu_ak T^nu_kb - T^nu_ak T^mu_kb)
     for a, b in the cluster; returned in the cluster eigenbasis (basis
     attribute holds the column vectors).
     """
-    w, v, _, t = _point_data(model, p, BETA_INF, degeneracy_tol)
-    group = _require_maximal_cluster(group, _group_eigenvalues(w, degeneracy_tol))
-    idx = np.array(group)
-    rest = np.array([k for k in range(w.size) if k not in group])
-    pairs = direction_pairs(model.dim)
-    mats = np.empty((len(pairs), idx.size, idx.size), dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        fwd = t[mu][np.ix_(idx, rest)] @ t[nu][np.ix_(rest, idx)]
-        mats[i] = -(fwd - fwd.conj().T)
-    return CurvatureComponents(pairs, mats, basis=v[:, idx])
+    w, v, _, t, labels = _point_data(model, p, degeneracy_tol)
+    group, groups = _sorted_group(group), _group_eigenvalues(w[0], degeneracy_tol)
+    if group not in groups:
+        raise NotMaximalCluster(f"index set {group} is not one of the maximal clusters {groups}")
+    lo, hi = group[0], group[-1] + 1
+    _require_isolated(w, labels, lo, hi, GapClosed)
+    return CurvatureComponents(direction_pairs(model.dim), _cluster_curvature(t, lo, hi)[:, 0],
+                               basis=v[0, :, lo:hi])
 
 
 def projector_limit_curvature(model, p, group=None,
@@ -557,19 +563,18 @@ def projector_limit_curvature(model, p, group=None,
     This is the limit object of the thermal curvature, independent of
     any beta; at beta = 0 the thermal curvature itself is zero instead.
     """
-    w, v, lam, t = _point_data(model, p, BETA_INF, degeneracy_tol)
-    d = _ground_size(w[None], lam[None], GAP_FLOOR)
+    w, v, lam, t, _ = _point_data(model, p, degeneracy_tol)
+    d = _ground_size(w, lam)
     ground = tuple(range(d))
-    if group is not None and tuple(sorted(int(i) for i in group)) != ground:
-        raise GapClosed(f"requested group {tuple(group)} is not the ground cluster {ground}")
+    if group is not None and _sorted_group(group) != ground:
+        raise GapClosed(f"requested group {group} is not the ground cluster {ground}")
     # dP in the eigenbasis: +T on excited-ground entries, -T on
     # ground-excited, zero elsewhere.
-    chi = (np.arange(w.size) < d).astype(np.float64)
+    chi = (np.arange(w.shape[1]) < d).astype(np.float64)
     sign = chi[None, :] - chi[:, None]
-    dp = sign[None, :, :] * t
     pairs = direction_pairs(model.dim)
-    mats = _commutators(dp[:, None], pairs)[:, 0, :d, :d]
-    return CurvatureComponents(pairs, mats, basis=v[:, :d])
+    mats = _commutators(sign * t, pairs)[:, 0, :d, :d]
+    return CurvatureComponents(pairs, mats, basis=v[0, :, :d])
 
 
 def uhlmann_connection_spectral(state, grads) -> ConnectionField:

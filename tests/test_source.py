@@ -22,8 +22,11 @@ make no .sum(axis=...) over the three bonds. The finite-temperature
 curvature kernels, curvature_frame_grid and uhlmann_curvature_from_frame,
 use no @ and no matmul: their matrix products go only through
 geometry._commutators, one block product per COMMUTATOR_BLOCK points
-instead of one small stacked product per direction pair. The checks
-parse src/ with ast so they see every call regardless of formatting.
+instead of one small stacked product per direction pair. GAP_FLOOR is
+read only inside geometry._require_isolated, the one gap rule of the
+pure-state curvatures and the lattice oracle, so no second copy of the
+rule can drift from it. The checks parse src/ with ast so they see every
+call regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -411,3 +414,45 @@ def test_curvature_kernels_take_their_products_from_the_block_commutators():
     assert matrix_products(tree, CURVATURE_KERNELS) == []
     users = {func for func, name, _ in named_calls(tree, {"_commutators"})}
     assert CURVATURE_KERNELS <= users  # the rule still names live code
+
+
+def name_reads(tree: ast.AST, name: str):
+    """(enclosing function name or None, line) of every read of name: a
+    loaded bare name or attribute, or an imported name. Assigning to it
+    is not a read."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        ident = (node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute)
+                 else node.name if isinstance(node, ast.alias) else None)
+        if ident == name and not isinstance(getattr(node, "ctx", None), ast.Store):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_detector_finds_reads_of_a_name_but_not_its_definition():
+    code = "\n".join([
+        "GAP_FLOOR = 1e-8",
+        "from .geometry import GAP_FLOOR, other",
+        "def _require_isolated(w):",
+        "    return w <= GAP_FLOOR",
+        "def ground(w, gap_floor=GAP_FLOOR):",
+        "    return geometry.GAP_FLOOR + GAP_FLOOR_LIKE",
+    ])
+    assert name_reads(ast.parse(code), "GAP_FLOOR") == [
+        (None, 2), ("_require_isolated", 4), ("ground", 5), ("ground", 6)]
+
+
+def test_gap_floor_is_read_only_by_the_gap_rule():
+    reads = []
+    for path in sorted((SRC / "uhlmann_chern").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [(path.name, func) for func, _ in name_reads(tree, "GAP_FLOOR")]
+    assert reads and set(reads) == {("geometry.py", "_require_isolated")}, reads
