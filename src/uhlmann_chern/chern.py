@@ -287,8 +287,9 @@ def _closed_form_partials(model, pts, betas) -> list[complex]:
     det = np.linalg.det(mat)
     rnorm = np.hypot.reduce(r, axis=-1)
     base = _DET_ROUTE_WEIGHT * det * rnorm**-5.0
-    return [complex(np.sum(base if math.isinf(beta) else base * np.tanh(beta * rnorm) ** 5))
-            for beta in betas]
+    with np.errstate(over="ignore"):  # beta |R| = inf: the exact tanh = 1
+        return [complex(np.sum(base if math.isinf(beta) else base * np.tanh(beta * rnorm) ** 5))
+                for beta in betas]
 
 
 def _second_order_job(model, pts, betas, tol):

@@ -27,6 +27,10 @@ tangents and their commutators, the curl of the tangents by the
 Maurer-Cartan equation) once per batch and its per-temperature half
 (uhlmann_curvature_from_frame, assembled in place) per beta; both take
 their products from _commutators, one block product per block of points.
+On a two-valued spectrum (each level bitwise the lowest or the highest, in
+two clusters: two levels, or two doublets) the per-beta half makes no product,
+as C = 1 - sech(beta Delta / 2) wherever T lives: [K_mu, K_nu] - (1 - C o keep)
+o [T_mu, T_nu] = -tanh^2(beta Delta / 2) [T_mu, T_nu], the two-level tanh law.
 uhlmann_curvature_grid and uhlmann_curvature difference the connection
 field on a central stencil, as its independent cross-check.
 """
@@ -198,6 +202,7 @@ def _commutators(a, pairs) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # x = +-inf is the exact large-beta limit
 def _pair_exponents(w, beta: float):
     """x_jk = beta (E_j - E_k) for eigenvalue batches (B, N), or None at
     zero temperature."""
@@ -263,6 +268,15 @@ def _frame_data(model, pts):
     return w, v, _eigenbasis_gradients(v, grads)
 
 
+def _spectral_data(model, pts, degeneracy_tol):
+    """Frame (w, v, g) of a point batch, the cluster labels of w, the off-cluster mask
+    keep and tangents t: for spectral_data_grid, curvature_frame_grid and _point_data."""
+    w, v, g = _frame_data(model, np.asarray(pts, dtype=np.float64))
+    labels = cluster_labels(w, degeneracy_tol)
+    den, keep = _gap_mask(w, labels)
+    return w, v, g, labels, keep, _divide_gaps(g, den, keep)
+
+
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch: (w, v, lam, t) with shapes
     (B, N), (B, N, N), (B, N), (d, B, N, N).
@@ -275,10 +289,7 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
     beta may also be a sequence of K inverse temperatures: lam then has
     shape (K, B, N), one weight batch per beta on the same eigen-data.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    w, v, g = _frame_data(model, pts)
-    labels = cluster_labels(w, degeneracy_tol)
-    t = _divide_gaps(g, *_gap_mask(w, labels))
+    w, v, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
     lam = np.stack([weights_batch(w, b, degeneracy_tol, labels) for b in np.ravel(beta)])
     return w, v, (lam if np.ndim(beta) else lam[0]), t
 
@@ -312,36 +323,35 @@ def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     the energy-derivative gaps delta (d, B, N, N), the off-cluster mask
     keep (B, N, N), and per direction pair the commutator tt =
     [T_mu, T_nu] (P, B, N, N) from _commutators."""
-    pts = np.asarray(pts, dtype=np.float64)
-    w, _, g = _frame_data(model, pts)
-    labels = cluster_labels(w, degeneracy_tol)
-    den, keep = _gap_mask(w, labels)
-    t = _divide_gaps(g, den, keep)
+    w, _, g, labels, keep, t = _spectral_data(model, pts, degeneracy_tol)
     de = np.diagonal(g, axis1=-2, axis2=-1).real
     delta = de[:, :, :, None] - de[:, :, None, :]
     return w, labels, t, delta, keep, _commutators(t, direction_pairs(model.dim))
 
 
 def uhlmann_curvature_from_frame(frame, beta: float):
-    """The temperature-dependent half of uhlmann_curvature_spectral_grid:
-    (f, lam) at one beta from a curvature_frame_grid result: f = [K_mu, K_nu]
-    less the other terms in place, through one (B, N, N) buffer."""
+    """The temperature-dependent half of uhlmann_curvature_spectral_grid: (f, lam) at
+    one beta from a curvature_frame_grid result, the d C terms in place through one
+    (B, N, N) buffer. If each spectrum is two-valued (every level bitwise w[:, 0] or
+    w[:, -1], the last label 1), C = 1 - sech(beta Delta / 2) wherever T lives, tt is
+    block-diagonal and [K_mu, K_nu] - (1 - C o keep) o tt = -tanh^2(beta Delta / 2) tt."""
     w, labels, t, delta, keep, tt = frame
     lam = weights_batch(w, beta, labels=labels)
     x = _pair_exponents(w, beta)
-    c = _mixing_batch(lam, x)
     pairs = direction_pairs(t.shape[0])
-    f = _commutators((1.0 - c) * t, pairs)  # [K_mu, K_nu] with K = T + M
-    ck = 1.0 - c * keep  # the curl of T vanishes in a cluster, where C may be 1
+    if (labels[:, -1] == 1).all() and ((w == w[:, :1]) | (w == w[:, -1:])).all():
+        f = tt * (-1.0 if x is None else -np.tanh(0.5 * x[:, -1, :1, None]) ** 2)  # beta Delta
+    else:
+        c = _mixing_batch(lam, x)
+        f = _commutators((1.0 - c) * t, pairs)  # [K_mu, K_nu] with K = T + M
+        f -= (1.0 - c * keep) * tt  # the curl of T vanishes in a cluster, where C may be 1
     if x is not None:  # C is piecewise constant at zero temperature
         # (beta/2) sech(x/2) with sech(x/2) = 2e / (1 + e^2), e = exp(-|x|/2):
         # no overflow at any finite x.
         e = np.exp(-0.5 * np.abs(x))
         dc = (beta * e / (1.0 + e * e) * np.tanh(0.5 * x)) * delta
-    buf = np.empty(f.shape[1:], dtype=np.complex128)
-    for i, (mu, nu) in enumerate(pairs):
-        f[i] -= np.multiply(ck, tt[i], out=buf)
-        if x is not None:
+        buf = np.empty(f.shape[1:], dtype=np.complex128)
+        for i, (mu, nu) in enumerate(pairs):
             f[i] -= np.multiply(dc[mu], t[nu], out=buf)
             f[i] += np.multiply(dc[nu], t[mu], out=buf)
     return f, lam
@@ -501,9 +511,8 @@ def uhlmann_curvature_grid(
 
 
 def _point_data(model, p, degeneracy_tol):
-    """Zero-temperature (w, v, lam, t) at one point, a batch of one, and the labels of w."""
-    w, v, lam, t = spectral_data_grid(model, np.asarray(p)[None], BETA_INF, degeneracy_tol)
-    return w, v, lam, t, cluster_labels(w, degeneracy_tol)
+    """_spectral_data (w, v, g, labels, keep, t) at one point, a batch of one."""
+    return _spectral_data(model, np.asarray(p)[None], degeneracy_tol)
 
 
 def _sorted_group(group) -> tuple[int, ...]:
@@ -518,7 +527,7 @@ def berry_curvature(model, p, band: int = 0,
     F_{mu nu} = -sum_{k != band} (T^mu_bk T^nu_kb - T^nu_bk T^mu_kb),
     purely imaginary.
     """
-    w, _, _, t, labels = _point_data(model, p, degeneracy_tol)
+    w, _, _, labels, _, t = _point_data(model, p, degeneracy_tol)
     band = int(band)
     if not 0 <= band < w.shape[1]:
         raise DegenerateBand(f"band index {band} outside 0..{w.shape[1] - 1}")
@@ -544,8 +553,8 @@ def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> Cur
     for a, b in the cluster; returned in the cluster eigenbasis (basis
     attribute holds the column vectors).
     """
-    w, v, _, t, labels = _point_data(model, p, degeneracy_tol)
-    group, groups = _sorted_group(group), _group_eigenvalues(w[0], degeneracy_tol)
+    w, v, _, labels, _, t = _point_data(model, p, degeneracy_tol)
+    group, groups = _sorted_group(group), _group_eigenvalues(w[0], degeneracy_tol, labels[0])
     if group not in groups:
         raise NotMaximalCluster(f"index set {group} is not one of the maximal clusters {groups}")
     lo, hi = group[0], group[-1] + 1
@@ -563,8 +572,8 @@ def projector_limit_curvature(model, p, group=None,
     This is the limit object of the thermal curvature, independent of
     any beta; at beta = 0 the thermal curvature itself is zero instead.
     """
-    w, v, lam, t, _ = _point_data(model, p, degeneracy_tol)
-    d = _ground_size(w, lam)
+    w, v, _, labels, _, t = _point_data(model, p, degeneracy_tol)
+    d = _ground_size(w, weights_batch(w, BETA_INF, labels=labels))
     ground = tuple(range(d))
     if group is not None and _sorted_group(group) != ground:
         raise GapClosed(f"requested group {group} is not the ground cluster {ground}")
@@ -618,12 +627,10 @@ def uhlmann_connection_sqrt_fd(model, p, beta: float, h: float | None = None,
             stacklevel=2,
         )
     comps = np.empty((model.dim, lam.size, lam.size), dtype=np.complex128)
+    roots = [psd_sqrt(thermal_state(model, q, beta, degeneracy_tol).rho)
+             for q in _fd_shift_stack(p, h, model.dim)[1:]]  # p + h e_0, p - h e_0, p + h e_1, ...
     for mu in range(model.dim):
-        e = np.zeros_like(p)
-        e[mu] = h
-        plus = psd_sqrt(thermal_state(model, p + e, beta, degeneracy_tol).rho)
-        minus = psd_sqrt(thermal_state(model, p - e, beta, degeneracy_tol).rho)
-        dsq = (plus - minus) / (2.0 * h)
+        dsq = (roots[2 * mu] - roots[2 * mu + 1]) / (2.0 * h)
         num = v.conj().T @ commutator(dsq, sqrho) @ v
         a_tilde = np.where(keep, -num / np.where(keep, den, 1.0), 0.0)
         comps[mu] = v @ a_tilde @ v.conj().T

@@ -85,10 +85,10 @@ def cluster_labels(w, tol: float) -> np.ndarray:
     return np.moveaxis(labels, 0, -1)
 
 
-def _group_eigenvalues(w: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
-    """Degenerate clusters of one ascending spectrum as index tuples:
-    the tuple view of cluster_labels."""
-    labels = cluster_labels(w, tol)
+def _group_eigenvalues(w: np.ndarray, tol: float, labels=None) -> tuple[tuple[int, ...], ...]:
+    """Degenerate clusters of one ascending spectrum as index tuples: the
+    tuple view of cluster_labels, or of its labels when the caller has them."""
+    labels = cluster_labels(w, tol) if labels is None else labels
     return tuple(tuple(map(int, np.flatnonzero(labels == k)))
                  for k in range(labels.max(initial=0) + 1))
 

@@ -171,10 +171,10 @@ class _DiracModel(_Model):
 # ---------------------------------------------------------------------------
 
 
-def _sphere_frame(theta, phi):
-    """Unit vector and its two coordinate derivatives on the sphere."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+def _sphere_frame(p):
+    """Unit vector and its two coordinate derivatives at sphere points p (..., 2)."""
+    st, ct = np.sin(p[..., 0]), np.cos(p[..., 0])
+    sp, cp = np.sin(p[..., 1]), np.cos(p[..., 1])
     rhat = np.stack([st * cp, st * sp, ct], axis=-1)
     d_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
     d_phi = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
@@ -210,13 +210,10 @@ class TwoLevelSphere(_DiracModel):
         return self.radius
 
     def r_vector_batch(self, pts):
-        pts = _points(pts, 2)
-        return self.radius * _sphere_frame(pts[:, 0], pts[:, 1])[0]
+        return self.radius * _sphere_frame(_points(pts, 2))[0]
 
     def r_gradient_batch(self, pts, mu):
-        pts = _points(pts, 2)
-        mu = _check_direction(mu, 2)
-        return self.radius * _sphere_frame(pts[:, 0], pts[:, 1])[1 + mu]
+        return self.radius * _sphere_frame(_points(pts, 2))[1 + _check_direction(mu, 2)]
 
     def boundary_twist(self, mu):
         return np.eye(2, dtype=np.complex128)
@@ -235,8 +232,7 @@ class TwoLevelSphere(_DiracModel):
         by 2*pi*i is -1 ... +1 depending on orientation, and equals +1
         with the conventions used throughout this package.
         """
-        theta, phi = _point(p, 2)
-        rhat, dt, dp = _sphere_frame(theta, phi)
+        rhat, dt, dp = _sphere_frame(_point(p, 2))
         sign = -1.0 if band == 0 else 1.0
         return sign * 0.5j * float(np.dot(rhat, np.cross(dt, dp)))
 
@@ -244,8 +240,7 @@ class TwoLevelSphere(_DiracModel):
         """Connection components (A_theta, A_phi) of the thermal state,
         each (C/2) (rhat.sigma)(d_mu rhat.sigma) with C the mixing
         coefficient."""
-        theta, phi = _point(p, 2)
-        rhat, dt, dp = _sphere_frame(theta, phi)
+        rhat, dt, dp = _sphere_frame(_point(p, 2))
         c = self._mixing(beta)
         rs = _basis_dot(rhat, PAULI)
         return (0.5 * c) * rs @ _basis_dot(dt, PAULI), (0.5 * c) * rs @ _basis_dot(dp, PAULI)
@@ -253,8 +248,7 @@ class TwoLevelSphere(_DiracModel):
     def uhlmann_curvature_exact(self, p, beta):
         """(theta, phi) component of the mixed-state curvature matrix on
         the fixed-radius sphere, where the radial terms drop."""
-        theta, phi = _point(p, 2)
-        rhat, dt, dp = _sphere_frame(theta, phi)
+        rhat, dt, dp = _sphere_frame(_point(p, 2))
         c = self._mixing(beta)
         cross = np.cross(dt, dp)
         term_two = 1j * c * _basis_dot(cross, PAULI)
@@ -264,8 +258,7 @@ class TwoLevelSphere(_DiracModel):
     def thermal_trace_exact(self, p, beta):
         """(theta, phi) component of the thermally weighted curvature
         trace: -(i/2) tanh(beta R)^3 times the solid-angle density."""
-        theta, phi = _point(p, 2)
-        rhat, dt, dp = _sphere_frame(theta, phi)
+        rhat, dt, dp = _sphere_frame(_point(p, 2))
         t = math.tanh(beta * self.radius) if not math.isinf(beta) else 1.0
         return -0.5j * t**3 * float(np.dot(rhat, np.cross(dt, dp)))
 
@@ -726,7 +719,8 @@ def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL,
             labels = cluster_labels(w, degeneracy_tol)
         ground = labels == 0
         return ground / ground.sum(axis=1, keepdims=True)
-    x = np.exp(-beta * (w - w[:, :1]))
+    with np.errstate(over="ignore"):  # -inf: the exact weight 0 of the large-beta limit
+        x = np.exp(-beta * (w - w[:, :1]))
     return x / x.sum(axis=1, keepdims=True)
 
 
@@ -736,14 +730,12 @@ def thermal_weights(energies: np.ndarray, beta: float, groups=None) -> np.ndarra
     At beta = 0 the weights are exactly uniform; at BETA_INF the ground
     cluster (first entry of groups) carries 1/D each.
     """
-    energies = np.asarray(energies, dtype=np.float64)
-    if beta != BETA_INF:
-        return weights_batch(energies[None], beta)[0]
-    if groups is None:
+    energies = np.asarray(energies, dtype=np.float64)[None]
+    if groups is None and beta == BETA_INF:
         raise ValueError("BETA_INF weights need the degeneracy groups")
-    w = np.zeros_like(energies)
-    w[list(groups[0])] = 1.0 / len(groups[0])
-    return w
+    # weights_batch reads only label 0 (False): the ground cluster groups[0]
+    labels = None if groups is None else ~np.isin(np.arange(energies.size), groups[0])[None]
+    return weights_batch(energies, beta, labels=labels)[0]
 
 
 def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> ThermalState:

@@ -4,13 +4,16 @@ The CLI promises 0 (success), 1 (verification failure), 2 (config
 error) or 3 (numeric failure). Configurations are drawn per model
 variant, including non-finite and overflowing parameters, and every one
 that passes config_schema.json must end in one of those codes, never in
-an uncaught exception. Grids stay at 8-10 points per direction.
+an uncaught exception, and without a numpy RuntimeWarning on the way (the
+package's own UserWarnings are allowed). Grids stay at 8-10 points per
+direction.
 """
 import contextlib
 import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -84,6 +87,10 @@ def test_schema_valid_config_exits_with_a_defined_code(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main(["--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
+    numpy_warnings = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numpy_warnings, numpy_warnings

@@ -1,0 +1,85 @@
+"""Cluster labels and thermal weights, each from one place.
+
+A per-point pure-state curvature groups the levels of its point once:
+berry_curvature, wz_curvature and projector_limit_curvature take the
+labels from the same spectral-data pass as their tangents, and
+wz_curvature reads its maximal clusters off those labels. Their values
+are the batch kernels' on a batch of one, bit for bit. thermal_weights
+is weights_batch on a batch of one, with the ground cluster read off the
+given groups at BETA_INF, and an overflowing beta gives its limit without
+a numpy warning.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+from uhlmann_chern import geometry, linalg, models
+
+from conftest import random_points
+
+
+@pytest.fixture
+def label_calls(monkeypatch):
+    """Shapes of every cluster_labels call, from whichever module makes it."""
+    calls = []
+    original = linalg.cluster_labels
+
+    def counted(w, tol):
+        calls.append(np.shape(w))
+        return original(w, tol)
+
+    for module in (linalg, models, geometry):
+        monkeypatch.setattr(module, "cluster_labels", counted)
+    return calls
+
+
+def zero_temperature_data(model, p):
+    return geometry.spectral_data_grid(model, p[None], models.BETA_INF)
+
+
+def test_berry_curvature_groups_once(haldane, rng, label_calls):
+    p = random_points(haldane, rng, 1)[0]
+    f = geometry.berry_curvature(haldane, p, band=1)
+    assert label_calls == [(1, 2)]
+    _, _, _, t = zero_temperature_data(haldane, p)
+    assert np.array_equal(f.matrices, geometry._cluster_curvature(t, 1, 2)[:, 0])
+
+
+def test_wz_curvature_groups_once(fourband, rng, label_calls):
+    p = random_points(fourband, rng, 1)[0]
+    f = geometry.wz_curvature(fourband, p, (2, 3))
+    assert label_calls == [(1, 4)]
+    _, v, _, t = zero_temperature_data(fourband, p)
+    assert np.array_equal(f.matrices, geometry._cluster_curvature(t, 2, 4)[:, 0])
+    assert np.array_equal(f.basis, v[0, :, 2:4])
+
+
+def test_projector_limit_curvature_groups_once(fourband, rng, label_calls):
+    p = random_points(fourband, rng, 1)[0]
+    f = geometry.projector_limit_curvature(fourband, p)
+    assert label_calls == [(1, 4)]
+    _, v, _, t = zero_temperature_data(fourband, p)
+    ground = np.array([1.0, 1.0, 0.0, 0.0])
+    ref = geometry._commutators((ground[None, :] - ground[:, None]) * t, f.pairs)[:, 0, :2, :2]
+    assert np.array_equal(f.matrices, ref)
+    assert np.array_equal(f.basis, v[0, :, :2])
+
+
+def test_maximal_clusters_come_from_the_given_labels():
+    w = np.array([0.0, 0.0, 1.0, 2.0])
+    labels = linalg.cluster_labels(w, linalg.DEGENERACY_TOL)
+    assert linalg._group_eigenvalues(w, linalg.DEGENERACY_TOL, labels) == ((0, 1), (2,), (3,))
+    assert linalg._group_eigenvalues(w, 0.0, labels) == ((0, 1), (2,), (3,))  # tol unused
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 1e308, models.BETA_INF])
+def test_thermal_weights_is_weights_batch_on_one_spectrum(beta):
+    energies = np.array([-2.0, -2.0, 0.5, 3.0])
+    groups = ((0, 1), (2,), (3,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e308 overflows beta (E - E_0): weight 0, no warning
+        got = models.thermal_weights(energies, beta, groups)
+        assert np.array_equal(got, models.weights_batch(energies[None], beta)[0])
+        if beta != models.BETA_INF:
+            assert np.array_equal(models.thermal_weights(energies, beta), got)
