@@ -170,8 +170,6 @@ class SweepResult:
 
 def _pairwise_tree(values):
     vals = list(values)
-    if not vals:
-        return 0.0 + 0.0j
     while len(vals) > 1:
         merged = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:

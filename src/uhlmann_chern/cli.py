@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import subprocess
@@ -61,8 +62,11 @@ def _schema_errors(config: object) -> list[str]:
 def _build_model(cfg: dict):
     block = cfg["model"]
     cls = models.MODEL_VARIANTS[block["variant"]]
+    params = block["parameters"]
+    if "fock_dim" in params:  # JSON Schema also takes an integral float such as 8.0
+        params = {**params, "fock_dim": int(params["fock_dim"])}
     try:
-        return cls(**block["parameters"])
+        return cls(**params)
     except TypeError as exc:
         raise ConfigError(f"model.parameters: {exc}") from None
 
@@ -90,17 +94,25 @@ def _format(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An output path that cannot be created or written is a config error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
-    # Manual writer: fixed LF endings and 17 significant digits so that
-    # reruns of the same config are byte-identical.
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_format(v) for v in row) + "\n")
+    # LF endings and 17 significant digits, so that reruns of the same
+    # config are byte-identical.
+    with _writing(path):
+        np.savetxt(path, list(rows), fmt="%.17g", delimiter=",", header=header, comments="",
+                   encoding="ascii")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -130,7 +142,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
     grid = _build_grid(model, cfg)
     run = cfg["run"]
     dim = model.manifold.dim
-    order = run.get("order", 1 if dim == 2 else 2)
+    order = int(run.get("order", 1 if dim == 2 else 2))
     if (order == 1) != (dim == 2):
         raise ConfigError(f"run.order: order {order} needs a {'2' if order == 1 else '4'}D model")
     temperatures = run.get("temperatures")
@@ -510,15 +522,16 @@ def main(argv=None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 
-    workers = args.workers if args.workers is not None else cfg.get("workers", 1)
+    workers = int(args.workers if args.workers is not None else cfg.get("workers", 1))
     if workers < 1:
         print("config error: workers: must be at least 1", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out is not None else Path(cfg.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     command = _COMMANDS[cfg["run"]["type"]]
     try:
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
         return command(cfg, out_dir, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -270,7 +270,7 @@ def _frame_data(model, pts):
 
 def _spectral_data(model, pts, degeneracy_tol):
     """Frame (w, v, g) of a point batch, the cluster labels of w, the off-cluster mask
-    keep and tangents t: for spectral_data_grid, curvature_frame_grid and _point_data."""
+    keep and tangents t: for the grid kernels, and the per-point curvatures on [p]."""
     w, v, g = _frame_data(model, np.asarray(pts, dtype=np.float64))
     labels = cluster_labels(w, degeneracy_tol)
     den, keep = _gap_mask(w, labels)
@@ -510,11 +510,6 @@ def uhlmann_curvature_grid(
 # ---------------------------------------------------------------------------
 
 
-def _point_data(model, p, degeneracy_tol):
-    """_spectral_data (w, v, g, labels, keep, t) at one point, a batch of one."""
-    return _spectral_data(model, np.asarray(p)[None], degeneracy_tol)
-
-
 def _sorted_group(group) -> tuple[int, ...]:
     """A level index, or a collection of them, as a sorted index tuple."""
     return (int(group),) if np.isscalar(group) else tuple(sorted(int(i) for i in group))
@@ -527,7 +522,7 @@ def berry_curvature(model, p, band: int = 0,
     F_{mu nu} = -sum_{k != band} (T^mu_bk T^nu_kb - T^nu_bk T^mu_kb),
     purely imaginary.
     """
-    w, _, _, labels, _, t = _point_data(model, p, degeneracy_tol)
+    w, _, _, labels, _, t = _spectral_data(model, [p], degeneracy_tol)
     band = int(band)
     if not 0 <= band < w.shape[1]:
         raise DegenerateBand(f"band index {band} outside 0..{w.shape[1] - 1}")
@@ -553,7 +548,7 @@ def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> Cur
     for a, b in the cluster; returned in the cluster eigenbasis (basis
     attribute holds the column vectors).
     """
-    w, v, _, labels, _, t = _point_data(model, p, degeneracy_tol)
+    w, v, _, labels, _, t = _spectral_data(model, [p], degeneracy_tol)
     group, groups = _sorted_group(group), _group_eigenvalues(w[0], degeneracy_tol, labels[0])
     if group not in groups:
         raise NotMaximalCluster(f"index set {group} is not one of the maximal clusters {groups}")
@@ -572,7 +567,7 @@ def projector_limit_curvature(model, p, group=None,
     This is the limit object of the thermal curvature, independent of
     any beta; at beta = 0 the thermal curvature itself is zero instead.
     """
-    w, v, _, labels, _, t = _point_data(model, p, degeneracy_tol)
+    w, v, _, labels, _, t = _spectral_data(model, [p], degeneracy_tol)
     d = _ground_size(w, weights_batch(w, BETA_INF, labels=labels))
     ground = tuple(range(d))
     if group is not None and _sorted_group(group) != ground:

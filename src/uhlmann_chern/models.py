@@ -158,13 +158,6 @@ class _DiracModel(_Model):
     def gradient_batch(self, pts, mu):
         return _basis_dot(self.r_gradient_batch(pts, mu), self._basis)
 
-    @np.errstate(over="ignore")
-    def gap_batch(self, pts):
-        gap = 2.0 * np.hypot.reduce(self.r_vector_batch(pts), axis=-1)
-        if not np.isfinite(gap).all():
-            raise NonFiniteInput("the gap 2|r| is not finite")
-        return gap
-
 
 # ---------------------------------------------------------------------------
 # Two-level sphere
@@ -221,9 +214,10 @@ class TwoLevelSphere(_DiracModel):
     # -- closed-form references ------------------------------------------
 
     def _mixing(self, beta) -> float:
-        """Weight-mixing coefficient 1 - sech(beta * R), in [0, 1]."""
-        x = beta * self.radius
-        return 1.0 if math.isinf(x) else 1.0 - 1.0 / math.cosh(x)
+        """Weight-mixing coefficient 1 - sech(beta R) in [0, 1] as expm1(-x)^2 /
+        (1 + exp(-2x)), x = |beta R|: no overflow, and exactly 1 at BETA_INF."""
+        x = abs(beta * self.radius)
+        return math.expm1(-x) ** 2 / (1.0 + math.exp(-2.0 * x))
 
     def berry_curvature_exact(self, p, band: int):
         """(theta, phi) curvature component of one pure band.
@@ -259,7 +253,7 @@ class TwoLevelSphere(_DiracModel):
         """(theta, phi) component of the thermally weighted curvature
         trace: -(i/2) tanh(beta R)^3 times the solid-angle density."""
         rhat, dt, dp = _sphere_frame(_point(p, 2))
-        t = math.tanh(beta * self.radius) if not math.isinf(beta) else 1.0
+        t = math.tanh(beta * self.radius)
         return -0.5j * t**3 * float(np.dot(rhat, np.cross(dt, dp)))
 
 
@@ -356,10 +350,10 @@ def _bond_sum(f, phases, weights=(1.0, 1.0, 1.0)):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes |R|, so the width, infinite
-def _gamma_eigenpairs(r, dr=None):
+def _gamma_eigenpairs(r, dr):
     """Eigenpairs (-|R|, -|R|, |R|, |R|), v (B, 4, 4) of H = r . GAMMA, r (B, 5),
-    and given dr (d, B, 5) also g = v^dagger (dr . GAMMA) v, with no matrix
-    product. With c = |R| + |r5| (no cancellation), v = M (a . GAMMA) / |a|:
+    and g = v^dagger (dr . GAMMA) v for dr (d, B, 5), with no matrix product.
+    With c = |R| + |r5| (no cancellation), v = M (a . GAMMA) / |a|:
     a = (r1, r2, r3, -r4, c), M = -i Gamma_4 if r5 >= 0, else a = (r1..r4, c),
     M = Gamma_5. M flips all Gamma_i but one and (a.G)(y.G)(a.G) = 2 (a.y)(a.G)
     - |a|^2 (y.G), so g = x . GAMMA for x = e dr - alpha a, the reflection of
@@ -383,8 +377,6 @@ def _gamma_eigenpairs(r, dr=None):
     v = _basis_dot(np.concatenate([b * pos, b * ~pos], axis=1), _FRAME)
     w = (s * size)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
     require_finite_width(w)
-    if dr is None:
-        return w, v
     x = dr * e
     x -= (2.0 * (x * a).sum(axis=-1) / n2)[..., None] * a
     return w, v, _basis_dot(x, GAMMA)
@@ -750,7 +742,7 @@ def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL)
     degeneracy_tol : relative tolerance for eigenvalue clustering
     """
     sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
-    w = weights_batch(sd.eigenvalues[None], beta, degeneracy_tol)[0]
+    w = thermal_weights(sd.eigenvalues, beta, sd.groups)
     check = getattr(model, "_check_thermal_truncation", None)
     if check is not None and not math.isinf(beta):
         check(w)

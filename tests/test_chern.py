@@ -130,6 +130,23 @@ def test_vanishing_link_overlap_rejected():
         pure_chern_fhs(model, 0, default_grid(model, 8))
 
 
+class _FourfoldHaldane(models.Haldane):
+    """Haldane with a cell that claims to cover the primitive cell four
+    times instead of twice: the plaquette sum normalises to 1/2."""
+
+    @property
+    def manifold(self):
+        return dataclasses.replace(super().manifold, multiplicity=4)
+
+
+def test_half_integer_plaquette_sum_rejected():
+    plain = models.Haldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
+    assert pure_chern_fhs(plain, 0, default_grid(plain, 32)) == 1
+    model = _FourfoldHaldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
+    with pytest.raises(NonIntegerPlaquetteSum, match=r"sum 0\.500000 is 0\.500 from an integer"):
+        pure_chern_fhs(model, 0, default_grid(model, 32))
+
+
 @dataclasses.dataclass(frozen=True)
 class _PinchModel:
     """Gap closes exactly on a grid point (the first midpoint)."""

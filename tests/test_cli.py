@@ -109,6 +109,70 @@ def test_bad_workers(tmp_path, capsys):
     assert cli.main(["--config", str(path)]) == 2
 
 
+def test_workers_flag_below_one(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", resolution=(8, 8))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: workers: must be at least 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_rejects_negative_temperature(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", resolution=(8, 8),
+                        run={"type": "map", "temperatures": [-0.5]})
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: run.temperatures: must be nonnegative" in err and "Traceback" not in err
+
+
+def _sweep_bytes(out: Path):
+    summary = (out / "summary.json").read_text().splitlines()
+    return (out / "sweep.csv").read_bytes(), [s for s in summary if "wall_time_s" not in s]
+
+
+SWEEP = {"type": "sweep", "temperatures": [0.5]}
+
+
+# JSON Schema counts 8.0 as an integer, so the schema accepts each of these.
+@pytest.mark.parametrize("as_float, as_int", [
+    ({"variant": "coherent_oscillator", "parameters": {"fock_dim": 8.0}},
+     {"variant": "coherent_oscillator", "parameters": {"fock_dim": 8}}),
+    ({"workers": 2.0}, {"workers": 2}),
+    ({"run": {**SWEEP, "order": 1.0}}, {"run": {**SWEEP, "order": 1}}),
+], ids=["fock_dim", "workers", "order"])
+def test_integral_floats_run_as_integers(tmp_path, capsys, as_float, as_int):
+    outputs = []
+    for name, cfg in (("float", as_float), ("int", as_int)):
+        path = write_config(tmp_path / f"{name}.json", resolution=(8, 8), **{"run": SWEEP, **cfg})
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / name)]) == 0
+        outputs.append(_sweep_bytes(tmp_path / name))
+    assert outputs[0] == outputs[1]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_flag", [False, True], ids=["output_dir", "--out"])
+def test_output_dir_that_cannot_be_created(tmp_path, capsys, via_flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")  # under a regular file
+    if via_flag:
+        path = write_config(tmp_path / "c.json", resolution=(8, 8))
+        argv = ["--config", str(path), "--out", target]
+    else:
+        argv = ["--config", str(write_config(tmp_path / "c.json", resolution=(8, 8),
+                                             output_dir=target))]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}") and "Traceback" not in err
+
+
+def test_output_file_that_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "out" / "sweep.csv").mkdir(parents=True)
+    path = write_config(tmp_path / "c.json", resolution=(8, 8))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: cannot write" in capsys.readouterr().err
+
+
 # -- sweep ----------------------------------------------------------------------
 
 
@@ -146,6 +210,17 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert data == (out_b / "sweep.csv").read_bytes()
     assert data == (out_c / "sweep.csv").read_bytes()
     assert b"\r" not in data
+
+
+def test_csv_values_take_seventeen_significant_digits(tmp_path):
+    rows = [(0.1, -0.0, 0.0), (math.inf, -math.inf, math.nan), (1e-300, -1.5e308, 2.0 / 3.0),
+            (np.float64(1) / 3, 5e-324, 123456789.0)]
+    cli._write_csv(tmp_path / "t.csv", "a,b,c", iter(rows))
+    expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
+    assert expected.splitlines()[1:3] == ["0.10000000000000001,-0,0", "inf,-inf,nan"]
+    cli._write_csv(tmp_path / "empty.csv", "a,b", [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
 def test_out_flag_overrides_config(tmp_path):

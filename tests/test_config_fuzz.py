@@ -5,8 +5,9 @@ error) or 3 (numeric failure). Configurations are drawn per model
 variant, including non-finite and overflowing parameters, and every one
 that passes config_schema.json must end in one of those codes, never in
 an uncaught exception, and without a numpy RuntimeWarning on the way (the
-package's own UserWarnings are allowed). Grids stay at 8-10 points per
-direction.
+package's own UserWarnings are allowed). Integer fields are also drawn
+as integral floats such as 8.0, which JSON Schema counts as integers.
+Grids stay at 8-10 points per direction.
 """
 import contextlib
 import io
@@ -30,12 +31,18 @@ def optional(strategy):
     return st.one_of(st.none(), strategy)
 
 
+def integral(strategy):
+    """An integer field's values, as ints or as the integral floats (8.0)
+    that JSON Schema also counts as integers."""
+    return st.one_of(strategy, strategy.map(float))
+
+
 PARAMETERS = {
     "two_level_sphere": st.fixed_dictionaries({}, optional={"radius": positive}),
     "haldane": st.fixed_dictionaries({"t1": numbers, "t2": numbers, "phi": numbers, "M": numbers}),
     "four_band_gamma": st.fixed_dictionaries({"m": numbers}),
     "coherent_oscillator": st.fixed_dictionaries(
-        {}, optional={"hbar_omega": positive, "fock_dim": st.integers(8, 40)}
+        {}, optional={"hbar_omega": positive, "fock_dim": integral(st.integers(8, 40))}
     ),
 }
 
@@ -58,18 +65,19 @@ def configs(draw):
     if draw(st.integers(0, 9)):
         run["temperatures"] = temperatures
     run.update(draw(st.fixed_dictionaries(
-        {}, optional={"order": st.sampled_from([1, 2]), "band": st.integers(0, 3)}
+        {}, optional={"order": integral(st.sampled_from([1, 2])),
+                      "band": integral(st.integers(0, 3))}
     )))
     size = draw(st.one_of(st.just(dim), st.integers(2, 4)))
     cfg = {
         "model": {"variant": variant, "parameters": draw(PARAMETERS[variant])},
         "grid": draw(st.fixed_dictionaries(
-            {"resolution": st.lists(st.integers(8, 10), min_size=size, max_size=size)},
+            {"resolution": st.lists(integral(st.integers(8, 10)), min_size=size, max_size=size)},
             optional={"offset": st.booleans()},
         )),
         "run": run,
     }
-    workers = draw(optional(st.sampled_from([1, 2])))
+    workers = draw(optional(integral(st.sampled_from([1, 2]))))
     if workers is not None:
         cfg["workers"] = workers
     tolerances = draw(optional(st.fixed_dictionaries(

@@ -93,7 +93,7 @@ def test_gradients_on_the_branch_tie_and_at_zero(rng):
 
 
 def test_zero_vector_gives_a_unitary_frame():
-    w, v = models._gamma_eigenpairs(np.zeros((1, 5)))
+    w, v, _ = models._gamma_eigenpairs(np.zeros((1, 5)), np.zeros((4, 1, 5)))
     np.testing.assert_array_equal(w, 0.0)
     np.testing.assert_array_equal(v[0] @ v[0].conj().T, np.eye(4))
 

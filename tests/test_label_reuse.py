@@ -7,7 +7,8 @@ wz_curvature reads its maximal clusters off those labels. Their values
 are the batch kernels' on a batch of one, bit for bit. thermal_weights
 is weights_batch on a batch of one, with the ground cluster read off the
 given groups at BETA_INF, and an overflowing beta gives its limit without
-a numpy warning.
+a numpy warning. thermal_state takes its weights from thermal_weights and
+the groups of its own decomposition, so it too groups its levels once.
 """
 import warnings
 
@@ -83,3 +84,14 @@ def test_thermal_weights_is_weights_batch_on_one_spectrum(beta):
         assert np.array_equal(got, models.weights_batch(energies[None], beta)[0])
         if beta != models.BETA_INF:
             assert np.array_equal(models.thermal_weights(energies, beta), got)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, models.BETA_INF])
+def test_thermal_state_groups_once(fourband, rng, label_calls, beta):
+    p = random_points(fourband, rng, 1)[0]
+    state = models.thermal_state(fourband, p, beta)
+    assert label_calls == [(4,)]
+    w = state.spectrum.eigenvalues[None]
+    assert np.array_equal(state.weights, models.weights_batch(w, beta)[0])
+    if beta == models.BETA_INF:
+        assert np.array_equal(state.weights, [0.5, 0.5, 0.0, 0.0])

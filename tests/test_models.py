@@ -97,14 +97,6 @@ def test_gradients_match_finite_differences(rng):
             assert float(np.abs(fd - grad).max()) <= 1e-7 * scale
 
 
-def test_haldane_gap_is_level_splitting(haldane, rng):
-    pts = random_points(haldane, rng, 40)
-    gaps = haldane.gap_batch(pts)
-    for p, g in zip(pts, gaps):
-        w = np.linalg.eigvalsh(haldane.hamiltonian(p))
-        assert abs((w[1] - w[0]) - g) <= 1e-12 * (1 + g)
-
-
 def test_fourband_spectrum_symmetric(fourband, rng):
     pts = random_points(fourband, rng, 40)
     for p in pts:

@@ -241,6 +241,26 @@ def test_infinite_haldane_phase_raises_non_finite_input(tmp_path, capsys, phi):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta_r", [700.0, 1000.0, 1e308])
+def test_sphere_references_reach_zero_temperature_without_overflow(beta_r):
+    # math.cosh(beta R) overflows above about 710; the references must not
+    sphere = models.TwoLevelSphere(radius=2.0)
+    p, beta = [1.0, 0.5], beta_r / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reference in (sphere.uhlmann_curvature_exact, sphere.uhlmann_connection_exact,
+                          sphere.thermal_trace_exact):
+            np.testing.assert_array_equal(reference(p, beta), reference(p, models.BETA_INF))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3, 0.4, 2.5, 20.0, -400.0])  # sech is even
+def test_sphere_mixing_is_one_minus_sech(beta):
+    sphere = models.TwoLevelSphere(radius=1.5)
+    x = 1.5 * beta  # 1 - sech x = 2 sinh^2(x/2) / cosh x, without cancellation at small x
+    assert sphere._mixing(beta) == pytest.approx(2.0 * math.sinh(x / 2) ** 2 / math.cosh(x),
+                                                 rel=1e-14, abs=1e-300)
+
+
 HUGE = [("t1", 1e308), ("t1", -1e308), ("t2", 1e308), ("t2", -1e308), ("M", 1e308),
         ("M", -1e308)]
 
@@ -253,8 +273,6 @@ def test_huge_haldane_parameters_raise_before_any_numpy_warning(name, value):
              lambda p: model.gradient_batch(p, 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteInput):
-            model.gap_batch(pts)  # |r| >= 1e308 - 4: the gap 2|r| overflows
         if name == "M":  # r3 = M + O(1) stays finite, and dr does not involve M
             assert all(np.isfinite(call(pts)).all() for call in calls)
         else:
