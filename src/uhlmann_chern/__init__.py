@@ -13,6 +13,7 @@ from .errors import (
     DegenerateBand,
     DimensionMismatch,
     GapClosed,
+    InvalidArgument,
     ManifoldMismatch,
     MissingModelHook,
     NonFiniteInput,

@@ -34,6 +34,7 @@ from .errors import (
     DegenerateBand,
     DimensionMismatch,
     GapClosed,
+    InvalidArgument,
     ManifoldMismatch,
     MissingModelHook,
     NonFiniteInput,
@@ -70,9 +71,9 @@ SECOND_ORDER_ACCEPTED_RESOLUTION = 16
 class GridSpec:
     """Uniform evaluation grid over a model's parameter manifold.
 
-    offset=True places points at cell midpoints (the quadrature
-    default); sphere manifolds force the offset so no point sits on a
-    coordinate pole. Resolution below 8 per direction is rejected.
+    offset=True places points at cell midpoints (the quadrature default);
+    sphere manifolds force the offset so no point sits on a coordinate pole.
+    A resolution below 8 or not integral (8.0 is) raises InvalidArgument.
     """
 
     manifold: Manifold
@@ -80,6 +81,8 @@ class GridSpec:
     offset: bool = True
 
     def __post_init__(self):
+        if not all(math.isfinite(r) and r == int(r) for r in self.resolution):
+            raise InvalidArgument(f"resolution {self.resolution!r} is not integral")
         res = tuple(int(r) for r in self.resolution)
         object.__setattr__(self, "resolution", res)
         if len(res) != self.manifold.dim:
@@ -87,7 +90,7 @@ class GridSpec:
                 f"{len(res)} resolutions for a {self.manifold.dim}-dimensional manifold"
             )
         if any(r < MIN_RESOLUTION for r in res):
-            raise ValueError(f"resolution below {MIN_RESOLUTION} per dimension")
+            raise InvalidArgument(f"resolution below {MIN_RESOLUTION} per dimension")
         if self.manifold.kind == "sphere":
             object.__setattr__(self, "offset", True)
 
@@ -463,14 +466,14 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     """Integer Chern number of a band or ground group from plaquette
     phases of frame-overlap links on the grid.
 
-    Torus charts wrap with the model's boundary twists; sphere charts
-    are closed by adding the two exact pole rows, whose intra-row links
-    are identities; an open (plane) chart carries no integer and raises
-    ManifoldMismatch. The plaquette-phase sum must land within 0.05 of an
-    integer multiple of 2 pi times the cover multiplicity. Each chunk
-    job forms the frames, links and plaquettes of a fixed block of rows
-    and returns two scalars. detail=True returns a dict: the integer
-    "value", the sum before rounding "plaquette_sum", their distance
+    Torus charts wrap with the model's boundary_twist (MissingModelHook
+    without it); sphere charts are closed by the two exact pole rows, whose
+    intra-row links are identities; an open (plane) chart carries no integer
+    and raises ManifoldMismatch. The plaquette-phase sum must land within
+    0.05 of an integer multiple of 2 pi times the cover multiplicity. Each
+    chunk job forms the frames, links and plaquettes of a fixed block of rows
+    and returns two scalars. detail=True returns a dict: the integer "value",
+    the sum before rounding "plaquette_sum", their distance
     "integer_distance" and the smallest link |det| "min_link_det".
     """
     _require_grid(model, grid, 2)
@@ -481,6 +484,8 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     if man.kind == "sphere":
         rows, col_twist = _PlaquetteRows(_PoleClosedGrid(grid)), None
     else:
+        if not hasattr(model, "boundary_twist"):
+            raise MissingModelHook(f"{type(model).__name__} lacks boundary_twist for its torus seam")
         rows, col_twist = _PlaquetteRows(grid, model.boundary_twist(0)), model.boundary_twist(1)
     sums, dets = zip(*_map_chunks(_fhs_job, model, rows, (group, rows.n_cols, col_twist),
                                   degeneracy_tol, workers, -(-FHS_BLOCK_POINTS // rows.n_cols)))
@@ -524,12 +529,6 @@ def beta_from_temperature(t_over_r0: float, r0: float) -> float:
     return 1.0 / scale
 
 
-def _diagnostic_points(grid: GridSpec, count: int = 12) -> np.ndarray:
-    n = grid.n_points
-    idx = np.unique(np.linspace(0, n - 1, min(count, n)).astype(int))
-    return np.concatenate([grid.points_range(i, i + 1) for i in idx])
-
-
 def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
                       workers: int = 1, degeneracy_tol: float = DEGENERACY_TOL) -> SweepResult:
     """Thermal Chern number across a scan of temperatures (in units of
@@ -548,18 +547,20 @@ def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
     """
     temps = [float(t) for t in temperatures]
     if not temps:
-        raise ValueError("temperatures: empty")
+        raise InvalidArgument("temperatures: empty")
     if any(t <= 0 for t in temps) or any(t2 <= t1 for t1, t2 in zip(temps, temps[1:])):
-        raise ValueError("temperatures must be positive and strictly ascending")
+        raise InvalidArgument("temperatures must be positive and strictly ascending")
     if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+        raise InvalidArgument("order must be 1 or 2")
     betas = [beta_from_temperature(t, model.r0) for t in temps]
     if order == 1:
         results = _first_order_results(model, betas, grid, workers, degeneracy_tol)
     else:
         _check_second_order(model, grid, dirac_route=True)
         results = _second_order_results(model, betas, grid, workers, degeneracy_tol)
-    frame = curvature_frame_grid(model, _diagnostic_points(grid), degeneracy_tol)
+    idx = np.unique(np.linspace(0, grid.n_points - 1, min(12, grid.n_points)).astype(int))
+    sample = np.concatenate([grid.points_range(i, i + 1) for i in idx])
+    frame = curvature_frame_grid(model, sample, degeneracy_tol)
     pairs = direction_pairs(model.dim)
     diags = []
     for t, beta, res in zip(temps, betas, results):

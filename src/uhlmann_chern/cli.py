@@ -220,11 +220,12 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
 
 
 def _map_job(model, pts, beta, tol):
-    """Im Tr(rho F_U) at beta and the ground-cluster Berry curvature over
-    one chunk, from one spectral pass at (beta, zero temperature)."""
-    w, _, lam, t = geometry.spectral_data_grid(model, pts, (beta, models.BETA_INF), tol)
-    trace = geometry._trace_pairs(lam[:1], t, geometry.direction_pairs(2))[0, 0]
-    f, _ = geometry.ground_block_from_data(w, lam[1], t)
+    """Im Tr(rho F_U) at beta and the ground-cluster (label 0) Berry
+    curvature over one chunk, from one spectral pass."""
+    w, _, _, labels, _, t = geometry._spectral_data(model, pts, tol)
+    lam = models.weights_batch(w, beta, labels)
+    trace = geometry._trace_pairs(lam[None], t, geometry.direction_pairs(2))[0, 0]
+    f, _ = geometry.ground_block_from_data(w, labels, t)
     return trace.imag, np.trace(f[0], axis1=-2, axis2=-1).imag
 
 

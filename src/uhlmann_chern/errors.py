@@ -5,6 +5,10 @@ class UhlmannChernError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class InvalidArgument(UhlmannChernError, ValueError):
+    """An argument outside its domain; also a ValueError, like NegativeBeta."""
+
+
 # --- linear algebra ---
 
 class NonHermitianInput(UhlmannChernError):

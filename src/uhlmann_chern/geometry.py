@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (
     DegenerateBand,
     GapClosed,
+    InvalidArgument,
     NotMaximalCluster,
     StepTooLarge,
     VanishingDenominatorWarning,
@@ -58,7 +59,7 @@ from .linalg import (
     eigh_batch,
     psd_sqrt,
 )
-from .models import BETA_INF, thermal_state, weights_batch
+from .models import thermal_state, weights_batch
 
 # Pairs with combined density-matrix weight at or below this are dropped
 # from the finite-difference connection; the commutator numerator
@@ -157,7 +158,7 @@ class CurvatureComponents:
         one-dimensional (abelian) curvatures."""
         c = self.component(mu, nu)
         if c.shape != (1, 1):
-            raise ValueError("scalar() needs a 1x1 curvature block")
+            raise InvalidArgument("scalar() needs a 1x1 curvature block")
         return complex(c[0, 0])
 
     def trace_components(self) -> np.ndarray:
@@ -290,7 +291,7 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
     shape (K, B, N), one weight batch per beta on the same eigen-data.
     """
     w, v, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
-    lam = np.stack([weights_batch(w, b, degeneracy_tol, labels) for b in np.ravel(beta)])
+    lam = np.stack([weights_batch(w, b, labels) for b in np.ravel(beta)])
     return w, v, (lam if np.ndim(beta) else lam[0]), t
 
 
@@ -410,19 +411,17 @@ def _cluster_curvature(t, lo, hi) -> np.ndarray:
     return f
 
 
-def _ground_size(w, lam) -> int:
-    """Size D of the ground cluster of a batch of spectra (B, N), read off
-    the zero-temperature weights lam (positive exactly on the cluster).
-    Raises GapClosed if D varies over the batch, if the cluster is the
-    whole space, or if it is not isolated (the marks lam > 0 as labels)."""
-    marks = lam > 0
-    sizes = marks.sum(axis=1)
+def _ground_size(w, labels) -> int:
+    """Size D of the ground cluster (labels == 0) of a batch of spectra
+    w (B, N) with their cluster labels. Raises GapClosed if D varies over
+    the batch, if the cluster is the whole space, or if it is not isolated."""
+    sizes = (labels == 0).sum(axis=1)
     d = int(sizes[0])
     if not (sizes == d).all():
         raise GapClosed("ground degeneracy varies across the batch")
     if d == w.shape[1]:
         raise GapClosed("no excited level: the ground cluster is the whole space")
-    _require_isolated(w, marks, 0, d, GapClosed)
+    _require_isolated(w, labels, 0, d, GapClosed)
     return d
 
 
@@ -434,14 +433,14 @@ def ground_block_curvature_grid(model, pts, degeneracy_tol: float = DEGENERACY_T
     degeneracy. Raises GapClosed if the cluster size varies over the
     batch or the cluster is not isolated anywhere (_ground_size).
     """
-    w, _, lam, t = spectral_data_grid(model, pts, BETA_INF, degeneracy_tol)
-    return ground_block_from_data(w, lam, t)
+    w, _, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
+    return ground_block_from_data(w, labels, t)
 
 
-def ground_block_from_data(w, lam, t):
-    """ground_block_curvature_grid from spectral_data_grid's w, its
-    zero-temperature weights lam and the tangents t."""
-    d = _ground_size(w, lam)
+def ground_block_from_data(w, labels, t):
+    """ground_block_curvature_grid from _spectral_data's w, its cluster
+    labels and the tangents t."""
+    d = _ground_size(w, labels)
     return _cluster_curvature(t, 0, d), d
 
 
@@ -549,7 +548,7 @@ def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> Cur
     attribute holds the column vectors).
     """
     w, v, _, labels, _, t = _spectral_data(model, [p], degeneracy_tol)
-    group, groups = _sorted_group(group), _group_eigenvalues(w[0], degeneracy_tol, labels[0])
+    group, groups = _sorted_group(group), _group_eigenvalues(labels[0])
     if group not in groups:
         raise NotMaximalCluster(f"index set {group} is not one of the maximal clusters {groups}")
     lo, hi = group[0], group[-1] + 1
@@ -558,20 +557,17 @@ def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> Cur
                                basis=v[0, :, lo:hi])
 
 
-def projector_limit_curvature(model, p, group=None,
+def projector_limit_curvature(model, p, *,
                               degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
-    """Exact zero-temperature curvature of the ground cluster, computed
-    from projector derivatives: F = dP dP - (swapped), restricted to
-    the ground subspace.
+    """Exact zero-temperature curvature of the ground cluster (label 0),
+    computed from projector derivatives: F = dP dP - (swapped),
+    restricted to the ground subspace.
 
     This is the limit object of the thermal curvature, independent of
     any beta; at beta = 0 the thermal curvature itself is zero instead.
     """
     w, v, _, labels, _, t = _spectral_data(model, [p], degeneracy_tol)
-    d = _ground_size(w, weights_batch(w, BETA_INF, labels=labels))
-    ground = tuple(range(d))
-    if group is not None and _sorted_group(group) != ground:
-        raise GapClosed(f"requested group {group} is not the ground cluster {ground}")
+    d = _ground_size(w, labels)
     # dP in the eigenbasis: +T on excited-ground entries, -T on
     # ground-excited, zero elsewhere.
     chi = (np.arange(w.shape[1]) < d).astype(np.float64)
@@ -649,7 +645,7 @@ def uhlmann_curvature(model, p, beta: float, connection_route: str = "spectral",
         f, _ = uhlmann_curvature_grid(model, p[None, :], beta, h, degeneracy_tol)
         return CurvatureComponents(direction_pairs(model.dim), f[:, 0])
     if connection_route != "sqrt_fd":
-        raise ValueError(f"unknown connection route {connection_route!r}")
+        raise InvalidArgument(f"unknown connection route {connection_route!r}")
     stack_pts = _fd_shift_stack(p, h, model.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("once", VanishingDenominatorWarning)

@@ -85,10 +85,9 @@ def cluster_labels(w, tol: float) -> np.ndarray:
     return np.moveaxis(labels, 0, -1)
 
 
-def _group_eigenvalues(w: np.ndarray, tol: float, labels=None) -> tuple[tuple[int, ...], ...]:
+def _group_eigenvalues(labels) -> tuple[tuple[int, ...], ...]:
     """Degenerate clusters of one ascending spectrum as index tuples: the
-    tuple view of cluster_labels, or of its labels when the caller has them."""
-    labels = cluster_labels(w, tol) if labels is None else labels
+    tuple view of its cluster_labels."""
     return tuple(tuple(map(int, np.flatnonzero(labels == k)))
                  for k in range(labels.max(initial=0) + 1))
 
@@ -141,7 +140,8 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
     (w,), (v,) = eigh_batch(m[None])
-    return SpectralDecomposition(w, v, _group_eigenvalues(w, degeneracy_tol), degeneracy_tol)
+    return SpectralDecomposition(w, v, _group_eigenvalues(cluster_labels(w, degeneracy_tol)),
+                                 degeneracy_tol)
 
 
 def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
@@ -236,25 +236,25 @@ def _require_hermitian_batch(ms, rtol: float) -> None:
         raise NonHermitianInput("batch contains a non-Hermitian matrix")
 
 
-def psd_sqrt(m, floor: float = PSD_EIGENVALUE_FLOOR) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [floor, 0) are clamped to zero; anything below floor
-    raises IndefiniteInput. The result S satisfies S @ S == m to
+    Eigenvalues in [PSD_EIGENVALUE_FLOOR, 0) are clamped to zero; anything
+    below it raises IndefiniteInput. The result S satisfies S @ S == m to
     roundoff and is itself Hermitian PSD.
     """
     sd = hermitian_eig(m)
     w = sd.eigenvalues
-    if w.min(initial=0.0) < floor:
+    if w.min(initial=0.0) < PSD_EIGENVALUE_FLOOR:
         raise IndefiniteInput(
-            f"eigenvalue {w.min():.3e} below the PSD floor {floor:.1e}"
+            f"eigenvalue {w.min():.3e} below the PSD floor {PSD_EIGENVALUE_FLOOR:.1e}"
         )
     s = np.sqrt(np.clip(w, 0.0, None))
     v = sd.eigenvectors
     return (v * s) @ v.conj().T
 
 
-def unitary_exp(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def unitary_exp(a) -> np.ndarray:
     """exp(A) for anti-Hermitian A, via eigendecomposition of 1j*A.
 
     The result is exactly unitary up to roundoff because the real
@@ -265,7 +265,7 @@ def unitary_exp(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise NonAntiHermitianInput(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
     defect = np.abs(a + a.conj().T).max() if a.size else 0.0
-    if defect > rtol * max(scale, 1.0):
+    if defect > HERMITICITY_RTOL * max(scale, 1.0):
         raise NonAntiHermitianInput(
             f"anti-hermiticity defect {defect:.3e} exceeds tolerance"
         )

@@ -36,6 +36,7 @@ import warnings
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     ManifoldMismatch,
     NegativeBeta,
     NonFiniteInput,
@@ -208,9 +209,6 @@ class TwoLevelSphere(_DiracModel):
     def r_gradient_batch(self, pts, mu):
         return self.radius * _sphere_frame(_points(pts, 2))[1 + _check_direction(mu, 2)]
 
-    def boundary_twist(self, mu):
-        return np.eye(2, dtype=np.complex128)
-
     # -- closed-form references ------------------------------------------
 
     def _mixing(self, beta) -> float:
@@ -234,6 +232,7 @@ class TwoLevelSphere(_DiracModel):
         """Connection components (A_theta, A_phi) of the thermal state,
         each (C/2) (rhat.sigma)(d_mu rhat.sigma) with C the mixing
         coefficient."""
+        _require_beta(beta)
         rhat, dt, dp = _sphere_frame(_point(p, 2))
         c = self._mixing(beta)
         rs = _basis_dot(rhat, PAULI)
@@ -242,6 +241,7 @@ class TwoLevelSphere(_DiracModel):
     def uhlmann_curvature_exact(self, p, beta):
         """(theta, phi) component of the mixed-state curvature matrix on
         the fixed-radius sphere, where the radial terms drop."""
+        _require_beta(beta)
         rhat, dt, dp = _sphere_frame(_point(p, 2))
         c = self._mixing(beta)
         cross = np.cross(dt, dp)
@@ -252,6 +252,7 @@ class TwoLevelSphere(_DiracModel):
     def thermal_trace_exact(self, p, beta):
         """(theta, phi) component of the thermally weighted curvature
         trace: -(i/2) tanh(beta R)^3 times the solid-angle density."""
+        _require_beta(beta)
         rhat, dt, dp = _sphere_frame(_point(p, 2))
         t = math.tanh(beta * self.radius)
         return -0.5j * t**3 * float(np.dot(rhat, np.cross(dt, dp)))
@@ -427,10 +428,6 @@ class FourBandGamma(_DiracModel):
         G-+ = dQ^dagger - alpha Q^dagger or dQ - alpha Q by the sign of r5)."""
         dr = np.stack([self.r_gradient_batch(pts, mu) for mu in range(4)])
         return _gamma_eigenpairs(self.r_vector_batch(pts), dr)
-
-    def boundary_twist(self, mu):
-        _check_direction(mu, 4)
-        return np.eye(4, dtype=np.complex128)
 
 
 def gamma_anticommutation_residual() -> float:
@@ -624,9 +621,6 @@ class CoherentOscillator(_Model):
             np.multiply(x, gaps, out=g[mu])  # [X, H0]_jk = X_jk (E_k - E_j)
         return np.tile(levels, (d.shape[0], 1)), d, g
 
-    def boundary_twist(self, mu):
-        return np.eye(self.fock_dim, dtype=np.complex128)
-
     def _check_thermal_truncation(self, weights):
         tail = weights[self.fock_dim // 2 :]
         if tail.size and float(tail.max()) >= 1e-12:
@@ -694,21 +688,23 @@ class ThermalState:
         return self.spectrum.groups[0]
 
 
-def weights_batch(w, beta: float, degeneracy_tol: float = DEGENERACY_TOL,
-                  labels=None) -> np.ndarray:
-    """Thermal occupations for batches of ascending eigenvalues (B, N).
-    At BETA_INF the ground cluster (cluster_labels == 0) carries 1/D
-    each and every other level exactly 0; a caller that already holds
-    the cluster labels of w passes them instead of the tolerance. Every
-    thermal weight comes from here, so beta is checked here: NaN raises
-    NonFiniteInput and a negative beta (-inf included) NegativeBeta."""
+def _require_beta(beta) -> None:
+    """NonFiniteInput for a NaN beta, NegativeBeta for a negative one (-inf too)."""
     if math.isnan(beta):
         raise NonFiniteInput("beta is NaN")
     if beta < 0:
         raise NegativeBeta(f"beta must be nonnegative, got {beta!r}")
+
+
+def weights_batch(w, beta: float, labels=None) -> np.ndarray:
+    """Thermal occupations for batches of ascending eigenvalues (B, N). At
+    BETA_INF the ground cluster (label 0 of labels, else of cluster_labels
+    at DEGENERACY_TOL) carries 1/D each, every other level exactly 0. Every
+    thermal weight comes from here, so beta is checked here."""
+    _require_beta(beta)
     if math.isinf(beta):
         if labels is None:
-            labels = cluster_labels(w, degeneracy_tol)
+            labels = cluster_labels(w, DEGENERACY_TOL)
         ground = labels == 0
         return ground / ground.sum(axis=1, keepdims=True)
     with np.errstate(over="ignore"):  # -inf: the exact weight 0 of the large-beta limit
@@ -724,7 +720,7 @@ def thermal_weights(energies: np.ndarray, beta: float, groups=None) -> np.ndarra
     """
     energies = np.asarray(energies, dtype=np.float64)[None]
     if groups is None and beta == BETA_INF:
-        raise ValueError("BETA_INF weights need the degeneracy groups")
+        raise InvalidArgument("BETA_INF weights need the degeneracy groups")
     # weights_batch reads only label 0 (False): the ground cluster groups[0]
     labels = None if groups is None else ~np.isin(np.arange(energies.size), groups[0])[None]
     return weights_batch(energies, beta, labels=labels)[0]

@@ -69,15 +69,15 @@ def model_data(request, rng, name):
     else:
         model = request.getfixturevalue(name)
         pts = random_points(model, rng, 6)
-    w, _, lam, t = geometry.spectral_data_grid(model, pts, models.BETA_INF)
-    return w, lam, t
+    w, _, _, labels, _, t = geometry._spectral_data(model, pts, linalg.DEGENERACY_TOL)
+    return w, labels, t
 
 
 @pytest.mark.parametrize("name", ["sphere", "haldane", "fourband", "coherent", "chain"])
 def test_cluster_curvature_matches_the_three_formulas(request, rng, name):
-    w, lam, t = model_data(request, rng, name)
-    groups = linalg._group_eigenvalues(w[0], linalg.DEGENERACY_TOL)
-    assert all(linalg._group_eigenvalues(x, linalg.DEGENERACY_TOL) == groups for x in w)
+    w, labels, t = model_data(request, rng, name)
+    groups = linalg._group_eigenvalues(labels[0])
+    assert all(linalg._group_eigenvalues(x) == groups for x in labels)
     if name == "chain":
         assert groups[0] == GROUND
     for band in range(w.shape[1]):
@@ -88,7 +88,7 @@ def test_cluster_curvature_matches_the_three_formulas(request, rng, name):
         assert_close(got, index_formula(t, group))
     d = len(groups[0])
     assert np.array_equal(geometry._cluster_curvature(t, 0, d), ground_loop(t, d))
-    f, size = geometry.ground_block_from_data(w, lam, t)
+    f, size = geometry.ground_block_from_data(w, labels, t)
     assert size == d and np.array_equal(f, ground_loop(t, d))
 
 
@@ -129,7 +129,8 @@ def test_wz_cluster_within_the_gap_floor_of_a_neighbour_raises():
     model = SplitModel()
     w = linalg.eigh_batch(model.hamiltonian_batch(ORIGIN[None]))[0][0]
     assert np.array_equal(w, SPLIT_LEVELS)
-    assert linalg._group_eigenvalues(w, linalg.DEGENERACY_TOL) == ((0,), (1,), (2,), (3,))
+    labels = linalg.cluster_labels(w, linalg.DEGENERACY_TOL)
+    assert linalg._group_eigenvalues(labels) == ((0,), (1,), (2,), (3,))
     for group in ((0,), (1,)):
         with pytest.raises(GapClosed):
             geometry.wz_curvature(model, ORIGIN, group)
@@ -182,12 +183,12 @@ def test_require_isolated_ignores_touches_away_from_the_run_edges():
 
 
 def test_ground_size_uses_the_gap_rule_on_the_weight_marks():
-    lam = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    labels = np.array([[0, 0, 1], [0, 0, 1]])
     w = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    assert geometry._ground_size(w, lam) == 2
+    assert geometry._ground_size(w, labels) == 2
     w[1, 2] = GAP
     with pytest.raises(GapClosed):
-        geometry._ground_size(w, lam)
+        geometry._ground_size(w, labels)
 
 
 # -- group arguments --------------------------------------------------------------
@@ -195,11 +196,10 @@ def test_ground_size_uses_the_gap_rule_on_the_weight_marks():
 
 def test_a_scalar_group_is_a_group_of_one(sphere, rng):
     p = random_points(sphere, rng, 1)[0]
-    for call in (geometry.wz_curvature, geometry.projector_limit_curvature):
-        got = call(sphere, p, 0)
-        ref = call(sphere, p, (0,))
-        assert np.array_equal(got.matrices, ref.matrices)
-        assert np.array_equal(got.basis, ref.basis)
+    got = geometry.wz_curvature(sphere, p, 0)
+    ref = geometry.wz_curvature(sphere, p, (0,))
+    assert np.array_equal(got.matrices, ref.matrices)
+    assert np.array_equal(got.basis, ref.basis)
     with pytest.raises(NotMaximalCluster):
         geometry.wz_curvature(sphere, p, 5)
 
@@ -209,11 +209,6 @@ def test_bad_groups_keep_their_typed_errors(fourband, rng):
     for group in (0, (0,), (), (0, 2), (1, 2)):
         with pytest.raises(NotMaximalCluster):
             geometry.wz_curvature(fourband, p, group)
-    for group in (0, (0,), (2, 3), (0, 1, 2)):
-        with pytest.raises(GapClosed):
-            geometry.projector_limit_curvature(fourband, p, group)
-    assert np.array_equal(geometry.projector_limit_curvature(fourband, p, [1, 0]).matrices,
-                          geometry.projector_limit_curvature(fourband, p).matrices)
 
 
 # -- the lattice oracle's chart -------------------------------------------------------

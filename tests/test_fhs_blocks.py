@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from uhlmann_chern import chern, cli, geometry, models
+from uhlmann_chern.errors import MissingModelHook
 
 # (phi, M) -> lower-band Chern number, recorded from the frame-
 # concatenating oracle on every grid below.
@@ -118,6 +119,35 @@ def test_torus_seam_takes_the_boundary_twist(workers, monkeypatch):
     monkeypatch.setattr(models.Haldane, "boundary_twist", lambda self, mu: np.eye(2))
     untwisted = chern.pure_chern_fhs(model, 0, grid, detail=True)
     assert twisted["min_link_det"] > 0.9 > 0.6 > untwisted["min_link_det"]
+
+
+class _TwistlessTorus:
+    """Haldane's H on its torus chart, without the boundary_twist hook."""
+
+    dim = 2
+
+    def __init__(self):
+        self._inner = models.Haldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
+        self.manifold = self._inner.manifold
+
+    def hamiltonian_batch(self, pts):
+        return self._inner.hamiltonian_batch(pts)
+
+
+def test_torus_without_a_boundary_twist_raises_before_grid_work(monkeypatch):
+    # Only a 2D torus chart has a seam to twist; the built-in models whose
+    # charts are a sphere, a plane or 4D carry no hook.
+    for model in (models.TwoLevelSphere(), models.FourBandGamma(m=1.5),
+                  models.CoherentOscillator(fock_dim=8)):
+        assert not hasattr(model, "boundary_twist")
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started")
+
+    monkeypatch.setattr(chern, "_map_chunks", no_grid_work)
+    model = _TwistlessTorus()
+    with pytest.raises(MissingModelHook, match="_TwistlessTorus lacks boundary_twist"):
+        chern.pure_chern_fhs(model, 0, chern.GridSpec(model.manifold, (16, 16)))
 
 
 # -- CLI --------------------------------------------------------------------------

@@ -9,13 +9,16 @@ is weights_batch on a batch of one, with the ground cluster read off the
 given groups at BETA_INF, and an overflowing beta gives its limit without
 a numpy warning. thermal_state takes its weights from thermal_weights and
 the groups of its own decomposition, so it too groups its levels once.
+The ground cluster is label 0 of the same labels: the ground block, the
+projector limit and a CLI map chunk build no zero-temperature weights to
+find it.
 """
 import warnings
 
 import numpy as np
 import pytest
 
-from uhlmann_chern import geometry, linalg, models
+from uhlmann_chern import cli, geometry, linalg, models
 
 from conftest import random_points
 
@@ -70,8 +73,7 @@ def test_projector_limit_curvature_groups_once(fourband, rng, label_calls):
 def test_maximal_clusters_come_from_the_given_labels():
     w = np.array([0.0, 0.0, 1.0, 2.0])
     labels = linalg.cluster_labels(w, linalg.DEGENERACY_TOL)
-    assert linalg._group_eigenvalues(w, linalg.DEGENERACY_TOL, labels) == ((0, 1), (2,), (3,))
-    assert linalg._group_eigenvalues(w, 0.0, labels) == ((0, 1), (2,), (3,))  # tol unused
+    assert linalg._group_eigenvalues(labels) == ((0, 1), (2,), (3,))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 1e308, models.BETA_INF])
@@ -95,3 +97,28 @@ def test_thermal_state_groups_once(fourband, rng, label_calls, beta):
     assert np.array_equal(state.weights, models.weights_batch(w, beta)[0])
     if beta == models.BETA_INF:
         assert np.array_equal(state.weights, [0.5, 0.5, 0.0, 0.0])
+
+
+@pytest.fixture
+def weight_calls(monkeypatch):
+    """The beta of every weights_batch call, from whichever module makes it."""
+    calls = []
+    original = models.weights_batch
+
+    def counted(w, beta, *args, **kwargs):
+        calls.append(beta)
+        return original(w, beta, *args, **kwargs)
+
+    for module in (models, geometry):
+        monkeypatch.setattr(module, "weights_batch", counted)
+    return calls
+
+
+def test_the_ground_cluster_is_read_off_the_labels(fourband, haldane, rng, weight_calls):
+    pts = random_points(fourband, rng, 3)
+    _, d = geometry.ground_block_curvature_grid(fourband, pts)
+    proj = geometry.projector_limit_curvature(fourband, pts[0])
+    assert weight_calls == [] and d == 2 and proj.matrices.shape == (6, 2, 2)
+    trace, berry = cli._map_job(haldane, random_points(haldane, rng, 5), 0.7, linalg.DEGENERACY_TOL)
+    assert weight_calls == [0.7]
+    assert trace.shape == berry.shape == (5,)

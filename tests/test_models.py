@@ -138,10 +138,6 @@ def test_haldane_twisted_periodicity(haldane, rng):
 
 
 def test_plain_periodicity_elsewhere(fourband, rng):
-    for mu in range(4):
-        np.testing.assert_allclose(
-            fourband.boundary_twist(mu), np.eye(4), atol=0
-        )
     pts = random_points(fourband, rng, 10)
     shift = np.zeros(4)
     shift[2] = fourband.manifold.cell[2]

@@ -16,6 +16,7 @@ from uhlmann_chern import chern, cli, geometry, linalg, models
 from uhlmann_chern.errors import (
     DegenerateBand,
     GapClosed,
+    InvalidArgument,
     MissingModelHook,
     NegativeBeta,
     NonFiniteInput,
@@ -259,6 +260,51 @@ def test_sphere_mixing_is_one_minus_sech(beta):
     x = 1.5 * beta  # 1 - sech x = 2 sinh^2(x/2) / cosh x, without cancellation at small x
     assert sphere._mixing(beta) == pytest.approx(2.0 * math.sinh(x / 2) ** 2 / math.cosh(x),
                                                  rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("beta, error", [(-1.0, NegativeBeta), (-math.inf, NegativeBeta),
+                                         (math.nan, NonFiniteInput)])
+def test_sphere_references_check_beta_like_the_numeric_routes(beta, error):
+    sphere = models.TwoLevelSphere(radius=1.3)
+    p = np.array([1.0, 0.5])
+    with pytest.raises(error):
+        geometry.thermal_trace_grid(sphere, p[None], beta)
+    for reference in (sphere.uhlmann_curvature_exact, sphere.uhlmann_connection_exact,
+                      sphere.thermal_trace_exact):
+        with pytest.raises(error):
+            reference(p, beta)
+
+
+@pytest.mark.parametrize("resolution", [(8.7, 9.99), (math.nan, 8), (math.inf, 8), (8, -math.inf)])
+def test_grid_resolution_must_be_integral(resolution):
+    model = haldane_with_mass(0.3)
+    with pytest.raises(InvalidArgument, match="not integral"):
+        chern.GridSpec(model.manifold, resolution)
+
+
+def test_integral_float_resolutions_are_integers():
+    model = haldane_with_mass(0.3)
+    grid = chern.GridSpec(model.manifold, (8.0, 9.0))
+    assert grid.resolution == (8, 9) and all(type(r) is int for r in grid.resolution)
+
+
+def test_argument_errors_are_typed_value_errors():
+    assert issubclass(InvalidArgument, UhlmannChernError) and issubclass(InvalidArgument, ValueError)
+    model = haldane_with_mass(0.3)
+    grid = chern.default_grid(model, 8)
+    p = np.array([0.1, 0.2])
+    calls = [
+        lambda: chern.GridSpec(model.manifold, (7, 8)),
+        lambda: chern.temperature_sweep(model, [], grid),
+        lambda: chern.temperature_sweep(model, [0.5, 0.2], grid),
+        lambda: chern.temperature_sweep(model, [0.5], grid, order=3),
+        lambda: geometry.uhlmann_curvature(model, p, 1.0).scalar(0, 1),
+        lambda: geometry.uhlmann_curvature(model, p, 1.0, connection_route="other"),
+        lambda: models.thermal_weights(np.array([-1.0, 1.0]), models.BETA_INF),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument):
+            call()
 
 
 HUGE = [("t1", 1e308), ("t1", -1e308), ("t2", 1e308), ("t2", -1e308), ("M", 1e308),

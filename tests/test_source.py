@@ -25,8 +25,10 @@ geometry._commutators, one block product per COMMUTATOR_BLOCK points
 instead of one small stacked product per direction pair. GAP_FLOOR is
 read only inside geometry._require_isolated, the one gap rule of the
 pure-state curvatures and the lattice oracle, so no second copy of the
-rule can drift from it. The checks parse src/ with ast so they see every
-call regardless of formatting.
+rule can drift from it. src/ raises no bare ValueError: an argument error
+is an InvalidArgument (a ValueError too), so callers can catch every
+deliberate error as a UhlmannChernError. The checks parse src/ with ast
+so they see every call regardless of formatting.
 """
 import ast
 from pathlib import Path
@@ -456,3 +458,42 @@ def test_gap_floor_is_read_only_by_the_gap_rule():
         tree = ast.parse(path.read_text(), filename=str(path))
         reads += [(path.name, func) for func, _ in name_reads(tree, "GAP_FLOOR")]
     assert reads and set(reads) == {("geometry.py", "_require_isolated")}, reads
+
+
+def bare_value_errors(tree: ast.AST):
+    """Line numbers of every raise of ValueError itself, called or not,
+    bare or as an attribute; a re-raise or a subclass is not one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "ValueError":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_detector_finds_raises_of_bare_value_errors():
+    code = "\n".join([
+        'raise ValueError("x")',
+        'raise InvalidArgument("x")',
+        "def f():",
+        "    raise builtins.ValueError",
+        '    raise NegativeBeta("x") from None',
+        "try:",
+        "    pass",
+        "except ValueError:",
+        "    raise",
+        'x = ValueError("not raised")',
+        'raise ValueError("y") from exc',
+    ])
+    assert bare_value_errors(ast.parse(code)) == [1, 4, 11]
+
+
+def test_src_raises_no_bare_value_error():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in bare_value_errors(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offenders, f"raise InvalidArgument instead of ValueError: {offenders}"
