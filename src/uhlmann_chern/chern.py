@@ -43,6 +43,7 @@ from .errors import (
 )
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
+    _integer,
     _require_isolated,
     _sorted_group,
     _trace_pairs,
@@ -72,8 +73,8 @@ class GridSpec:
     """Uniform evaluation grid over a model's parameter manifold.
 
     offset=True places points at cell midpoints (the quadrature default);
-    sphere manifolds force the offset so no point sits on a coordinate pole.
-    A resolution below 8 or not integral (8.0 is) raises InvalidArgument.
+    a sphere forces it so no point sits on a pole. A resolution below 8,
+    not integral (8.0 is) or past np.intp's point count raises InvalidArgument.
     """
 
     manifold: Manifold
@@ -81,9 +82,7 @@ class GridSpec:
     offset: bool = True
 
     def __post_init__(self):
-        if not all(math.isfinite(r) and r == int(r) for r in self.resolution):
-            raise InvalidArgument(f"resolution {self.resolution!r} is not integral")
-        res = tuple(int(r) for r in self.resolution)
+        res = tuple(_integer(r, "resolution") for r in self.resolution)
         object.__setattr__(self, "resolution", res)
         if len(res) != self.manifold.dim:
             raise DimensionMismatch(
@@ -91,12 +90,14 @@ class GridSpec:
             )
         if any(r < MIN_RESOLUTION for r in res):
             raise InvalidArgument(f"resolution below {MIN_RESOLUTION} per dimension")
+        if math.prod(res) > np.iinfo(np.intp).max:
+            raise InvalidArgument(f"resolution {res} has more points than an index can count")
         if self.manifold.kind == "sphere":
             object.__setattr__(self, "offset", True)
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.resolution))
+        return math.prod(self.resolution)
 
     @property
     def point_measure(self) -> float:
@@ -120,25 +121,27 @@ def _chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE):
     return [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
 
 
-class _PoleClosedGrid:
-    """A sphere grid with the two exact pole rows added: points
-    row-major over (theta, phi), theta running 0, the grid's theta axis,
-    pi. The lattice oracle closes sphere charts with it."""
+class _ClosedGrid:
+    """The lattice oracle's layout of a 2D grid: points row-major, each
+    axis closed by its seam point (first point plus the cell), except that
+    a sphere's rows are theta = 0, the grid's theta axis and pi."""
 
     def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.resolution = (grid.resolution[0] + 2, grid.resolution[1])
+        rows, cols = grid.axis(0), grid.axis(1)
+        rows = (np.concatenate([[0.0], rows, [math.pi]]) if grid.manifold.kind == "sphere"
+                else np.append(rows, rows[0] + grid.manifold.cell[0]))
+        self.axes = (rows, np.append(cols, cols[0] + grid.manifold.cell[1]))
+        self.resolution = (rows.size, cols.size + 1)
         self.n_points = self.resolution[0] * self.resolution[1]
 
     def points_range(self, start: int, stop: int) -> np.ndarray:
-        theta = np.concatenate([[0.0], self.grid.axis(0), [math.pi]])
         i, j = np.unravel_index(np.arange(start, stop), self.resolution)
-        return np.column_stack([theta[i], self.grid.axis(1)[j]])
+        return np.column_stack([self.axes[0][i], self.axes[1][j]])
 
 
 def default_grid(model, resolution) -> GridSpec:
     if np.isscalar(resolution):
-        resolution = (int(resolution),) * model.dim
+        resolution = (resolution,) * model.dim
     return GridSpec(model.manifold, tuple(resolution))
 
 
@@ -188,7 +191,7 @@ def _chunk_job(args):
 
 def _map_chunks(job, model, points, params, tol, workers, chunk_size=CHUNK_SIZE):
     """job(model, points.points_range(start, stop), params, tol) on each
-    fixed chunk [start, stop) of points (a GridSpec, _PoleClosedGrid or
+    fixed chunk [start, stop) of points (a GridSpec, _ClosedGrid or
     _PlaquetteRows), in chunk order, in at most one process pool;
     module-level jobs, so pools pickle them by name."""
     ranges = _chunk_ranges(points.n_points, chunk_size)
@@ -418,7 +421,7 @@ def _link_phases(frames_a, frames_b):
 
 
 def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
-    """Band-group frames at every point of a GridSpec or _PoleClosedGrid,
+    """Band-group frames at every point of a GridSpec or _ClosedGrid,
     built chunk by chunk and laid out on its 2D index grid: the frames
     the lattice oracle's row blocks rebuild."""
     chunks = _map_chunks(_frame_grid, model, points, group, degeneracy_tol, workers)
@@ -426,38 +429,27 @@ def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
 
 
 class _PlaquetteRows:
-    """The lattice oracle's chunks over a GridSpec or _PoleClosedGrid:
-    item i is the plaquette row between layout rows i and i + 1. A
-    torus (twist given) closes on its first row times the twist."""
+    """The lattice oracle's chunks over a _ClosedGrid: item i is the
+    plaquette row between its rows i and i + 1."""
 
-    def __init__(self, layout, twist=None):
-        self.layout, self.twist = layout, twist
-        self.rows, self.n_cols = layout.resolution
-        self.n_points = self.rows - (twist is None)
+    def __init__(self, layout: _ClosedGrid):
+        self.layout, self.n_cols = layout, layout.resolution[1]
+        self.n_points = layout.resolution[0] - 1
 
     def points_range(self, start, stop):
-        """Points of layout rows start..stop (the halo) and the halo's twist."""
-        n = self.n_cols
-        if stop < self.rows:
-            return self.layout.points_range(start * n, (stop + 1) * n), None
-        pts = self.layout.points_range(start * n, self.rows * n)
-        return np.concatenate([pts, self.layout.points_range(0, n)]), self.twist
+        """Points of layout rows start..stop, the last being the halo."""
+        return self.layout.points_range(start * self.n_cols, (stop + 1) * self.n_cols)
 
 
-def _fhs_job(model, block, params, tol):
+def _fhs_job(model, pts, params, tol):
     """Plaquette-angle sum and smallest link |det| over one block of
-    _PlaquetteRows; params = (group, columns, column twist or None)."""
-    (pts, halo_twist), (group, n_cols, col_twist) = block, params
+    _PlaquetteRows; params = (group, columns)."""
+    group, n_cols = params
     psi = _frame_grid(model, pts, group, tol)
     psi = psi.reshape(-1, n_cols, *psi.shape[1:])
-    if halo_twist is not None:
-        psi[-1] = halo_twist @ psi[-1]
     ux = _link_phases(psi[:-1], psi[1:])
-    nxt = np.roll(psi, -1, axis=1)
-    if col_twist is not None:
-        nxt[:, -1] = col_twist @ psi[:, 0]
-    uy = _link_phases(psi, nxt)
-    plaq = ux * uy[1:] * np.roll(ux, -1, axis=1).conj() * uy[:-1].conj()
+    uy = _link_phases(psi[:, :-1], psi[:, 1:])
+    plaq = ux[:, :-1] * uy[1:] * ux[:, 1:].conj() * uy[:-1].conj()
     return float(np.angle(plaq).sum()), float(np.minimum(np.abs(ux).min(), np.abs(uy).min()))
 
 
@@ -466,29 +458,25 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     """Integer Chern number of a band or ground group from plaquette
     phases of frame-overlap links on the grid.
 
-    Torus charts wrap with the model's boundary_twist (MissingModelHook
-    without it); sphere charts are closed by the two exact pole rows, whose
-    intra-row links are identities; an open (plane) chart carries no integer
-    and raises ManifoldMismatch. The plaquette-phase sum must land within
-    0.05 of an integer multiple of 2 pi times the cover multiplicity. Each
-    chunk job forms the frames, links and plaquettes of a fixed block of rows
-    and returns two scalars. detail=True returns a dict: the integer "value",
-    the sum before rounding "plaquette_sum", their distance
-    "integer_distance" and the smallest link |det| "min_link_det".
+    Closed charts are closed with evaluated points (_ClosedGrid): a torus
+    at its seam points k + cell, with no twist hook, since each plaquette
+    phase is gauge invariant at every corner; a sphere by its pole rows.
+    An open (plane) chart raises ManifoldMismatch; a non-integral or
+    repeated index, InvalidArgument. The plaquette-phase sum must land
+    within 0.05 of an integer multiple of 2 pi times the cover multiplicity.
+    Each chunk job forms the frames, links and plaquettes of a fixed block
+    of rows and returns two scalars. detail=True returns a dict: the
+    integer "value", the sum before rounding "plaquette_sum", their
+    distance "integer_distance" and the smallest link |det| "min_link_det".
     """
     _require_grid(model, grid, 2)
     group = _normalize_group(group)
     man = model.manifold
     if man.kind not in ("sphere", "torus"):
         raise ManifoldMismatch(f"the lattice oracle needs a closed chart, not a {man.kind}")
-    if man.kind == "sphere":
-        rows, col_twist = _PlaquetteRows(_PoleClosedGrid(grid)), None
-    else:
-        if not hasattr(model, "boundary_twist"):
-            raise MissingModelHook(f"{type(model).__name__} lacks boundary_twist for its torus seam")
-        rows, col_twist = _PlaquetteRows(grid, model.boundary_twist(0)), model.boundary_twist(1)
-    sums, dets = zip(*_map_chunks(_fhs_job, model, rows, (group, rows.n_cols, col_twist),
-                                  degeneracy_tol, workers, -(-FHS_BLOCK_POINTS // rows.n_cols)))
+    rows = _PlaquetteRows(_ClosedGrid(grid))
+    sums, dets = zip(*_map_chunks(_fhs_job, model, rows, (group, rows.n_cols), degeneracy_tol,
+                                  workers, -(-FHS_BLOCK_POINTS // rows.n_cols)))
     min_det = float(np.min(dets))
     if min_det < 1e-12:
         raise NonIntegerPlaquetteSum("vanishing link overlap; refine the grid or check the gap")

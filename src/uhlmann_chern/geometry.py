@@ -36,6 +36,7 @@ field on a central stencil, as its independent cross-check.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -509,9 +510,21 @@ def uhlmann_curvature_grid(
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, what: str) -> int:
+    """An integral value (1.0 is one) as an int, else InvalidArgument."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # no number, NaN, inf
+        if value == int(value):
+            return int(value)
+    raise InvalidArgument(f"{what} {value!r} is not integral")
+
+
 def _sorted_group(group) -> tuple[int, ...]:
-    """A level index, or a collection of them, as a sorted index tuple."""
-    return (int(group),) if np.isscalar(group) else tuple(sorted(int(i) for i in group))
+    """A level index, or a collection of distinct ones, as a sorted index tuple."""
+    indices = (group,) if np.isscalar(group) or not np.iterable(group) else tuple(group)
+    g = tuple(sorted(_integer(i, "level index") for i in indices))
+    if len(set(g)) < len(g):
+        raise InvalidArgument(f"level indices {group!r} repeat a level")
+    return g
 
 
 def berry_curvature(model, p, band: int = 0,
@@ -522,7 +535,7 @@ def berry_curvature(model, p, band: int = 0,
     purely imaginary.
     """
     w, _, _, labels, _, t = _spectral_data(model, [p], degeneracy_tol)
-    band = int(band)
+    band = _integer(band, "band index")
     if not 0 <= band < w.shape[1]:
         raise DegenerateBand(f"band index {band} outside 0..{w.shape[1] - 1}")
     _require_isolated(w, labels, band, band + 1, DegenerateBand)

@@ -284,8 +284,8 @@ class Haldane(_DiracModel):
     The direction vector is R1 = t1 * sum cos(k.a_i), R2 = t1 * sum
     sin(k.a_i), R3 = M - 2 t2 sin(phi) * sum sin(k.b_i) over the bond
     sets above. The Hamiltonian is periodic under the momentum lattice
-    only up to a constant diagonal unitary along x, which the plaquette
-    routines apply as a boundary twist.
+    only up to a constant diagonal unitary along x; the lattice oracle
+    reads it off the frames at the seam points k + cell.
     """
 
     t1: float
@@ -330,13 +330,6 @@ class Haldane(_DiracModel):
         da, db = _HALDANE_A[:, mu], _HALDANE_B[:, mu]
         return np.stack([-self.t1 * _bond_sum(np.sin, ka, da), self.t1 * _bond_sum(np.cos, ka, da),
                          -2 * self.t2 * math.sin(self.phi) * _bond_sum(np.cos, kb, db)], axis=-1)
-
-    def boundary_twist(self, mu):
-        """Constant unitary W with H(k + cell_mu) = W H(k) W^dagger."""
-        mu = _check_direction(mu, 2)
-        if mu == 0:
-            return np.diag([np.exp(2j * math.pi / 3), 1.0]).astype(np.complex128)
-        return np.eye(2, dtype=np.complex128)
 
 
 def _bond_sum(f, phases, weights=(1.0, 1.0, 1.0)):

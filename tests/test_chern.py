@@ -120,9 +120,6 @@ class _StripeModel:
         pts = np.asarray(pts, dtype=np.float64)
         return np.zeros((pts.shape[0], 2, 2), dtype=np.complex128)
 
-    def boundary_twist(self, mu):
-        return np.eye(2, dtype=np.complex128)
-
 
 def test_vanishing_link_overlap_rejected():
     model = _StripeModel()
@@ -170,9 +167,6 @@ class _PinchModel:
         pts = np.asarray(pts, dtype=np.float64)
         g = np.ones(pts.shape[0]) if mu == 0 else np.zeros(pts.shape[0])
         return g[:, None, None] * np.diag([1.0, -1.0]).astype(np.complex128)
-
-    def boundary_twist(self, mu):
-        return np.eye(2, dtype=np.complex128)
 
 
 def test_on_grid_gap_closure_rejected():

@@ -106,7 +106,7 @@ def test_each_call_starts_one_pool(haldane, fourband, pools):
 def test_fhs_frames_do_not_depend_on_workers_or_chunking(variant, haldane_ref, sphere):
     model = haldane_ref if variant == "haldane" else sphere
     grid = chern.default_grid(model, 72)
-    points = chern._PoleClosedGrid(grid) if variant == "sphere" else grid
+    points = chern._ClosedGrid(grid)
     serial = chern._frames(model, points, (0,), linalg.DEGENERACY_TOL, 1)
     pooled = chern._frames(model, points, (0,), linalg.DEGENERACY_TOL, 2)
     assert np.array_equal(serial, pooled)
@@ -117,13 +117,27 @@ def test_fhs_frames_do_not_depend_on_workers_or_chunking(variant, haldane_ref, s
     assert chern.pure_chern_fhs(model, 0, grid, workers=2) == expected
 
 
-def test_pole_closed_grid_layout(sphere):
+def test_pole_closed_grid_layout(sphere, haldane):
+    # A sphere: the two pole rows and the seam column at phi_0 + 2 pi.
     grid = chern.default_grid(sphere, 8)
-    pts = chern._PoleClosedGrid(grid).points_range(0, 10 * 8)
-    assert pts.shape == (80, 2)
-    assert np.all(pts[:8, 0] == 0.0) and np.all(pts[-8:, 0] == math.pi)
-    assert np.array_equal(pts[8:16, 0], np.full(8, grid.axis(0)[0]))
-    assert np.array_equal(pts[8:16, 1], grid.axis(1))
+    layout = chern._ClosedGrid(grid)
+    assert layout.resolution == (10, 9) and layout.n_points == 90
+    pts = layout.points_range(0, 90)
+    assert pts.shape == (90, 2)
+    assert np.all(pts[:9, 0] == 0.0) and np.all(pts[-9:, 0] == math.pi)
+    assert np.array_equal(pts[9:18, 0], np.full(9, grid.axis(0)[0]))
+    assert np.array_equal(pts[9:17, 1], grid.axis(1))
+    assert np.all(pts[8::9, 1] == grid.axis(1)[0] + 2 * math.pi)
+    # A torus: the seam row k_0 + cell_0 and the seam column k_1 + cell_1.
+    grid = chern.default_grid(haldane, 8)
+    cell = haldane.manifold.cell
+    layout = chern._ClosedGrid(grid)
+    assert layout.resolution == (9, 9)
+    pts = layout.points_range(0, 81)
+    assert np.array_equal(pts[:72:9, 0], grid.axis(0))
+    assert np.all(pts[-9:, 0] == grid.axis(0)[0] + cell[0])
+    assert np.array_equal(pts[:8, 1], grid.axis(1))
+    assert np.all(pts[8::9, 1] == grid.axis(1)[0] + cell[1])
 
 
 def test_cli_chern_uses_the_workers(tmp_path, pools):

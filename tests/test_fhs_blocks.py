@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from uhlmann_chern import chern, cli, geometry, models
-from uhlmann_chern.errors import MissingModelHook
 
 # (phi, M) -> lower-band Chern number, recorded from the frame-
 # concatenating oracle on every grid below.
@@ -109,45 +108,44 @@ def test_chunk_results_are_scalars_only(workers, fhs_results, monkeypatch):
             assert all(type(x) is float for x in row)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_torus_seam_takes_the_boundary_twist(workers, monkeypatch):
-    # Haldane's x twist is a nontrivial phase. Seam links to untwisted
-    # frames still wind to the same integer, but their overlaps halve.
-    model = models.Haldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
-    grid = chern.GridSpec(model.manifold, (40, 72))
-    twisted = chern.pure_chern_fhs(model, 0, grid, workers=workers, detail=True)
-    monkeypatch.setattr(models.Haldane, "boundary_twist", lambda self, mu: np.eye(2))
-    untwisted = chern.pure_chern_fhs(model, 0, grid, detail=True)
-    assert twisted["min_link_det"] > 0.9 > 0.6 > untwisted["min_link_det"]
-
-
 class _TwistlessTorus:
-    """Haldane's H on its torus chart, without the boundary_twist hook."""
+    """Haldane's H on its torus chart, without any twist hook; wrap=True
+    evaluates it at k modulo the cell, so the seam frames are those of the
+    first row and column."""
 
     dim = 2
 
-    def __init__(self):
+    def __init__(self, wrap=False):
         self._inner = models.Haldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
         self.manifold = self._inner.manifold
+        self._wrap = wrap
 
     def hamiltonian_batch(self, pts):
-        return self._inner.hamiltonian_batch(pts)
+        return self._inner.hamiltonian_batch(np.mod(pts, self.manifold.cell) if self._wrap else pts)
 
 
-def test_torus_without_a_boundary_twist_raises_before_grid_work(monkeypatch):
-    # Only a 2D torus chart has a seam to twist; the built-in models whose
-    # charts are a sphere, a plane or 4D carry no hook.
-    for model in (models.TwoLevelSphere(), models.FourBandGamma(m=1.5),
-                  models.CoherentOscillator(fock_dim=8)):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_torus_seam_takes_the_boundary_twist(workers):
+    # The seam frames are Haldane's own at k + cell, so they carry its
+    # x twist. The first row's frames instead (H wrapped into the cell)
+    # still wind to the same integer, but their seam overlaps halve.
+    model = models.Haldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
+    grid = chern.GridSpec(model.manifold, (40, 72))
+    seam = chern.pure_chern_fhs(model, 0, grid, workers=workers, detail=True)
+    wrapped = chern.pure_chern_fhs(_TwistlessTorus(wrap=True), 0, grid, detail=True)
+    assert seam["value"] == wrapped["value"] == 1
+    assert seam["min_link_det"] > 0.9 > 0.6 > wrapped["min_link_det"]
+
+
+def test_a_torus_model_without_a_boundary_twist_gives_haldanes_report():
+    for model in (models.Haldane(t1=1.0, t2=0.5, phi=0.6, M=1.2), models.TwoLevelSphere(),
+                  models.FourBandGamma(m=1.5), models.CoherentOscillator(fock_dim=8)):
         assert not hasattr(model, "boundary_twist")
-
-    def no_grid_work(*args, **kwargs):
-        raise AssertionError("grid work started")
-
-    monkeypatch.setattr(chern, "_map_chunks", no_grid_work)
     model = _TwistlessTorus()
-    with pytest.raises(MissingModelHook, match="_TwistlessTorus lacks boundary_twist"):
-        chern.pure_chern_fhs(model, 0, chern.GridSpec(model.manifold, (16, 16)))
+    grid = chern.GridSpec(model.manifold, (16, 16))
+    for workers in (1, 2):
+        assert (chern.pure_chern_fhs(model, 0, grid, workers=workers, detail=True)
+                == chern.pure_chern_fhs(model._inner, 0, grid, detail=True))
 
 
 # -- CLI --------------------------------------------------------------------------

@@ -213,9 +213,6 @@ class _FlatModel:
             g = np.zeros(pts.shape[0])
         return g[:, None, None] * np.eye(2, dtype=np.complex128)
 
-    def boundary_twist(self, mu):
-        return np.eye(2, dtype=np.complex128)
-
 
 def test_ground_block_rejects_gapless_spectrum():
     pts = np.array([[0.3, 0.1], [0.4, 0.9]])

