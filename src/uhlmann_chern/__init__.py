@@ -51,7 +51,6 @@ from .models import (
     gamma_anticommutation_residual,
     model_id,
     thermal_state,
-    thermal_weights,
 )
 from .geometry import (
     ConnectionField,

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
-    _integer,
     _require_isolated,
     _sorted_group,
     _trace_pairs,
@@ -53,7 +52,7 @@ from .geometry import (
     thermal_trace_grid,
     uhlmann_curvature_from_frame,
 )
-from .models import BETA_INF, Manifold, model_id
+from .models import BETA_INF, Manifold, _integer, model_id
 
 CHUNK_SIZE = 4096
 # Points per lattice-oracle chunk, rounded up to whole grid rows; each

@@ -63,8 +63,6 @@ def _build_model(cfg: dict):
     block = cfg["model"]
     cls = models.MODEL_VARIANTS[block["variant"]]
     params = block["parameters"]
-    if "fock_dim" in params:  # JSON Schema also takes an integral float such as 8.0
-        params = {**params, "fock_dim": int(params["fock_dim"])}
     try:
         return cls(**params)
     except TypeError as exc:

@@ -36,7 +36,6 @@ field on a central stencil, as its independent cross-check.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ from .linalg import (
     eigh_batch,
     psd_sqrt,
 )
-from .models import thermal_state, weights_batch
+from .models import _integer, thermal_state, weights_batch
 
 # Pairs with combined density-matrix weight at or below this are dropped
 # from the finite-difference connection; the commutator numerator
@@ -510,14 +509,6 @@ def uhlmann_curvature_grid(
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, what: str) -> int:
-    """An integral value (1.0 is one) as an int, else InvalidArgument."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):  # no number, NaN, inf
-        if value == int(value):
-            return int(value)
-    raise InvalidArgument(f"{what} {value!r} is not integral")
-
-
 def _sorted_group(group) -> tuple[int, ...]:
     """A level index, or a collection of distinct ones, as a sorted index tuple."""
     indices = (group,) if np.isscalar(group) or not np.iterable(group) else tuple(group)
@@ -541,15 +532,6 @@ def berry_curvature(model, p, band: int = 0,
     _require_isolated(w, labels, band, band + 1, DegenerateBand)
     f = _cluster_curvature(t, band, band + 1)[:, 0]
     return CurvatureComponents(direction_pairs(model.dim), f)
-
-
-def _point_tangents(sd, grads) -> np.ndarray:
-    """Tangent matrices (d, 1, N, N) of a SpectralDecomposition, given
-    the dH/dmu matrices at its point."""
-    g = np.stack([np.asarray(x, dtype=np.complex128)[None] for x in grads])
-    g = _eigenbasis_gradients(sd.eigenvectors[None], g)
-    w = sd.eigenvalues[None]
-    return _divide_gaps(g, *_gap_mask(w, cluster_labels(w, sd.tolerance)))
 
 
 def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> CurvatureComponents:
@@ -590,18 +572,11 @@ def projector_limit_curvature(model, p, *,
     return CurvatureComponents(pairs, mats, basis=v[0, :, :d])
 
 
-def uhlmann_connection_spectral(state, grads) -> ConnectionField:
-    """Uhlmann connection from the spectral formula: in the energy
-    eigenbasis A_jk = -C_jk T_jk with C the weight-mixing coefficients
-    of the thermal occupations; rotated back to the original basis.
-
-    state is a ThermalState; grads is the list of analytic dH/dmu
-    matrices at the same point.
-    """
-    t = _point_tangents(state.spectrum, grads)
-    sd = state.spectrum
-    c = _mixing_batch(state.weights[None], _pair_exponents(sd.eigenvalues[None], state.beta))
-    return ConnectionField(_connection_from_data(sd.eigenvectors[None], c, t)[:, 0])
+def uhlmann_connection_spectral(model, p, beta: float,
+                                degeneracy_tol: float = DEGENERACY_TOL) -> ConnectionField:
+    """Uhlmann connection from the spectral formula, A = v (-C o T) v^dagger with C
+    the weight-mixing coefficients: connection_grid on a batch of one point."""
+    return ConnectionField(connection_grid(model, [p], beta, degeneracy_tol)[:, 0])
 
 
 def uhlmann_connection_sqrt_fd(model, p, beta: float, h: float | None = None,
@@ -671,13 +646,11 @@ def uhlmann_curvature(model, p, beta: float, connection_route: str = "spectral",
     return CurvatureComponents(direction_pairs(model.dim), f)
 
 
-def thermal_trace_spectral(state, grads) -> np.ndarray:
-    """Scalars Tr(rho F_U)_{mu nu} per direction pair, straight from the
-    weighted double sum over energy eigenstates (no finite differences).
-    Purely imaginary up to roundoff.
-    """
-    t = _point_tangents(state.spectrum, grads)
-    return _trace_pairs(state.weights[None, None], t, direction_pairs(len(t)))[0, :, 0]
+def thermal_trace_spectral(model, p, beta: float,
+                           degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Scalars Tr(rho F_U)_{mu nu} per direction pair, straight from the weighted
+    double sum over energy eigenstates: thermal_trace_grid on a batch of one point."""
+    return thermal_trace_grid(model, [p], beta, degeneracy_tol)[:, 0]
 
 
 def weighted_trace(state, curvature: CurvatureComponents) -> np.ndarray:

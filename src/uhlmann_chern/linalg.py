@@ -96,21 +96,24 @@ def _group_eigenvalues(labels) -> tuple[tuple[int, ...], ...]:
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix: ascending eigenvalues, the
     matching eigenvector columns (each column's largest-modulus entry
-    real positive), the maximal degenerate clusters as ascending index
-    tuples, and the relative degeneracy tolerance that built them."""
+    real positive) and the cluster_labels of the eigenvalues."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
-    tolerance: float
+    labels: np.ndarray
 
     def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        for m in (self.eigenvalues, self.eigenvectors, self.labels):
+            m.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal degenerate clusters as ascending index tuples."""
+        return _group_eigenvalues(self.labels)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -125,7 +128,7 @@ class SpectralDecomposition:
 
 def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix: eigh_batch on a batch
-    of one, with its degenerate clusters as index tuples.
+    of one, with the cluster labels of its eigenvalues.
 
     Parameters
     ----------
@@ -140,8 +143,7 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
     (w,), (v,) = eigh_batch(m[None])
-    return SpectralDecomposition(w, v, _group_eigenvalues(cluster_labels(w, degeneracy_tol)),
-                                 degeneracy_tol)
+    return SpectralDecomposition(w, v, cluster_labels(w, degeneracy_tol))
 
 
 def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):

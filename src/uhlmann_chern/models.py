@@ -28,6 +28,7 @@ only errors and linalg from the package.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,8 +120,16 @@ def _points(pts, dim: int) -> np.ndarray:
     return pts
 
 
+def _integer(value, what: str) -> int:
+    """An integral value (1.0 is one) as an int, else InvalidArgument."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # no number, NaN, inf
+        if value == int(value):
+            return int(value)
+    raise InvalidArgument(f"{what} {value!r} is not integral")
+
+
 def _check_direction(mu: int, dim: int) -> int:
-    mu = int(mu)
+    mu = _integer(mu, "direction")
     if not 0 <= mu < dim:
         raise UnsupportedDirection(f"direction {mu} outside 0..{dim - 1}")
     return mu
@@ -480,6 +489,7 @@ class CoherentOscillator(_Model):
     fock_dim: int = 40
 
     def __post_init__(self):
+        object.__setattr__(self, "fock_dim", _integer(self.fock_dim, "fock_dim"))
         if self.fock_dim < 8:
             raise ManifoldMismatch("fock_dim must be at least 8")
         if self.fock_dim > 128:
@@ -705,20 +715,6 @@ def weights_batch(w, beta: float, labels=None) -> np.ndarray:
     return x / x.sum(axis=1, keepdims=True)
 
 
-def thermal_weights(energies: np.ndarray, beta: float, groups=None) -> np.ndarray:
-    """Normalized Gibbs weights for ascending energies.
-
-    At beta = 0 the weights are exactly uniform; at BETA_INF the ground
-    cluster (first entry of groups) carries 1/D each.
-    """
-    energies = np.asarray(energies, dtype=np.float64)[None]
-    if groups is None and beta == BETA_INF:
-        raise InvalidArgument("BETA_INF weights need the degeneracy groups")
-    # weights_batch reads only label 0 (False): the ground cluster groups[0]
-    labels = None if groups is None else ~np.isin(np.arange(energies.size), groups[0])[None]
-    return weights_batch(energies, beta, labels=labels)[0]
-
-
 def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> ThermalState:
     """Gibbs state exp(-beta H(p)) / Z, built from the spectral
     decomposition of the model Hamiltonian.
@@ -731,7 +727,7 @@ def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL)
     degeneracy_tol : relative tolerance for eigenvalue clustering
     """
     sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
-    w = thermal_weights(sd.eigenvalues, beta, sd.groups)
+    w = weights_batch(sd.eigenvalues[None], beta, sd.labels[None])[0]
     check = getattr(model, "_check_thermal_truncation", None)
     if check is not None and not math.isinf(beta):
         check(w)

@@ -173,9 +173,7 @@ def test_criterion_6_route_equivalence(report):
             else:
                 p = _cell_points(model, rng, 1)[0]
                 beta = rng.uniform(*beta_range) / model.r0
-            state = models.thermal_state(model, p, beta)
-            grads = [model.gradient(p, mu) for mu in range(model.dim)]
-            spectral = geometry.uhlmann_connection_spectral(state, grads)
+            spectral = geometry.uhlmann_connection_spectral(model, p, beta)
             fd = geometry.uhlmann_connection_sqrt_fd(model, p, beta, h=1e-4)
             worst_conn = max(worst_conn, float(np.abs(spectral.components - fd.components).max()))
             count += 1
@@ -187,8 +185,7 @@ def test_criterion_6_route_equivalence(report):
             p = (_sphere_points(rng, 1) if model is sphere else _cell_points(model, rng, 1))[0]
             beta = rng.uniform(0.3, 4.0) / model.r0
             state = models.thermal_state(model, p, beta)
-            grads = [model.gradient(p, mu) for mu in range(model.dim)]
-            direct = geometry.thermal_trace_spectral(state, grads)
+            direct = geometry.thermal_trace_spectral(model, p, beta)
             f = geometry.uhlmann_curvature(model, p, beta, h=h)
             worst_trace = max(worst_trace, float(np.abs(direct - geometry.weighted_trace(state, f)).max()))
 

@@ -40,10 +40,6 @@ from uhlmann_chern.geometry import (
 from conftest import cell_points, sphere_points
 
 
-def _grads(model, p):
-    return [model.gradient(p, mu) for mu in range(model.dim)]
-
-
 # -- containers --------------------------------------------------------------
 
 
@@ -67,8 +63,7 @@ def test_curvature_components_antisymmetry(sphere):
 
 
 def test_connection_field_defect_and_drops(sphere):
-    state = models.thermal_state(sphere, np.array([1.0, 0.5]), 1.0)
-    a = uhlmann_connection_spectral(state, _grads(sphere, np.array([1.0, 0.5])))
+    a = uhlmann_connection_spectral(sphere, np.array([1.0, 0.5]), 1.0)
     assert a.dropped_pairs == 0
     assert a.anti_hermiticity_defect() <= 1e-14
     assert a.dim == 2 and a.n_dirs == 2
@@ -235,10 +230,10 @@ def test_mixing_pure_state_limit():
 
 
 def test_mixing_matches_oscillator_closed_form(coherent):
-    lam = models.thermal_weights(
-        coherent.hbar_omega * (np.arange(coherent.fock_dim) + 0.5), 0.7
+    lam = models.weights_batch(
+        coherent.hbar_omega * (np.arange(coherent.fock_dim) + 0.5)[None], 0.7
     )
-    c = geometry._mixing_batch(lam[None])[0]
+    c = geometry._mixing_batch(lam)[0]
     for n in range(6):
         for m in range(6):
             assert abs(c[n, m] - coherent.uhlmann_mixing_exact(0.7, n, m)) <= 1e-10
@@ -262,8 +257,7 @@ def test_mixing_properties(seed, n):
 def test_connection_matches_closed_form(sphere, rng):
     beta = 1.0 / sphere.radius
     for p in sphere_points(rng, 20):
-        state = models.thermal_state(sphere, p, beta)
-        a = uhlmann_connection_spectral(state, _grads(sphere, p))
+        a = uhlmann_connection_spectral(sphere, p, beta)
         exact = sphere.uhlmann_connection_exact(p, beta)
         for mu in range(2):
             assert np.abs(a.component(mu) - exact[mu]).max() <= 1e-9
@@ -271,8 +265,7 @@ def test_connection_matches_closed_form(sphere, rng):
 
 def test_connection_anti_hermitian_traceless(haldane, rng):
     for p in cell_points(haldane, rng, 10):
-        state = models.thermal_state(haldane, p, 0.8 / haldane.r0)
-        a = uhlmann_connection_spectral(state, _grads(haldane, p))
+        a = uhlmann_connection_spectral(haldane, p, 0.8 / haldane.r0)
         assert a.anti_hermiticity_defect() <= 1e-12
         for mu in range(2):
             assert abs(np.trace(a.component(mu))) <= 1e-14
@@ -283,7 +276,7 @@ def test_connection_vanishes_inside_clusters(fourband, rng):
     # in-cluster entries are pinned to zero, not merely small
     for p in cell_points(fourband, rng, 5):
         state = models.thermal_state(fourband, p, 1.1)
-        a = uhlmann_connection_spectral(state, _grads(fourband, p))
+        a = uhlmann_connection_spectral(fourband, p, 1.1)
         v = state.spectrum.eigenvectors
         for mu in range(4):
             tilde = v.conj().T @ a.component(mu) @ v
@@ -301,8 +294,7 @@ def test_connection_routes_agree(sphere, haldane, fourband, rng):
     ]
     for model, beta, pts, tol in cases:
         for p in pts:
-            state = models.thermal_state(model, p, beta)
-            spectral = uhlmann_connection_spectral(state, _grads(model, p))
+            spectral = uhlmann_connection_spectral(model, p, beta)
             fd = uhlmann_connection_sqrt_fd(model, p, beta, h=1e-4)
             assert np.abs(spectral.components - fd.components).max() <= tol
 
@@ -310,8 +302,7 @@ def test_connection_routes_agree(sphere, haldane, fourband, rng):
 def test_sqrt_route_error_is_second_order(sphere, rng):
     p = sphere_points(rng, 1)[0]
     beta = 1.2
-    state = models.thermal_state(sphere, p, beta)
-    ref = uhlmann_connection_spectral(state, _grads(sphere, p)).components
+    ref = uhlmann_connection_spectral(sphere, p, beta).components
     errs = [
         np.abs(uhlmann_connection_sqrt_fd(sphere, p, beta, h=h).components - ref).max()
         for h in (2e-3, 1e-3)
@@ -386,8 +377,7 @@ def test_trace_frozen_value(sphere):
     beta = 1.0 / sphere.radius
     for phi in (0.0, 1.234, 4.0):
         p = np.array([math.pi / 2, phi])
-        state = models.thermal_state(sphere, p, beta)
-        tr = thermal_trace_spectral(state, _grads(sphere, p))[0]
+        tr = thermal_trace_spectral(sphere, p, beta)[0]
         assert abs(tr - (-0.22087207586557628j)) <= 5e-15
         assert abs(tr - (-0.5j * math.tanh(1.0) ** 3)) <= 5e-15
         assert abs(tr - sphere.thermal_trace_exact(p, beta)) <= 1e-14
@@ -397,20 +387,14 @@ def test_trace_tanh_cubed_law(sphere, rng):
     pts = sphere_points(rng, 10)
     for beta in (0.5, 2.0):
         for p in pts:
-            grads = _grads(sphere, p)
-            cold = thermal_trace_spectral(
-                models.thermal_state(sphere, p, models.BETA_INF), grads
-            )[0]
-            warm = thermal_trace_spectral(
-                models.thermal_state(sphere, p, beta), grads
-            )[0]
+            cold = thermal_trace_spectral(sphere, p, models.BETA_INF)[0]
+            warm = thermal_trace_spectral(sphere, p, beta)[0]
             assert abs(warm - math.tanh(beta * sphere.radius) ** 3 * cold) <= 1e-9
 
 
 def test_trace_purely_imaginary(haldane, rng):
     for p in cell_points(haldane, rng, 10):
-        state = models.thermal_state(haldane, p, 0.7 / haldane.r0)
-        tr = thermal_trace_spectral(state, _grads(haldane, p))
+        tr = thermal_trace_spectral(haldane, p, 0.7 / haldane.r0)
         assert np.abs(tr.real).max() <= 1e-12
 
 
@@ -419,7 +403,7 @@ def test_trace_agrees_with_weighted_curvature(haldane, rng):
     h = 2e-5 * min(haldane.manifold.cell)
     for p in cell_points(haldane, rng, 6):
         state = models.thermal_state(haldane, p, beta)
-        direct = thermal_trace_spectral(state, _grads(haldane, p))
+        direct = thermal_trace_spectral(haldane, p, beta)
         f = uhlmann_curvature(haldane, p, beta, h=h)
         assert np.abs(direct - weighted_trace(state, f)).max() <= 1e-6
 
@@ -428,8 +412,7 @@ def test_zero_temperature_trace_equals_berry(sphere, haldane, rng):
     for model, pts in ((sphere, sphere_points(rng, 8)),
                        (haldane, cell_points(haldane, rng, 8))):
         for p in pts:
-            state = models.thermal_state(model, p, models.BETA_INF)
-            tr = thermal_trace_spectral(state, _grads(model, p))[0]
+            tr = thermal_trace_spectral(model, p, models.BETA_INF)[0]
             assert abs(tr - berry_curvature(model, p, 0).scalar(0, 1)) <= 1e-9
 
 
@@ -437,10 +420,9 @@ def test_infinite_temperature_everything_vanishes(haldane):
     # beta = 0 zeros out the mixing coefficients identically, so the
     # connection, the curvature, and the trace are exact zeros
     p = np.array([1.0, 2.0])
-    state = models.thermal_state(haldane, p, 0.0)
-    a = uhlmann_connection_spectral(state, _grads(haldane, p))
+    a = uhlmann_connection_spectral(haldane, p, 0.0)
     assert not a.components.any()
-    tr = thermal_trace_spectral(state, _grads(haldane, p))
+    tr = thermal_trace_spectral(haldane, p, 0.0)
     assert not tr.any()
     f = uhlmann_curvature(haldane, p, 0.0)
     assert not f.matrices.any()
@@ -452,8 +434,7 @@ def test_trace_grid_matches_spectral(haldane, rng):
     beta = 0.9 / haldane.r0
     grid = geometry.thermal_trace_grid(haldane, pts, beta)
     for b, p in enumerate(pts):
-        state = models.thermal_state(haldane, p, beta)
-        one = thermal_trace_spectral(state, _grads(haldane, p))
+        one = thermal_trace_spectral(haldane, p, beta)
         assert np.abs(grid[:, b] - one).max() <= 1e-14
 
 

@@ -4,11 +4,11 @@ A per-point pure-state curvature groups the levels of its point once:
 berry_curvature, wz_curvature and projector_limit_curvature take the
 labels from the same spectral-data pass as their tangents, and
 wz_curvature reads its maximal clusters off those labels. Their values
-are the batch kernels' on a batch of one, bit for bit. thermal_weights
-is weights_batch on a batch of one, with the ground cluster read off the
-given groups at BETA_INF, and an overflowing beta gives its limit without
-a numpy warning. thermal_state takes its weights from thermal_weights and
-the groups of its own decomposition, so it too groups its levels once.
+are the batch kernels' on a batch of one, bit for bit. weights_batch
+reads the ground cluster off the labels it is given at BETA_INF, and an
+overflowing beta gives its limit without a numpy warning. thermal_state
+takes its weights from weights_batch on a batch of one and the labels of
+its own decomposition, so it too groups its levels once.
 The ground cluster is label 0 of the same labels: the ground block, the
 projector limit and a CLI map chunk build no zero-temperature weights to
 find it.
@@ -78,14 +78,12 @@ def test_maximal_clusters_come_from_the_given_labels():
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 1e308, models.BETA_INF])
 def test_thermal_weights_is_weights_batch_on_one_spectrum(beta):
-    energies = np.array([-2.0, -2.0, 0.5, 3.0])
-    groups = ((0, 1), (2,), (3,))
+    energies = np.array([[-2.0, -2.0, 0.5, 3.0]])
+    labels = np.array([[0, 0, 1, 2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 1e308 overflows beta (E - E_0): weight 0, no warning
-        got = models.thermal_weights(energies, beta, groups)
-        assert np.array_equal(got, models.weights_batch(energies[None], beta)[0])
-        if beta != models.BETA_INF:
-            assert np.array_equal(models.thermal_weights(energies, beta), got)
+        got = models.weights_batch(energies, beta, labels)
+        assert np.array_equal(got, models.weights_batch(energies, beta))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, models.BETA_INF])

@@ -10,15 +10,23 @@ and non-ascending temperatures and orders 0 to 3. A second fuzz runs the
 lattice oracle, berry_curvature and wz_curvature on Haldane and sphere
 models with special parameters and with band groups of every kind:
 integers, integral and non-integral floats, NaN, repeats, empty, out of
-range, None and strings. numpy RuntimeWarnings are raised as errors, so
-an overflow or an invalid operation on the way counts as a failure too,
-a grid that is built must have the resolution asked for, and the
-oracle's value must be an int.
+range, None and strings. A third fuzz builds FourBandGamma and
+CoherentOscillator models with special parameters (fock_dim 8.0, 8.5,
+NaN, None and "8" among them) and calls thermal_state, the per-point
+views uhlmann_connection_spectral and thermal_trace_spectral,
+gradient_batch with drawn directions, first_thermal_uc on 8^2 grids and
+second_thermal_uc and second_chern_pure on 8^4 grids. numpy
+RuntimeWarnings are raised as errors, so an overflow or an invalid
+operation on the way counts as a failure too; a grid that is built must
+have the resolution asked for, an oscillator the fock_dim asked for as
+an int, a direction that is accepted must be one of the model's, and
+the oracle's value must be an int.
 """
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +71,46 @@ oracle_calls = st.tuples(
                                (models.TwoLevelSphere, (1.3,))])),  # groups are reached
     groups,
 )
-POINTS = {models.Haldane: (0.3, 0.7), models.TwoLevelSphere: (1.0, 0.5)}
+POINTS = {models.Haldane: (0.3, 0.7), models.TwoLevelSphere: (1.0, 0.5),
+          models.FourBandGamma: (0.3, 0.7, 1.1, 0.2), models.CoherentOscillator: (0.3, -0.2)}
+
+# Four-band and oscillator parameters, directions and betas for the model fuzz.
+FOCK_DIMS = st.sampled_from([8, 8.0, 8.5, 7, 129, math.nan, math.inf, None, "8"])
+directions = st.one_of(st.integers(-1, 4), st.integers(-1, 4).map(float),
+                       st.sampled_from([0.5, 1.9, math.nan, math.inf, None, "1"]))
+MODEL_KINDS = ["thermal_state", "uhlmann_connection_spectral", "thermal_trace_spectral",
+               "gradient_batch", "first_thermal_uc", "second_thermal_uc", "second_chern_pure"]
+model_calls = st.tuples(
+    st.sampled_from(MODEL_KINDS),
+    st.one_of(st.tuples(st.just(models.FourBandGamma), st.tuples(PARAMS)),
+              st.tuples(st.just(models.CoherentOscillator), st.tuples(PARAMS, FOCK_DIMS)),
+              st.sampled_from([(models.FourBandGamma, (1.5,)),  # gapped and in range, so
+                               (models.CoherentOscillator, (1.0, 8))])),  # the calls run
+    st.sampled_from(BETAS),
+    directions,
+)
+
+
+def run_model_call(call):
+    kind, (cls, params), beta, mu = call
+    model = cls(*params)
+    if cls is models.CoherentOscillator:  # the Fock dimension asked for, as an int
+        assert type(model.fock_dim) is int and model.fock_dim == params[1]
+    p = np.array(POINTS[cls])
+    if kind == "gradient_batch":  # a direction that is accepted is one of the model's
+        out = model.gradient_batch(p, mu)
+        assert mu in range(model.dim)
+        return out
+    if kind == "thermal_state":
+        state = models.thermal_state(model, p, beta)
+        return np.concatenate([state.rho.ravel(), state.weights])
+    if kind in ("uhlmann_connection_spectral", "thermal_trace_spectral"):
+        out = getattr(geometry, kind)(model, p, beta)
+        return getattr(out, "components", out)
+    grid = chern.default_grid(model, 8)
+    result = (chern.second_chern_pure(model, grid) if kind == "second_chern_pure"
+              else getattr(chern, kind)(model, beta, grid))
+    return [result.value, result.imag_residual] + [v for k, v in result.extra.items() if k != "beta"]
 
 
 def run(call):
@@ -84,6 +131,8 @@ def run(call):
         report = chern.pure_chern_fhs(model, group, chern.default_grid(model, 8), detail=True)
         assert type(report["value"]) is int
         return list(report.values())
+    if kind in MODEL_KINDS:
+        return run_model_call(call)
     if kind in ("berry_curvature", "wz_curvature"):
         (cls, params), group = args
         return getattr(geometry, kind)(cls(*params), POINTS[cls], group).matrices
@@ -109,4 +158,12 @@ def test_library_calls_raise_typed_errors_or_return_finite_values(call):
 @settings(max_examples=300, deadline=None)
 @given(oracle_calls)
 def test_oracle_and_curvatures_raise_typed_errors_or_return_finite_values(call):
+    check(call)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_calls)
+@pytest.mark.filterwarnings("ignore::uhlmann_chern.errors.ResolutionTooLowWarning",
+                            "ignore::uhlmann_chern.errors.TruncationWeightWarning")
+def test_model_calls_raise_typed_errors_or_return_finite_values(call):
     check(call)

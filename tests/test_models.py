@@ -150,26 +150,21 @@ def test_plain_periodicity_elsewhere(fourband, rng):
 
 
 def test_thermal_weights_two_level_closed_form():
-    w = models.thermal_weights(np.array([-1.0, 1.0]), 2.0)
+    w = models.weights_batch(np.array([[-1.0, 1.0]]), 2.0)[0]
     target = np.array([(1 + math.tanh(2.0)) / 2, (1 - math.tanh(2.0)) / 2])
     np.testing.assert_allclose(w, target, atol=1e-15)
 
 
 def test_thermal_weights_beta_zero_exactly_uniform():
-    w = models.thermal_weights(np.array([-2.0, 0.5, 3.0, 9.0]), 0.0)
+    w = models.weights_batch(np.array([[-2.0, 0.5, 3.0, 9.0]]), 0.0)[0]
     assert np.array_equal(w, np.full(4, 0.25))
 
 
 def test_thermal_weights_beta_inf_ground_cluster():
-    w = models.thermal_weights(
-        np.array([-3.0, -3.0, 1.0, 1.0]), models.BETA_INF, groups=((0, 1), (2, 3))
-    )
+    w = models.weights_batch(
+        np.array([[-3.0, -3.0, 1.0, 1.0]]), models.BETA_INF, labels=np.array([[0, 0, 1, 1]])
+    )[0]
     assert np.array_equal(w, np.array([0.5, 0.5, 0.0, 0.0]))
-
-
-def test_thermal_weights_beta_inf_needs_groups():
-    with pytest.raises(ValueError):
-        models.thermal_weights(np.array([-1.0, 1.0]), models.BETA_INF)
 
 
 @given(
@@ -181,7 +176,7 @@ def test_thermal_weights_beta_inf_needs_groups():
 def test_thermal_weights_properties(seed, beta, n):
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.normal(size=n))
-    w = models.thermal_weights(energies, beta)
+    w = models.weights_batch(energies[None], beta)[0]
     assert np.all(w >= 0)
     assert np.all(w <= 1)
     assert abs(w.sum() - 1.0) <= 1e-12

@@ -129,7 +129,7 @@ def beta_entry_points(model, beta):
         lambda: geometry.connection_grid(model, p[None], beta),
         lambda: geometry.uhlmann_curvature(model, p, beta),
         lambda: models.thermal_state(model, p, beta),
-        lambda: models.thermal_weights(np.array([-1.0, 1.0]), beta, [(0,), (1,)]),
+        lambda: models.weights_batch(np.array([[-1.0, 1.0]]), beta, np.array([[0, 1]])),
     ]
 
 
@@ -321,6 +321,36 @@ def test_integral_float_indices_are_integers():
                           geometry.wz_curvature(sphere, p, 1).matrices)
 
 
+DIRECTION_MODELS = (INDEX_MODEL, models.TwoLevelSphere(), models.FourBandGamma(m=1.5),
+                    models.CoherentOscillator(fock_dim=8))
+
+
+@pytest.mark.parametrize("value", [0.5, 1.9, 8.5, math.nan, math.inf, None, "1", "8"])
+def test_directions_and_fock_dims_are_checked_not_truncated(value):
+    # int() used to make 0.5 direction 0 and "1" direction 1, and an
+    # oscillator with fock_dim 8.5 failed only in its first thermal state.
+    for model in DIRECTION_MODELS:
+        p = np.full((1, model.dim), 0.3)
+        with pytest.raises(InvalidArgument):
+            model.gradient_batch(p, value)
+        if hasattr(model, "r_gradient_batch"):
+            with pytest.raises(InvalidArgument):
+                model.r_gradient_batch(p, value)
+    with pytest.raises(InvalidArgument):
+        models.CoherentOscillator(fock_dim=value)
+
+
+def test_integral_float_directions_and_fock_dims_are_integers():
+    for model in DIRECTION_MODELS:
+        p = np.full((1, model.dim), 0.3)
+        assert np.array_equal(model.gradient_batch(p, 1.0), model.gradient_batch(p, 1))
+    model = models.CoherentOscillator(fock_dim=8.0)
+    assert type(model.fock_dim) is int and model == models.CoherentOscillator(fock_dim=8)
+    p = np.array([0.1, 0.2])  # beta 8: the weight has decayed by half the ladder
+    assert np.array_equal(models.thermal_state(model, p, 8.0).rho,
+                          models.thermal_state(models.CoherentOscillator(fock_dim=8), p, 8.0).rho)
+
+
 def test_integral_float_resolutions_are_integers():
     model = haldane_with_mass(0.3)
     grid = chern.GridSpec(model.manifold, (8.0, 9.0))
@@ -339,7 +369,6 @@ def test_argument_errors_are_typed_value_errors():
         lambda: chern.temperature_sweep(model, [0.5], grid, order=3),
         lambda: geometry.uhlmann_curvature(model, p, 1.0).scalar(0, 1),
         lambda: geometry.uhlmann_curvature(model, p, 1.0, connection_route="other"),
-        lambda: models.thermal_weights(np.array([-1.0, 1.0]), models.BETA_INF),
     ]
     for call in calls:
         with pytest.raises(InvalidArgument):

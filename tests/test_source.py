@@ -25,7 +25,10 @@ geometry._commutators, one block product per COMMUTATOR_BLOCK points
 instead of one small stacked product per direction pair. GAP_FLOOR is
 read only inside geometry._require_isolated, the one gap rule of the
 pure-state curvatures and the lattice oracle, so no second copy of the
-rule can drift from it. src/ raises no bare ValueError: an argument error
+rule can drift from it. Tangent matrices have one path: the eigenbasis
+gradients are formed only in geometry._frame_data, and the gap mask and
+division only in geometry._spectral_data, which every grid kernel and
+per-point view runs. src/ raises no bare ValueError: an argument error
 is an InvalidArgument (a ValueError too), so callers can catch every
 deliberate error as a UhlmannChernError. The checks parse src/ with ast
 so they see every call regardless of formatting.
@@ -205,6 +208,19 @@ def test_fhs_links_are_formed_only_in_the_chunk_job():
     # No np.roll copies: the oracle's links and plaquettes are slices.
     assert not [site for site in sites if site[1] == "roll"]
     assert {func for func, name, _ in sites if name == "_link_phases"} == {"_fhs_job"}
+
+
+TANGENT_STEPS = {"_eigenbasis_gradients", "_gap_mask", "_divide_gaps"}
+
+
+def test_tangents_have_one_path():
+    sites = set()
+    for path in sorted((SRC / "uhlmann_chern").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites |= {(path.name, func, name) for func, name, _ in named_calls(tree, TANGENT_STEPS)}
+    assert sites == {("geometry.py", "_frame_data", "_eigenbasis_gradients"),
+                     ("geometry.py", "_spectral_data", "_gap_mask"),
+                     ("geometry.py", "_spectral_data", "_divide_gaps")}
 
 
 STENCIL_NAMES = {"uhlmann_curvature_grid", "_fd_shift_stack", "_curvature_from_stack"}
