@@ -112,9 +112,6 @@ class GridSpec:
         idx = np.unravel_index(np.arange(start, stop), self.resolution)
         return np.column_stack([self.axis(d)[i] for d, i in enumerate(idx)])
 
-    def chunk_ranges(self, chunk_size: int = CHUNK_SIZE):
-        return _chunk_ranges(self.n_points, chunk_size)
-
 
 def _chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE):
     return [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
@@ -516,29 +513,29 @@ def beta_from_temperature(t_over_r0: float, r0: float) -> float:
     return 1.0 / scale
 
 
-def temperature_sweep(model, temperatures, grid: GridSpec, order: int = 1,
-                      workers: int = 1, degeneracy_tol: float = DEGENERACY_TOL) -> SweepResult:
+def temperature_sweep(model, temperatures, grid: GridSpec, workers: int = 1,
+                      degeneracy_tol: float = DEGENERACY_TOL) -> SweepResult:
     """Thermal Chern number across a scan of temperatures (in units of
     the model's energy scale R0), with per-temperature diagnostics.
 
-    All temperatures are integrated in one pass over the grid (one
-    process pool at most), and each value equals the single-temperature
-    integral bit for bit. The diagnostics come from the closed-form
-    Uhlmann curvature F at a fixed sample of 12 grid points, whose
-    temperature-independent frame is built once (one eigenframe batch
-    of the sample). Each temperature records the integral's imaginary
-    residual, the maximum |tr F| over the sample (tracelessness check),
-    and a route disagreement: first order compares Tr(rho F) from F
-    against the spectral trace from the same frame; second order
-    compares the two integral routes.
+    The order is the model's dimension over two: first order on a 2D
+    model, second order on a 4D one. All temperatures are integrated in
+    one pass over the grid (one process pool at most), and each value
+    equals the single-temperature integral bit for bit. The diagnostics
+    come from the closed-form Uhlmann curvature F at a fixed sample of 12
+    grid points, whose temperature-independent frame is built once (one
+    eigenframe batch of the sample). Each temperature records the
+    integral's imaginary residual, the maximum |tr F| over the sample
+    (tracelessness check), and a route disagreement: first order compares
+    Tr(rho F) from F against the spectral trace from the same frame;
+    second order compares the two integral routes.
     """
     temps = [float(t) for t in temperatures]
     if not temps:
         raise InvalidArgument("temperatures: empty")
     if any(t <= 0 for t in temps) or any(t2 <= t1 for t1, t2 in zip(temps, temps[1:])):
         raise InvalidArgument("temperatures must be positive and strictly ascending")
-    if order not in (1, 2):
-        raise InvalidArgument("order must be 1 or 2")
+    order = model.dim // 2
     betas = [beta_from_temperature(t, model.r0) for t in temps]
     if order == 1:
         results = _first_order_results(model, betas, grid, workers, degeneracy_tol)

@@ -139,10 +139,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
     model = _build_model(cfg)
     grid = _build_grid(model, cfg)
     run = cfg["run"]
-    dim = model.manifold.dim
-    order = int(run.get("order", 1 if dim == 2 else 2))
-    if (order == 1) != (dim == 2):
-        raise ConfigError(f"run.order: order {order} needs a {'2' if order == 1 else '4'}D model")
+    if run.get("order", model.dim // 2) != model.dim // 2:  # it only confirms the sweep order
+        raise ConfigError(f"run.order: order {run['order']} does not match a {model.dim}D model")
     temperatures = run.get("temperatures")
     if temperatures is None:
         raise ConfigError("run.temperatures: required for sweep")
@@ -151,7 +149,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
     start = time.perf_counter()
     try:
         result = chern.temperature_sweep(
-            model, temperatures, grid=grid, order=order, workers=workers, degeneracy_tol=tol
+            model, temperatures, grid=grid, workers=workers, degeneracy_tol=tol
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -171,7 +169,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
             "grid_resolution": list(grid.resolution),
             "grid_offset": grid.offset,
             "r0": model.r0,
-            "order": order,
+            "order": result.order,
             "workers": workers,
             "temperatures": [float(t) for t in temperatures],
             "tolerances": {"degeneracy": tol},

@@ -20,19 +20,19 @@ of one kernel, _cluster_curvature, and one gap rule, _require_isolated,
 decides for them and for the lattice oracle whether a run is isolated.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
-uhlmann_curvature_spectral_grid differentiates the spectral connection
-in closed form from one point's eigen-data. The integrals and sweep
-diagnostics use its temperature-independent half (curvature_frame_grid:
-tangents and their commutators, the curl of the tangents by the
-Maurer-Cartan equation) once per batch and its per-temperature half
-(uhlmann_curvature_from_frame, assembled in place) per beta; both take
-their products from _commutators, one block product per block of points.
+The closed form differentiates the spectral connection from one point's
+eigen-data in two halves, which the integrals and sweep diagnostics use:
+the temperature-independent curvature_frame_grid (tangents and their
+commutators, the curl of the tangents by the Maurer-Cartan equation) once
+per batch, and uhlmann_curvature_from_frame (assembled in place) per beta;
+both take their products from _commutators, one block product per block of points.
 On a two-valued spectrum (each level bitwise the lowest or the highest, in
 two clusters: two levels, or two doublets) the per-beta half makes no product,
 as C = 1 - sech(beta Delta / 2) wherever T lives: [K_mu, K_nu] - (1 - C o keep)
 o [T_mu, T_nu] = -tanh^2(beta Delta / 2) [T_mu, T_nu], the two-level tanh law.
-uhlmann_curvature_grid and uhlmann_curvature difference the connection
-field on a central stencil, as its independent cross-check.
+uhlmann_curvature_grid differences connection_grid on a central stencil,
+as its independent cross-check; uhlmann_curvature's spectral route is its
+batch of one.
 """
 from __future__ import annotations
 
@@ -306,24 +306,20 @@ def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
 
 def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Spectral-route Uhlmann connection components over a point batch,
-    shape (d, B, N, N), in the original (not eigen-) basis."""
+    shape (d, B, N, N), in the original (not eigen-) basis: A = v (-C o T)
+    v^dagger with C the weight-mixing coefficients and T the tangents."""
     w, v, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
-    return _connection_from_data(v, _mixing_batch(lam, _pair_exponents(w, beta)), t)
-
-
-def _connection_from_data(v, c, t) -> np.ndarray:
-    """A = v (-C o T) v^dagger, (d, B, N, N), from the eigenvectors, the
-    mixing coefficients and the tangent matrices."""
+    c = _mixing_batch(lam, _pair_exponents(w, beta))
     return np.einsum("bij,dbjk,blk->dbil", v, -c[None] * t, v.conj(), optimize=True)
 
 
 def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
-    """The temperature-independent half of
-    uhlmann_curvature_spectral_grid: (w, labels, t, delta, keep, tt)
-    with w (B, N) and its cluster labels, the tangents t (d, B, N, N),
-    the energy-derivative gaps delta (d, B, N, N), the off-cluster mask
-    keep (B, N, N), and per direction pair the commutator tt =
-    [T_mu, T_nu] (P, B, N, N) from _commutators."""
+    """The temperature-independent half of the closed-form Uhlmann
+    curvature: (w, labels, t, delta, keep, tt) with w (B, N) and its
+    cluster labels, the tangents t (d, B, N, N), the energy-derivative
+    gaps delta (d, B, N, N), the off-cluster mask keep (B, N, N), and per
+    direction pair the commutator tt = [T_mu, T_nu] (P, B, N, N) from
+    _commutators."""
     w, _, g, labels, keep, t = _spectral_data(model, pts, degeneracy_tol)
     de = np.diagonal(g, axis1=-2, axis2=-1).real
     delta = de[:, :, :, None] - de[:, :, None, :]
@@ -331,11 +327,31 @@ def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
 
 
 def uhlmann_curvature_from_frame(frame, beta: float):
-    """The temperature-dependent half of uhlmann_curvature_spectral_grid: (f, lam) at
-    one beta from a curvature_frame_grid result, the d C terms in place through one
-    (B, N, N) buffer. If each spectrum is two-valued (every level bitwise w[:, 0] or
-    w[:, -1], the last label 1), C = 1 - sech(beta Delta / 2) wherever T lives, tt is
-    block-diagonal and [K_mu, K_nu] - (1 - C o keep) o tt = -tanh^2(beta Delta / 2) tt."""
+    """Uhlmann curvature in closed form, in the energy eigenbasis, at one
+    beta from a curvature_frame_grid result: returns (f, lam) with f
+    (P, B, N, N) holding v^dagger F_{mu nu} v and lam (B, N) the thermal
+    weights, so that rho = diag(lam) in the same basis.
+
+    Differentiates the spectral connection M = -C o T in the parallel
+    gauge, where v^dagger dv equals T off-cluster and vanishes inside
+    degenerate clusters. With C = 1 - sech(x/2), x_jk = beta (E_j - E_k),
+    K = T + M and keep the off-cluster mask,
+
+        F = [K_mu, K_nu] - (1 - C o keep) o [T_mu, T_nu]
+            - (d_mu C o T_nu - d_nu C o T_mu),
+
+    where d_mu C = (beta/2) sech(x/2) tanh(x/2) Delta_mu, Delta_mu,jk =
+    d_mu E_j - d_mu E_k and d_mu E_j = Re (v^dagger d_mu H v)_jj. The
+    curl of T comes from the Maurer-Cartan equation d(v^dagger dv) +
+    (v^dagger dv)^(v^dagger dv) = 0: off-cluster, (d_mu T_nu -
+    d_nu T_mu)_jk = -[T_mu, T_nu]_jk, and inside a cluster it vanishes.
+    Only the eigen-data of one evaluation of H and dH per point enter: no
+    finite differences, no Hessians. The d C terms are assembled in place
+    through one (B, N, N) buffer. If each spectrum is two-valued (every
+    level bitwise w[:, 0] or w[:, -1], the last label 1), C = 1 - sech(beta
+    Delta / 2) wherever T lives, tt is block-diagonal and [K_mu, K_nu] -
+    (1 - C o keep) o tt = -tanh^2(beta Delta / 2) tt.
+    """
     w, labels, t, delta, keep, tt = frame
     lam = weights_batch(w, beta, labels=labels)
     x = _pair_exponents(w, beta)
@@ -356,32 +372,6 @@ def uhlmann_curvature_from_frame(frame, beta: float):
             f[i] -= np.multiply(dc[mu], t[nu], out=buf)
             f[i] += np.multiply(dc[nu], t[mu], out=buf)
     return f, lam
-
-
-def uhlmann_curvature_spectral_grid(model, pts, beta: float,
-                                    degeneracy_tol: float = DEGENERACY_TOL):
-    """Uhlmann curvature in closed form, in the energy eigenbasis, over a
-    point batch: returns (f, lam) with f (P, B, N, N) holding
-    v^dagger F_{mu nu} v and lam (B, N) the thermal weights, so that
-    rho = diag(lam) in the same basis.
-
-    Differentiates the spectral connection M = -C o T in the parallel
-    gauge, where v^dagger dv equals T off-cluster and vanishes inside
-    degenerate clusters. With C = 1 - sech(x/2), x_jk = beta (E_j - E_k),
-    K = T + M and keep the off-cluster mask,
-
-        F = [K_mu, K_nu] - (1 - C o keep) o [T_mu, T_nu]
-            - (d_mu C o T_nu - d_nu C o T_mu),
-
-    where d_mu C = (beta/2) sech(x/2) tanh(x/2) Delta_mu, Delta_mu,jk =
-    d_mu E_j - d_mu E_k and d_mu E_j = Re (v^dagger d_mu H v)_jj. The
-    curl of T comes from the Maurer-Cartan equation d(v^dagger dv) +
-    (v^dagger dv)^(v^dagger dv) = 0: off-cluster, (d_mu T_nu -
-    d_nu T_mu)_jk = -[T_mu, T_nu]_jk, and inside a cluster it vanishes.
-    Only the eigen-data of one evaluation of H and dH per point enter: no
-    finite differences, no Hessians.
-    """
-    return uhlmann_curvature_from_frame(curvature_frame_grid(model, pts, degeneracy_tol), beta)
 
 
 def _require_isolated(w, labels, lo, hi, error) -> None:
@@ -468,7 +458,7 @@ def _default_step(model, h) -> float:
 
 def _curvature_from_stack(a_stack, h, dim, pairs):
     """Assemble F = dA + A^A from connection fields evaluated on a
-    _fd_shift_stack layout. a_stack has shape (2 dim + 1, ..., d, N, N)
+    _fd_shift_stack layout. a_stack has shape (2 dim + 1, d, ..., N, N)
     where ... are optional batch axes; returns (P, ..., N, N)."""
     da = (a_stack[1::2] - a_stack[2::2]) / (2.0 * h)  # da[mu][nu] = d_mu A_nu
     a0 = a_stack[0]
@@ -477,31 +467,22 @@ def _curvature_from_stack(a_stack, h, dim, pairs):
 
 def uhlmann_curvature_grid(
     model, pts, beta: float, h: float | None = None, degeneracy_tol: float = DEGENERACY_TOL
-):
-    """Uhlmann curvature components and density matrices over a point
-    batch, by finite differences: returns (f, rho) with f (P, B, N, N)
-    and rho (B, N, N) in the original basis.
+) -> np.ndarray:
+    """Uhlmann curvature components F (P, B, N, N) over a point batch, in
+    the original basis, by finite differences of connection_grid.
 
     The exterior-derivative part is a central finite difference of the
-    spectral-route connection field; all 2 dim + 1 evaluation points of
-    the whole batch go through one stacked eigendecomposition, whose
-    centre slice also gives rho. This is the cross-check of
-    uhlmann_curvature_spectral_grid, which the integrals use.
+    spectral-route connection field: all 2 dim + 1 evaluation points of
+    the whole batch go through one connection_grid call, and so one
+    stacked eigendecomposition. This is the cross-check of the closed
+    form (curvature_frame_grid and uhlmann_curvature_from_frame), which
+    the integrals use.
     """
-    pts = np.asarray(pts, dtype=np.float64)
     h = _default_step(model, h)
-    dim = model.dim
-    n_shift = 2 * dim + 1
-    b = pts.shape[0]
-    flat = _fd_shift_stack(pts, h, dim).reshape(n_shift * b, dim)
-    w, v, lam, t = spectral_data_grid(model, flat, beta, degeneracy_tol)
-    a_flat = _connection_from_data(v, _mixing_batch(lam, _pair_exponents(w, beta)), t)
-    n = a_flat.shape[-1]
-    a_stack = a_flat.reshape(dim, n_shift, b, n, n).transpose(1, 0, 2, 3, 4)
-    f = _curvature_from_stack(a_stack, h, dim, direction_pairs(dim))
-    v, lam = v[:b], lam[:b]  # stack index 0: the centre points
-    rho = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return f, rho
+    stack = _fd_shift_stack(pts, h, model.dim)  # (2 dim + 1, B, d)
+    a = connection_grid(model, stack.reshape(-1, stack.shape[-1]), beta, degeneracy_tol)
+    a = a.reshape(a.shape[:1] + stack.shape[:-1] + a.shape[2:]).swapaxes(0, 1)
+    return _curvature_from_stack(a, h, model.dim, direction_pairs(model.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +611,7 @@ def uhlmann_curvature(model, p, beta: float, connection_route: str = "spectral",
     p = np.asarray(p, dtype=np.float64)
     h = _default_step(model, h)
     if connection_route == "spectral":
-        f, _ = uhlmann_curvature_grid(model, p[None, :], beta, h, degeneracy_tol)
+        f = uhlmann_curvature_grid(model, p[None, :], beta, h, degeneracy_tol)
         return CurvatureComponents(direction_pairs(model.dim), f[:, 0])
     if connection_route != "sqrt_fd":
         raise InvalidArgument(f"unknown connection route {connection_route!r}")

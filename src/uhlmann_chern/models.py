@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 import warnings
@@ -128,6 +129,16 @@ def _integer(value, what: str) -> int:
     raise InvalidArgument(f"{what} {value!r} is not integral")
 
 
+def _real(value, what: str) -> float:
+    """A real number as a float, NaN and +-inf included (each model checks those
+    itself), else InvalidArgument: a string, None, a complex value or an integer
+    too large for a float."""
+    if isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise InvalidArgument(f"{what} {value!r} is not a real number")
+
+
 def _check_direction(mu: int, dim: int) -> int:
     mu = _integer(mu, "direction")
     if not 0 <= mu < dim:
@@ -196,9 +207,10 @@ class TwoLevelSphere(_DiracModel):
     radius: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.radius):
+        radius = _real(self.radius, "radius")
+        if not math.isfinite(radius):
             raise NonFiniteInput(f"radius must be finite, got {self.radius!r}")
-        if not self.radius > 0:
+        if not radius > 0:
             raise ManifoldMismatch("radius must be positive")
 
     dim = 2
@@ -303,11 +315,12 @@ class Haldane(_DiracModel):
     M: float
 
     def __post_init__(self):
-        if self.t1 == 0:
+        t1, _, phi, _ = (_real(getattr(self, name), name) for name in ("t1", "t2", "phi", "M"))
+        if t1 == 0:
             raise ManifoldMismatch("t1 must be nonzero")
         # Other non-finite parameters surface as a non-finite spectrum;
         # math.sin would raise an untyped ValueError on an infinite phi.
-        if math.isinf(self.phi):
+        if math.isinf(phi):
             raise NonFiniteInput(f"phi must be finite, got {self.phi!r}")
 
     dim = 2
@@ -395,6 +408,9 @@ class FourBandGamma(_DiracModel):
     """
 
     m: float
+
+    def __post_init__(self):
+        _real(self.m, "m")  # a non-finite m surfaces as a non-finite spectrum
 
     dim = 4
     _basis = GAMMA
@@ -494,10 +510,11 @@ class CoherentOscillator(_Model):
             raise ManifoldMismatch("fock_dim must be at least 8")
         if self.fock_dim > 128:
             raise ManifoldMismatch("fock_dim above 128 is not supported")
-        if not 0 < self.hbar_omega < math.inf:
+        hbar_omega = _real(self.hbar_omega, "hbar_omega")
+        if not 0 < hbar_omega < math.inf:
             raise ManifoldMismatch("hbar_omega must be positive and finite")
         # H and dH sum fock_dim products of levels, each up to hbar_omega fock_dim.
-        if not math.isfinite(float(self.hbar_omega) * self.fock_dim**2):
+        if not math.isfinite(hbar_omega * self.fock_dim**2):
             raise NonFiniteInput(f"hbar_omega {self.hbar_omega!r} * fock_dim^2 overflows")
 
     dim = 2

@@ -288,7 +288,7 @@ def test_trace_coefficients_run_once_per_chunk(monkeypatch, haldane):
 
     monkeypatch.setattr(geometry, "_trace_coefficients", counted)
     grid = chern.default_grid(haldane, 96)  # 9216 points: three chunks
-    chunks = len(grid.chunk_ranges())
+    chunks = len(chern._chunk_ranges(grid.n_points))
     assert chunks == 3
     for betas in [(1.0,), BETAS]:
         calls.clear()

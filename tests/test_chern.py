@@ -54,7 +54,7 @@ def test_gridspec_layout(haldane):
     # row-major: the last coordinate varies fastest
     assert pts[0, 0] == pts[1, 0] == pts[2, 0]
     assert pts[1, 1] > pts[0, 1]
-    ranges = g.chunk_ranges(chunk_size=20)
+    ranges = chern._chunk_ranges(g.n_points, 20)
     assert ranges[0] == (0, 20)
     assert ranges[-1][1] == 64
     covered = sum(b - a for a, b in ranges)
@@ -295,8 +295,6 @@ def test_sweep_input_validation(haldane):
         temperature_sweep(haldane, [0.5, 0.5], grid)
     with pytest.raises(ValueError, match="positive and strictly ascending"):
         temperature_sweep(haldane, [-1.0, 0.5], grid)
-    with pytest.raises(ValueError, match="order"):
-        temperature_sweep(haldane, [1.0], grid, order=3)
 
 
 def test_first_order_sweep_decays(haldane_ref):
@@ -320,7 +318,7 @@ def test_first_order_sweep_decays(haldane_ref):
 def test_second_order_sweep(fourband):
     grid = default_grid(fourband, 8)
     with pytest.warns(ResolutionTooLowWarning):
-        sweep = temperature_sweep(fourband, [0.4, 1.2], grid, order=2)
+        sweep = temperature_sweep(fourband, [0.4, 1.2], grid)
     assert sweep.order == 2
     assert abs(sweep.values[1]) < abs(sweep.values[0])
     for diag in sweep.diagnostics:

@@ -53,7 +53,7 @@ def test_first_order_sweep_equals_single_temperature_integrals(haldane, workers)
 def test_second_order_sweep_equals_single_temperature_integrals(fourband, workers):
     grid = chern.default_grid(fourband, 9)  # two chunks
     temps = [0.4, 1.2]
-    sweep = chern.temperature_sweep(fourband, temps, grid, order=2, workers=workers)
+    sweep = chern.temperature_sweep(fourband, temps, grid, workers=workers)
     for t, value, diag in zip(temps, sweep.values, sweep.diagnostics):
         lone = chern.second_thermal_uc(fourband, chern.beta_from_temperature(t, fourband.r0), grid)
         assert value == lone.value
@@ -77,7 +77,8 @@ def test_curvature_frame_serves_every_beta(request, rng, name):
     frame = geometry.curvature_frame_grid(model, pts)
     for beta in (0.3, 2.0, models.BETA_INF):
         f, lam = geometry.uhlmann_curvature_from_frame(frame, beta)
-        ref_f, ref_lam = geometry.uhlmann_curvature_spectral_grid(model, pts, beta)
+        ref_f, ref_lam = geometry.uhlmann_curvature_from_frame(
+            geometry.curvature_frame_grid(model, pts), beta)
         assert np.array_equal(f, ref_f) and np.array_equal(lam, ref_lam)
 
 
@@ -90,8 +91,7 @@ def test_each_call_starts_one_pool(haldane, fourband, pools):
     assert pools == [2]
     chern.second_thermal_uc(fourband, 1.0, chern.default_grid(fourband, 9), workers=2)
     assert pools == [2, 2]
-    chern.temperature_sweep(fourband, [0.4, 1.2], chern.default_grid(fourband, 9), order=2,
-                            workers=2)
+    chern.temperature_sweep(fourband, [0.4, 1.2], chern.default_grid(fourband, 9), workers=2)
     assert pools == [2, 2, 2]
     chern.pure_chern_fhs(haldane, 0, chern.default_grid(haldane, 72), workers=2)
     assert pools == [2, 2, 2, 2]

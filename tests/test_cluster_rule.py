@@ -101,7 +101,8 @@ def test_cluster_labels_are_computed_once_per_batch(monkeypatch):
         lambda: geometry.spectral_data_grid(model, pts, models.BETA_INF),
         lambda: geometry.spectral_data_grid(model, pts, (0.5, models.BETA_INF)),
         lambda: geometry.ground_block_curvature_grid(model, pts),
-        lambda: geometry.uhlmann_curvature_spectral_grid(model, pts, 0.5),
+        lambda: geometry.uhlmann_curvature_from_frame(
+            geometry.curvature_frame_grid(model, pts), 0.5),
         lambda: geometry.thermal_trace_grid(model, pts, (0.5, 2.0, models.BETA_INF)),
     ):
         calls.clear()

@@ -362,8 +362,8 @@ def test_step_bounds(sphere):
 
 def test_curvature_grid_matches_pointwise(sphere, rng):
     pts = sphere_points(rng, 5)
-    f, rho = geometry.uhlmann_curvature_grid(sphere, pts, 1.3)
-    assert rho.shape == (5, 2, 2)
+    f = geometry.uhlmann_curvature_grid(sphere, pts, 1.3)
+    assert f.shape == (1, 5, 2, 2)
     for b, p in enumerate(pts):
         ref = uhlmann_curvature(sphere, p, 1.3)
         assert np.array_equal(f[:, b], ref.matrices)

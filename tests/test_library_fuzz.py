@@ -6,9 +6,10 @@ them directly: GridSpec resolutions (integers, integral floats,
 non-integral values, +-inf, NaN and sizes past an index); weights_batch
 and the sphere's three closed-form references at special betas; and
 temperature_sweep on an 8^2 sphere grid with empty, zero, negative, NaN
-and non-ascending temperatures and orders 0 to 3. A second fuzz runs the
-lattice oracle, berry_curvature and wz_curvature on Haldane and sphere
-models with special parameters and with band groups of every kind:
+and non-ascending temperatures. A second fuzz runs the lattice oracle,
+berry_curvature and wz_curvature on Haldane and sphere models with
+special parameters (among them "1", None, 1j and 10**400, no real
+number, which every constructor rejects) and with band groups of every kind:
 integers, integral and non-integral floats, NaN, repeats, empty, out of
 range, None and strings. A third fuzz builds FourBandGamma and
 CoherentOscillator models with special parameters (fock_dim 8.0, 8.5,
@@ -53,13 +54,14 @@ calls = st.one_of(
     st.tuples(st.just("weights"), spectra, st.sampled_from(BETAS)),
     st.tuples(st.sampled_from(["thermal_trace_exact", "uhlmann_curvature_exact",
                                "uhlmann_connection_exact"]), sphere_points, st.sampled_from(BETAS)),
-    st.tuples(st.just("sweep"), temperatures, st.integers(0, 3)),
+    st.tuples(st.just("sweep"), temperatures),
 )
 
 
-# Model parameters, band groups and curvature points for the oracle fuzz.
+# Model parameters, band groups and curvature points for the oracle fuzz;
+# the parameters include values that are no real number.
 PARAMS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf, math.nan,
-                          5e-324])
+                          5e-324, "1", None, 1j, 10**400])
 indices = st.one_of(st.integers(-1, 3), st.integers(-1, 3).map(float),
                     st.sampled_from([0.5, 1.9, math.nan, math.inf, None, "a", "1"]))
 groups = st.one_of(indices, st.lists(indices, max_size=3), st.just([0, 0]))
@@ -122,7 +124,7 @@ def run(call):
     if kind == "weights":
         return models.weights_batch(*args)
     if kind == "sweep":  # T = inf and beta = inf are inputs, not results
-        result = chern.temperature_sweep(SPHERE, args[0], SPHERE_GRID, order=args[1])
+        result = chern.temperature_sweep(SPHERE, args[0], SPHERE_GRID)
         return [result.values] + [[d[key] for d in result.diagnostics] for key in
                                   ("imag_residual", "max_trace_residual", "route_disagreement")]
     if kind == "pure_chern_fhs":

@@ -351,6 +351,24 @@ def test_integral_float_directions_and_fock_dims_are_integers():
                           models.thermal_state(models.CoherentOscillator(fock_dim=8), p, 8.0).rho)
 
 
+HALDANE_PARAMS = {"t1": 1.0, "t2": 0.5, "phi": 0.3, "M": 0.2}
+REAL_FIELDS = [(models.TwoLevelSphere, {}, "radius"), (models.FourBandGamma, {}, "m"),
+               (models.CoherentOscillator, {"fock_dim": 8}, "hbar_omega")]
+REAL_FIELDS += [(models.Haldane, HALDANE_PARAMS, name) for name in HALDANE_PARAMS]
+
+
+@pytest.mark.parametrize("value", ["1", None, 1j, complex(1.0), np.complex128(1.0), 10**400],
+                         ids=["str", "None", "complex", "complex_real", "numpy_complex", "huge_int"])
+def test_model_parameters_must_be_real_numbers(value):
+    # Strings and None used to raise TypeError or fail only in hamiltonian_batch,
+    # "1" for the four-band mass a numpy UFuncTypeError, a complex value a
+    # wrong-shape ValueError, and 10**400 an OverflowError.
+    for cls, params, name in REAL_FIELDS:
+        with pytest.raises(InvalidArgument, match="is not a real number"):
+            cls(**{**params, name: value})
+        cls(**{**params, name: np.float64(0.7)})  # numpy reals are real numbers
+
+
 def test_integral_float_resolutions_are_integers():
     model = haldane_with_mass(0.3)
     grid = chern.GridSpec(model.manifold, (8.0, 9.0))
@@ -366,7 +384,6 @@ def test_argument_errors_are_typed_value_errors():
         lambda: chern.GridSpec(model.manifold, (7, 8)),
         lambda: chern.temperature_sweep(model, [], grid),
         lambda: chern.temperature_sweep(model, [0.5, 0.2], grid),
-        lambda: chern.temperature_sweep(model, [0.5], grid, order=3),
         lambda: geometry.uhlmann_curvature(model, p, 1.0).scalar(0, 1),
         lambda: geometry.uhlmann_curvature(model, p, 1.0, connection_route="other"),
     ]

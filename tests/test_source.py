@@ -11,7 +11,9 @@ its chunk job, so pure_chern_fhs never holds a grid of frames or
 links. chern never references the finite-difference curvature
 (uhlmann_curvature_grid, _fd_shift_stack, _curvature_from_stack): its
 integrals and sweep diagnostics use the closed-form curvature, and the
-stencil stays an independent cross-check outside it. models imports no
+stencil stays an independent cross-check outside it. The stencil
+differences connection_grid, the one connection kernel, and only it and
+thermal_trace_grid call spectral_data_grid. models imports no
 package module but errors and linalg, since geometry and chern import
 models. The Haldane chunk kernels stay batch-major: _trace_pairs,
 _eps_contraction and _link_phases pass no optimize= to np.einsum (on
@@ -250,7 +252,7 @@ def test_detector_finds_name_references_and_their_functions():
     code = "\n".join([
         "from .geometry import uhlmann_curvature_grid, thermal_trace_grid",
         "def temperature_sweep(model):",
-        "    f, rho = uhlmann_curvature_grid(model, pts, beta)",
+        "    f = uhlmann_curvature_grid(model, pts, beta)",
         "    return geometry._fd_shift_stack",
         "def other(model):",
         "    uhlmann_curvature_grid_like = 1",
@@ -264,6 +266,17 @@ def test_detector_finds_name_references_and_their_functions():
 def test_chern_never_references_the_stencil():
     path = SRC / "uhlmann_chern" / "chern.py"
     assert name_references(ast.parse(path.read_text(), filename=str(path)), STENCIL_NAMES) == []
+
+
+def test_the_stencil_differences_the_one_connection_kernel():
+    sites = set()
+    for path in sorted((SRC / "uhlmann_chern").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites |= {(func, name) for func, name, _ in
+                  named_calls(tree, {"spectral_data_grid", "connection_grid"})}
+    assert {func for func, name in sites if name == "spectral_data_grid"} == {
+        "thermal_trace_grid", "connection_grid"}
+    assert ("uhlmann_curvature_grid", "connection_grid") in sites
 
 
 def package_imports(tree: ast.AST, package: str = "uhlmann_chern"):

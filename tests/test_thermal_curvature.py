@@ -1,7 +1,8 @@
 """The closed-form Uhlmann curvature against its references.
 
-geometry.uhlmann_curvature_spectral_grid differentiates the spectral
-connection analytically, in the energy eigenbasis. Its references are
+geometry.curvature_frame_grid and uhlmann_curvature_from_frame
+differentiate the spectral connection analytically, in the energy
+eigenbasis. Their references are
 the sphere's closed form, the central-difference stencil
 (uhlmann_curvature_grid), whose gap to the closed form must shrink
 fourfold when the step halves, and, for the 4D integral it feeds, the
@@ -21,6 +22,11 @@ from uhlmann_chern.errors import ResolutionTooLowWarning
 from conftest import EighFourBand, random_hermitian, random_points, sphere_points
 
 
+def closed_form(model, pts, beta):
+    """(f, lam) of the closed form's two halves at one beta."""
+    return geometry.uhlmann_curvature_from_frame(geometry.curvature_frame_grid(model, pts), beta)
+
+
 def to_original_basis(model, pts, f):
     """v F v^dagger for eigenbasis curvature stacks f (P, B, N, N)."""
     _, v, _, _ = geometry.spectral_data_grid(model, pts, 1.0)
@@ -31,7 +37,7 @@ def to_original_basis(model, pts, f):
 def test_sphere_matches_closed_form(rng, beta):
     model = models.TwoLevelSphere(radius=1.3)
     pts = sphere_points(rng, 20)
-    f, lam = geometry.uhlmann_curvature_spectral_grid(model, pts, beta)
+    f, lam = closed_form(model, pts, beta)
     assert f.shape == (1, 20, 2, 2)
     assert lam.shape == (20, 2)
     got = to_original_basis(model, pts, f)[0]
@@ -52,11 +58,11 @@ def test_stencil_gap_is_its_truncation_error(request, rng, name, zero_temperatur
         beta = models.BETA_INF
     else:
         beta = 0.8 if name == "coherent" else 1.1 / model.r0
-    f, _ = geometry.uhlmann_curvature_spectral_grid(model, pts, beta)
+    f, _ = closed_form(model, pts, beta)
     exact = to_original_basis(model, pts, f)
     gaps = []
     for h in (4e-3, 2e-3):
-        stencil, _ = geometry.uhlmann_curvature_grid(model, pts, beta, h=h)
+        stencil = geometry.uhlmann_curvature_grid(model, pts, beta, h=h)
         gaps.append(float(np.abs(stencil - exact).max()))
     assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.5)
 
@@ -125,7 +131,7 @@ def test_epsilon_route_matches_determinant_route(mass, beta):
 @pytest.mark.parametrize("name", ["sphere", "haldane", "fourband", "coherent"])
 def test_infinite_temperature_gives_exact_zeros(request, rng, name):
     model = request.getfixturevalue(name)
-    f, lam = geometry.uhlmann_curvature_spectral_grid(model, random_points(model, rng, 6), 0.0)
+    f, lam = closed_form(model, random_points(model, rng, 6), 0.0)
     assert np.all(f == 0.0)
     assert np.all(lam == lam[:, :1])
 
@@ -136,13 +142,13 @@ def test_large_beta_is_finite_without_warnings(request, rng, name):
     pts = random_points(model, rng, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f, lam = geometry.uhlmann_curvature_spectral_grid(model, pts, 1e4)
+        f, lam = closed_form(model, pts, 1e4)
     assert np.isfinite(f).all() and np.isfinite(lam).all()
 
 
 def test_second_thermal_uc_workers_bitwise_identical(fourband):
     grid = chern.default_grid(fourband, 10)
-    assert len(grid.chunk_ranges()) >= 3
+    assert len(chern._chunk_ranges(grid.n_points)) >= 3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionTooLowWarning)
         serial = chern.second_thermal_uc(fourband, 1.1, grid, workers=1)
@@ -175,17 +181,8 @@ def test_stencil_makes_one_eigendecomposition(monkeypatch, haldane, rng):
 def test_closed_form_makes_one_eigendecomposition_per_point(monkeypatch, fourband, rng):
     calls = count_eigh_calls(monkeypatch)
     pts = random_points(fourband, rng, 7)
-    geometry.uhlmann_curvature_spectral_grid(EighFourBand(fourband.m), pts, 1.3)
+    closed_form(EighFourBand(fourband.m), pts, 1.3)
     assert calls == [(7, 4, 4)]
     # The model's closed-form eigenframe replaces that eigendecomposition.
-    geometry.uhlmann_curvature_spectral_grid(fourband, pts, 1.3)
+    closed_form(fourband, pts, 1.3)
     assert calls == [(7, 4, 4)]
-
-
-def test_stencil_density_matrix_is_the_thermal_state(haldane, rng):
-    pts = random_points(haldane, rng, 4)
-    _, rho = geometry.uhlmann_curvature_grid(haldane, pts, 1.3)
-    for b, p in enumerate(pts):
-        ref = models.thermal_state(haldane, p, 1.3).rho
-        assert np.abs(rho[b] - ref).max() <= 1e-14
-        assert math.isclose(np.trace(rho[b]).real, 1.0, abs_tol=1e-14)
