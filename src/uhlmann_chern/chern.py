@@ -2,9 +2,9 @@
 
 Engines here turn the pointwise geometry kernels into numbers: the
 first-order thermal integral on 2D manifolds, the second-order integral
-on the 4D torus (two independent routes; at finite temperature the
-first contracts the closed-form Uhlmann curvature in the energy
-eigenbasis, one eigenframe per point), the lattice-plaquette
+on the 4D torus (two independent routes; the first contracts the
+ground block on two-valued spectra and at zero temperature, else the
+closed-form Uhlmann curvature in the energy eigenbasis), the lattice-plaquette
 oracle for pure-state Chern numbers, and temperature sweeps with
 per-point diagnostics from the same closed-form curvature. Every
 integral normalises its chunk sums in one place (_integrate).
@@ -43,8 +43,11 @@ from .errors import (
 )
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
+    _cluster_curvature,
+    _ground_size,
     _require_isolated,
     _sorted_group,
+    _spectral_data,
     _trace_pairs,
     curvature_frame_grid,
     direction_pairs,
@@ -52,7 +55,7 @@ from .geometry import (
     thermal_trace_grid,
     uhlmann_curvature_from_frame,
 )
-from .models import BETA_INF, Manifold, _integer, model_id
+from .models import BETA_INF, Manifold, _integer, model_id, weights_batch
 
 CHUNK_SIZE = 4096
 # Points per lattice-oracle chunk, rounded up to whole grid rows; each
@@ -198,12 +201,21 @@ def _map_chunks(job, model, points, params, tol, workers, chunk_size=CHUNK_SIZE)
         return list(pool.map(_chunk_job, jobs, chunksize=1))
 
 
+def _one_ground_size(reports) -> None:
+    """GapClosed unless the chunks' reports of the ground sizes D they weighed
+    by 1/D agree, so the zero-temperature rule does not depend on chunking."""
+    if len(set().union(*reports)) > 1:
+        raise GapClosed("ground degeneracy varies across the batch")
+
+
 def _integrate(job, model, grid: GridSpec, params, workers, tol, scale) -> list[complex]:
-    """Runs job over the grid's chunks (_map_chunks), sums each column
-    of the per-chunk partial rows by the pairwise tree and returns the
-    sums times scale * point measure * orientation / cover multiplicity."""
+    """Runs job over the grid's chunks (_map_chunks); each returns its report
+    for _one_ground_size and a row of partials. Sums each column of the rows
+    by the pairwise tree and returns the sums times scale * point measure *
+    orientation / cover multiplicity."""
     man = model.manifold
-    rows = _map_chunks(job, model, grid, params, tol, workers)
+    sizes, rows = zip(*_map_chunks(job, model, grid, params, tol, workers))
+    _one_ground_size(sizes)
     norm = scale * grid.point_measure * man.orientation / man.multiplicity
     return [_pairwise_tree(column) * norm for column in zip(*rows)]
 
@@ -223,8 +235,14 @@ def _require_grid(model, grid: GridSpec, dim: int):
 
 
 def _first_order_job(model, pts, betas, tol):
-    """Partial sums of Tr(rho F_U) over one chunk, one per beta."""
-    return [complex(np.sum(traces[0])) for traces in thermal_trace_grid(model, pts, betas, tol)]
+    """The ground sizes of one chunk's points at BETA_INF (else none) and its
+    partials of Tr(rho F_U), one per beta; at BETA_INF by thermal_trace_grid's
+    steps on a spectral pass that also gives the labels."""
+    if BETA_INF not in betas:
+        return (), [complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
+    w, _, _, labels, _, t = _spectral_data(model, pts, tol)
+    traces = _trace_pairs(np.stack([weights_batch(w, b, labels) for b in betas]), t, ((0, 1),))
+    return set((labels == 0).sum(axis=1).tolist()), [complex(np.sum(tr[0])) for tr in traces]
 
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
@@ -293,30 +311,55 @@ def _closed_form_partials(model, pts, betas) -> list[complex]:
 
 
 def _second_order_job(model, pts, betas, tol):
-    """Partial sums over one chunk of the Levi-Civita route (ground
-    block weighted by rho = P / D at BETA_INF, closed-form Uhlmann
-    curvature weighted by rho otherwise) and the determinant route, per
-    beta: (eps_0, det_0, eps_1, det_1, ...). The frames come first, so a
-    non-finite spectrum raises before the determinant route overflows."""
-    frame = None
+    """The ground size D of one chunk ((D,) if BETA_INF is among betas,
+    else ()) and its partials of the Levi-Civita and determinant routes per
+    beta: (eps_0, det_0, eps_1, det_1, ...). The spectral data come first,
+    so a non-finite spectrum raises before the determinant route overflows.
+
+    A partial is sum s dens, dens = eps tr(F_0 F_0) of the ground block at
+    unit weight, s = (lam_0 - lam_{N-1}) tanh^4(beta Delta / 2), Delta =
+    w[:, -1] - w[:, 0]: at BETA_INF (rho = P / D, s = 1/D, _ground_size's
+    rule) and at every beta on a two-valued chunk (the last label 1, each
+    level bitwise w[:, 0] or w[:, -1], one D; no gap floor). There T lives
+    between the two clusters only, where C = 1 - sech(beta Delta / 2), so
+    F_U is tanh^2 times the cluster blocks F_c plus d C terms d_mu Delta o
+    T_nu that eps contracts away: eps tr(rho F F) = tanh^4 sum_c p_c eps
+    tr(F_c F_c), p_c the weight of cluster c, and tr((dP)^4) = 0 makes the
+    excited block's density minus the ground block's for any D on either
+    side. With D levels on both, s = tanh^5 / D, the determinant route's
+    law. Other chunks take curvature_frame_grid and
+    uhlmann_curvature_from_frame at finite beta."""
+    data = _spectral_data(model, pts, tol)
+    w, labels, t = data[0], data[3], data[5]
+    sizes = (labels == 0).sum(axis=1)
+    two_valued = ((labels[:, -1] == 1) & (sizes == sizes[0])).all() and (
+        (w == w[:, :1]) | (w == w[:, -1:])).all()
+    general = not two_valued and any(beta != BETA_INF for beta in betas)
+    frame = curvature_frame_grid(model, pts, tol, data) if general else None
+    del data  # frees v, g and keep before the ground block is built
+    d = _ground_size(w, labels) if BETA_INF in betas else int(sizes[0])
+    if frame is None or BETA_INF in betas:
+        f = _cluster_curvature(t, 0, d)
+        dens = _eps_contraction(f, np.ones(f.shape[1:3]))
     eps = []
     for beta in betas:
-        if beta == BETA_INF:  # -inf takes the thermal branch, whose weights reject it
-            f, d = ground_block_curvature_grid(model, pts, tol)
-            values = _eps_contraction(f, np.full(f.shape[1:3], 1.0 / d))
+        if frame is None or beta == BETA_INF:  # -inf is rejected by the weights
+            lam = weights_batch(w, beta, labels)
+            with np.errstate(over="ignore"):  # beta Delta = inf: the exact tanh = 1
+                s = (lam[:, 0] - lam[:, -1]) * np.tanh(0.5 * beta * (w[:, -1] - w[:, 0])) ** 4
+            values = s * dens
         else:
-            if frame is None:
-                frame = curvature_frame_grid(model, pts, tol)
             values = _eps_contraction(*uhlmann_curvature_from_frame(frame, beta))
         eps.append(complex(np.sum(values)))
-    return [x for pair in zip(eps, _closed_form_partials(model, pts, betas)) for x in pair]
+    pairs = zip(eps, _closed_form_partials(model, pts, betas))
+    return (d,) if BETA_INF in betas else (), [x for pair in pairs for x in pair]
 
 
 def _pure_job(model, pts, _params, tol):
-    """Partial sum over one chunk of the ground-cluster curvature
-    contraction with unit weights."""
-    f, _ = ground_block_curvature_grid(model, pts, tol)
-    return [complex(np.sum(_eps_contraction(f, np.ones(f.shape[1:3]))))]
+    """The ground size of one chunk and the partial sum over it of the
+    ground-cluster curvature contraction with unit weights."""
+    f, d = ground_block_curvature_grid(model, pts, tol)
+    return (d,), [complex(np.sum(_eps_contraction(f, np.ones(f.shape[1:3]))))]
 
 
 def _check_second_order(model, grid: GridSpec, dirac_route: bool):
@@ -361,9 +404,9 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     F_U ^ F_U) on the 4D torus.
 
     Two routes are computed in one chunk pass and both reported: (a) the
-    Levi-Civita contraction of the full curvature components (exact
-    projector kernels at BETA_INF, the closed-form Uhlmann curvature in
-    the energy eigenbasis at finite beta), which is the returned value,
+    Levi-Civita contraction of the curvature (the ground block's density
+    at BETA_INF and on two-valued spectra, else the closed-form Uhlmann
+    curvature in the energy eigenbasis), which is the returned value,
     and (b) the model's closed-form determinant integrand, kept as the
     independent check in extra["closed_form_route"]. Route (b) needs the
     model's Dirac vector hooks r_vector_batch and r_gradient_batch;

@@ -203,9 +203,10 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     beta = chern.beta_from_temperature(t_over_r0, model.r0)
     tol = _degeneracy_tol(cfg)
 
-    columns = chern._map_chunks(_map_job, model, grid, beta, tol, workers)
+    sizes, *columns = zip(*chern._map_chunks(_map_job, model, grid, beta, tol, workers))
+    chern._one_ground_size(sizes)
     pts = grid.points_range(0, grid.n_points)
-    trace, berry = (np.concatenate(c) for c in zip(*columns))
+    trace, berry = (np.concatenate(c) for c in columns)
     trace_rows = zip(pts[:, 0], pts[:, 1], trace)
     berry_rows = zip(pts[:, 0], pts[:, 1], berry)
 
@@ -216,13 +217,14 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
 
 
 def _map_job(model, pts, beta, tol):
-    """Im Tr(rho F_U) at beta and the ground-cluster (label 0) Berry
-    curvature over one chunk, from one spectral pass."""
+    """The ground size, Im Tr(rho F_U) at beta and the ground-cluster (label
+    0) Berry curvature over one chunk, from one spectral pass."""
     w, _, _, labels, _, t = geometry._spectral_data(model, pts, tol)
     lam = models.weights_batch(w, beta, labels)
     trace = geometry._trace_pairs(lam[None], t, geometry.direction_pairs(2))[0, 0]
-    f, _ = geometry.ground_block_from_data(w, labels, t)
-    return trace.imag, np.trace(f[0], axis1=-2, axis2=-1).imag
+    d = geometry._ground_size(w, labels)
+    f = geometry._cluster_curvature(t, 0, d)
+    return (d,), trace.imag, np.trace(f[0], axis1=-2, axis2=-1).imag
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,12 @@ decides for them and for the lattice oracle whether a run is isolated.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 The closed form differentiates the spectral connection from one point's
-eigen-data in two halves, which the integrals and sweep diagnostics use:
+eigen-data in two halves, which the sweep diagnostics use, and the
+second-order integrals where a chunk's spectra are not two-valued:
 the temperature-independent curvature_frame_grid (tangents and their
 commutators, the curl of the tangents by the Maurer-Cartan equation) once
 per batch, and uhlmann_curvature_from_frame (assembled in place) per beta;
 both take their products from _commutators, one block product per block of points.
-On a two-valued spectrum (each level bitwise the lowest or the highest, in
-two clusters: two levels, or two doublets) the per-beta half makes no product,
-as C = 1 - sech(beta Delta / 2) wherever T lives: [K_mu, K_nu] - (1 - C o keep)
-o [T_mu, T_nu] = -tanh^2(beta Delta / 2) [T_mu, T_nu], the two-level tanh law.
 uhlmann_curvature_grid differences connection_grid on a central stencil,
 as its independent cross-check; uhlmann_curvature's spectral route is its
 batch of one.
@@ -313,14 +310,15 @@ def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_
     return np.einsum("bij,dbjk,blk->dbil", v, -c[None] * t, v.conj(), optimize=True)
 
 
-def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
+def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL, data=None):
     """The temperature-independent half of the closed-form Uhlmann
     curvature: (w, labels, t, delta, keep, tt) with w (B, N) and its
     cluster labels, the tangents t (d, B, N, N), the energy-derivative
     gaps delta (d, B, N, N), the off-cluster mask keep (B, N, N), and per
     direction pair the commutator tt = [T_mu, T_nu] (P, B, N, N) from
-    _commutators."""
-    w, _, g, labels, keep, t = _spectral_data(model, pts, degeneracy_tol)
+    _commutators. data, the _spectral_data of pts if the caller has it,
+    spares a second spectral pass."""
+    w, _, g, labels, keep, t = _spectral_data(model, pts, degeneracy_tol) if data is None else data
     de = np.diagonal(g, axis1=-2, axis2=-1).real
     delta = de[:, :, :, None] - de[:, :, None, :]
     return w, labels, t, delta, keep, _commutators(t, direction_pairs(model.dim))
@@ -347,21 +345,15 @@ def uhlmann_curvature_from_frame(frame, beta: float):
     d_nu T_mu)_jk = -[T_mu, T_nu]_jk, and inside a cluster it vanishes.
     Only the eigen-data of one evaluation of H and dH per point enter: no
     finite differences, no Hessians. The d C terms are assembled in place
-    through one (B, N, N) buffer. If each spectrum is two-valued (every
-    level bitwise w[:, 0] or w[:, -1], the last label 1), C = 1 - sech(beta
-    Delta / 2) wherever T lives, tt is block-diagonal and [K_mu, K_nu] -
-    (1 - C o keep) o tt = -tanh^2(beta Delta / 2) tt.
+    through one (B, N, N) buffer.
     """
     w, labels, t, delta, keep, tt = frame
     lam = weights_batch(w, beta, labels=labels)
     x = _pair_exponents(w, beta)
     pairs = direction_pairs(t.shape[0])
-    if (labels[:, -1] == 1).all() and ((w == w[:, :1]) | (w == w[:, -1:])).all():
-        f = tt * (-1.0 if x is None else -np.tanh(0.5 * x[:, -1, :1, None]) ** 2)  # beta Delta
-    else:
-        c = _mixing_batch(lam, x)
-        f = _commutators((1.0 - c) * t, pairs)  # [K_mu, K_nu] with K = T + M
-        f -= (1.0 - c * keep) * tt  # the curl of T vanishes in a cluster, where C may be 1
+    c = _mixing_batch(lam, x)
+    f = _commutators((1.0 - c) * t, pairs)  # [K_mu, K_nu] with K = T + M
+    f -= (1.0 - c * keep) * tt  # the curl of T vanishes in a cluster, where C may be 1
     if x is not None:  # C is piecewise constant at zero temperature
         # (beta/2) sech(x/2) with sech(x/2) = 2e / (1 + e^2), e = exp(-|x|/2):
         # no overflow at any finite x.
@@ -424,12 +416,6 @@ def ground_block_curvature_grid(model, pts, degeneracy_tol: float = DEGENERACY_T
     batch or the cluster is not isolated anywhere (_ground_size).
     """
     w, _, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
-    return ground_block_from_data(w, labels, t)
-
-
-def ground_block_from_data(w, labels, t):
-    """ground_block_curvature_grid from _spectral_data's w, its cluster
-    labels and the tangents t."""
     d = _ground_size(w, labels)
     return _cluster_curvature(t, 0, d), d
 

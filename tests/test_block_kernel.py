@@ -2,7 +2,7 @@
 
 geometry._cluster_curvature gives the curvature of any run of levels
 lo..hi-1: berry_curvature is its one-level block, wz_curvature the block
-of a maximal cluster and ground_block_from_data the ground block.
+of a maximal cluster and ground_block_curvature_grid the ground block.
 geometry._require_isolated decides whether such a run is cut off from
 its neighbours (another cluster label and a gap above GAP_FLOOR at each
 end), for those three and for the lattice oracle's frames. The
@@ -88,8 +88,7 @@ def test_cluster_curvature_matches_the_three_formulas(request, rng, name):
         assert_close(got, index_formula(t, group))
     d = len(groups[0])
     assert np.array_equal(geometry._cluster_curvature(t, 0, d), ground_loop(t, d))
-    f, size = geometry.ground_block_from_data(w, labels, t)
-    assert size == d and np.array_equal(f, ground_loop(t, d))
+    assert geometry._ground_size(w, labels) == d
 
 
 def test_cluster_curvature_of_all_levels_is_zero(fourband, rng):

@@ -117,6 +117,6 @@ def test_the_ground_cluster_is_read_off_the_labels(fourband, haldane, rng, weigh
     _, d = geometry.ground_block_curvature_grid(fourband, pts)
     proj = geometry.projector_limit_curvature(fourband, pts[0])
     assert weight_calls == [] and d == 2 and proj.matrices.shape == (6, 2, 2)
-    trace, berry = cli._map_job(haldane, random_points(haldane, rng, 5), 0.7, linalg.DEGENERACY_TOL)
+    _, trace, berry = cli._map_job(haldane, random_points(haldane, rng, 5), 0.7, linalg.DEGENERACY_TOL)
     assert weight_calls == [0.7]
     assert trace.shape == berry.shape == (5,)

@@ -16,7 +16,11 @@ CoherentOscillator models with special parameters (fock_dim 8.0, 8.5,
 NaN, None and "8" among them) and calls thermal_state, the per-point
 views uhlmann_connection_spectral and thermal_trace_spectral,
 gradient_batch with drawn directions, first_thermal_uc on 8^2 grids and
-second_thermal_uc and second_chern_pure on 8^4 grids. numpy
+second_thermal_uc and second_chern_pure on 8^4 grids. A fourth fuzz
+compares second_thermal_uc on FourBandGamma (two-valued chunks, one ground
+block each) and on its hookless conftest.EighFourBand (the generic kernel)
+at 8^4, across gapped masses and betas from 0 to BETA_INF, and checks that
+a two-temperature sweep equals its single-beta integrals bit for bit. numpy
 RuntimeWarnings are raised as errors, so an overflow or an invalid
 operation on the way counts as a failure too; a grid that is built must
 have the resolution asked for, an oscillator the fock_dim asked for as
@@ -28,11 +32,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uhlmann_chern import chern, geometry, models
 from uhlmann_chern.errors import UhlmannChernError
+
+from conftest import EighFourBand
 
 BETAS = [0.0, 5e-324, 1.0, 1e308, math.inf, -1.0, -math.inf, math.nan]
 SPHERE = models.TwoLevelSphere(radius=1.3)
@@ -169,3 +175,25 @@ def test_oracle_and_curvatures_raise_typed_errors_or_return_finite_values(call):
                             "ignore::uhlmann_chern.errors.TruncationWeightWarning")
 def test_model_calls_raise_typed_errors_or_return_finite_values(call):
     check(call)
+
+
+# Gapped four-band masses, and betas from 0 to BETA_INF for the cross-route fuzz.
+MASSES = st.one_of(st.floats(1.0, 1.5), st.floats(2.5, 3.0))
+FINITE_BETAS = st.one_of(st.sampled_from([0.0, 1e-3, 1e300]), st.floats(0.05, 20.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(MASSES, st.one_of(FINITE_BETAS, st.just(models.BETA_INF)),
+       st.lists(FINITE_BETAS, min_size=2, max_size=2, unique=True))
+@pytest.mark.filterwarnings("ignore::uhlmann_chern.errors.ResolutionTooLowWarning")
+def test_two_valued_integrals_match_the_generic_kernel_and_their_sweeps(m, beta, pair):
+    model = models.FourBandGamma(m)
+    grid = chern.default_grid(model, 8)
+    two = chern.second_thermal_uc(model, beta, grid)
+    generic = chern.second_thermal_uc(EighFourBand(m), beta, grid)
+    assert abs(two.value - generic.value) <= 1e-12 * max(1.0, abs(generic.value))
+    temps = sorted({math.inf if b == 0.0 else 1.0 / (b * model.r0) for b in pair})
+    assume(len(temps) == 2)  # two betas one ulp apart may share a temperature
+    sweep = chern.temperature_sweep(model, temps, grid)
+    for value, diag in zip(sweep.values, sweep.diagnostics):
+        assert value == chern.second_thermal_uc(model, diag["beta"], grid).value
