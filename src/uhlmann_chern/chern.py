@@ -14,8 +14,9 @@ a grid into fixed-size chunks in row-major order and runs a job on each,
 in at most one process pool per call. Each chunk partial (one per
 temperature, or per route) is a blocked pairwise numpy sum, and the
 partials are combined by a fixed pairwise tree per temperature or
-route. The lattice oracle's chunks are blocks of whole grid rows, sized
-by the grid alone, whose jobs return their plaquette-angle sums. A sweep
+route. The lattice oracle passes its own ranges: blocks of whole rows of
+its closed layout, sized by the grid alone, each ending on the halo row
+after it, whose jobs return their plaquette-angle sums. A sweep
 is one pass that evaluates every temperature on each chunk's eigen-data.
 Workers move chunks between processes but never change what is summed
 in which order, so results are bitwise reproducible at fixed chunking,
@@ -188,12 +189,17 @@ def _chunk_job(args):
     return job(model, points.points_range(start, stop), params, tol)
 
 
-def _map_chunks(job, model, points, params, tol, workers, chunk_size=CHUNK_SIZE):
+def _map_chunks(job, model, points, params, tol, workers, ranges=None):
     """job(model, points.points_range(start, stop), params, tol) on each
-    fixed chunk [start, stop) of points (a GridSpec, _ClosedGrid or
-    _PlaquetteRows), in chunk order, in at most one process pool;
-    module-level jobs, so pools pickle them by name."""
-    ranges = _chunk_ranges(points.n_points, chunk_size)
+    index range [start, stop) of points (a GridSpec or _ClosedGrid), by
+    default its fixed chunks _chunk_ranges(points.n_points), in range order,
+    in at most one process pool; module-level jobs, so pools pickle them by
+    name. workers follows _integer's rule (2.0 is 2); below 1 it raises
+    InvalidArgument."""
+    workers = _integer(workers, "workers")
+    if workers < 1:
+        raise InvalidArgument(f"workers {workers} is below 1")
+    ranges = _chunk_ranges(points.n_points) if ranges is None else ranges
     jobs = [(job, model, points, params, tol, s, e) for s, e in ranges]
     if workers <= 1:
         return [_chunk_job(j) for j in jobs]
@@ -235,14 +241,15 @@ def _require_grid(model, grid: GridSpec, dim: int):
 
 
 def _first_order_job(model, pts, betas, tol):
-    """The ground sizes of one chunk's points at BETA_INF (else none) and its
-    partials of Tr(rho F_U), one per beta; at BETA_INF by thermal_trace_grid's
-    steps on a spectral pass that also gives the labels."""
+    """The ground size D of one chunk ((D,) by _ground_size's rule if BETA_INF
+    is among betas, else ()) and its partials of Tr(rho F_U), one per beta; at
+    BETA_INF by thermal_trace_grid's steps on a spectral pass that also gives
+    the labels."""
     if BETA_INF not in betas:
         return (), [complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
     w, _, _, labels, _, t = _spectral_data(model, pts, tol)
     traces = _trace_pairs(np.stack([weights_batch(w, b, labels) for b in betas]), t, ((0, 1),))
-    return set((labels == 0).sum(axis=1).tolist()), [complex(np.sum(tr[0])) for tr in traces]
+    return (_ground_size(w, labels),), [complex(np.sum(tr[0])) for tr in traces]
 
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
@@ -467,22 +474,10 @@ def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
     return np.concatenate(chunks).reshape(*points.resolution, -1, len(group))
 
 
-class _PlaquetteRows:
-    """The lattice oracle's chunks over a _ClosedGrid: item i is the
-    plaquette row between its rows i and i + 1."""
-
-    def __init__(self, layout: _ClosedGrid):
-        self.layout, self.n_cols = layout, layout.resolution[1]
-        self.n_points = layout.resolution[0] - 1
-
-    def points_range(self, start, stop):
-        """Points of layout rows start..stop, the last being the halo."""
-        return self.layout.points_range(start * self.n_cols, (stop + 1) * self.n_cols)
-
-
 def _fhs_job(model, pts, params, tol):
-    """Plaquette-angle sum and smallest link |det| over one block of
-    _PlaquetteRows; params = (group, columns)."""
+    """Plaquette-angle sum and smallest link |det| over one row block of a
+    _ClosedGrid: whole rows, the last of them the halo that closes the block's
+    last plaquette row; params = (group, columns)."""
     group, n_cols = params
     psi = _frame_grid(model, pts, group, tol)
     psi = psi.reshape(-1, n_cols, *psi.shape[1:])
@@ -513,9 +508,13 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     man = model.manifold
     if man.kind not in ("sphere", "torus"):
         raise ManifoldMismatch(f"the lattice oracle needs a closed chart, not a {man.kind}")
-    rows = _PlaquetteRows(_ClosedGrid(grid))
-    sums, dets = zip(*_map_chunks(_fhs_job, model, rows, (group, rows.n_cols), degeneracy_tol,
-                                  workers, -(-FHS_BLOCK_POINTS // rows.n_cols)))
+    layout = _ClosedGrid(grid)
+    n_rows, n_cols = layout.resolution
+    # Blocks of whole plaquette rows, about FHS_BLOCK_POINTS points each, with one halo row.
+    blocks = [(s * n_cols, (e + 1) * n_cols)
+              for s, e in _chunk_ranges(n_rows - 1, -(-FHS_BLOCK_POINTS // n_cols))]
+    sums, dets = zip(*_map_chunks(_fhs_job, model, layout, (group, n_cols), degeneracy_tol,
+                                  workers, blocks))
     min_det = float(np.min(dets))
     if min_det < 1e-12:
         raise NonIntegerPlaquetteSum("vanishing link overlap; refine the grid or check the gap")

@@ -34,7 +34,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, chern, geometry, linalg, models
-from .errors import ConfigError, UhlmannChernError
+from .errors import ConfigError, InvalidArgument, UhlmannChernError
 
 # Fraction of the smallest coordinate scale used as the finite-difference
 # step when the verify command cross-checks the trace routes.  Smaller
@@ -147,12 +147,9 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
 
     tol = _degeneracy_tol(cfg)
     start = time.perf_counter()
-    try:
-        result = chern.temperature_sweep(
-            model, temperatures, grid=grid, workers=workers, degeneracy_tol=tol
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = chern.temperature_sweep(
+        model, temperatures, grid=grid, workers=workers, degeneracy_tol=tol
+    )
     wall = time.perf_counter() - start
 
     rows = [
@@ -242,6 +239,8 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
                                       degeneracy_tol=tol, detail=True)
         kind = "first"
     else:
+        if "band" in run:
+            raise ConfigError("run.band: a 4D chern reads no band")
         result = chern.second_chern_pure(model, grid, workers=workers, degeneracy_tol=tol)
         report = {"value": float(result)}
         kind = "second"
@@ -466,6 +465,8 @@ def cmd_verify(cfg: dict, out_dir: Path, workers: int) -> int:
             warnings.simplefilter("always")
             try:
                 ok, detail = check(cfg, rng)
+            except InvalidArgument:  # a bad config tolerance, not a failed check
+                raise
             except UhlmannChernError as exc:
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         caught_all += caught
@@ -486,11 +487,12 @@ def cmd_verify(cfg: dict, out_dir: Path, workers: int) -> int:
 # entry point
 
 
+# Each command with the run keys it reads besides "type"; a 4D chern reads no band.
 _COMMANDS = {
-    "sweep": cmd_sweep,
-    "map": cmd_map,
-    "chern": cmd_chern,
-    "verify": cmd_verify,
+    "sweep": (cmd_sweep, {"order", "temperatures"}),
+    "map": (cmd_map, {"temperatures"}),
+    "chern": (cmd_chern, {"band"}),
+    "verify": (cmd_verify, set()),
 }
 
 
@@ -522,26 +524,25 @@ def main(argv=None) -> int:
         return 2
 
     workers = int(args.workers if args.workers is not None else cfg.get("workers", 1))
-    if workers < 1:
-        print("config error: workers: must be at least 1", file=sys.stderr)
-        return 2
     out_dir = Path(args.out) if args.out is not None else Path(cfg.get("output_dir", "."))
 
-    command = _COMMANDS[cfg["run"]["type"]]
+    run = cfg["run"]
+    command, reads = _COMMANDS[run["type"]]
+    unread = sorted(set(run) - {"type"} - reads)
     try:
+        if workers < 1:
+            raise ConfigError("workers: must be at least 1")
+        if unread:
+            raise ConfigError(f"run.{unread[0]}: a {run['type']} run does not read it")
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
         return command(cfg, out_dir, workers)
-    except ConfigError as exc:
+    except (ConfigError, InvalidArgument) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UhlmannChernError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-def run() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -137,10 +137,6 @@ class CurvatureComponents:
     def __post_init__(self):
         self.matrices.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
-
     def component(self, mu: int, nu: int) -> np.ndarray:
         if mu == nu:
             return np.zeros_like(self.matrices[0])

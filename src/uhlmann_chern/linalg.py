@@ -10,6 +10,7 @@ is no sparse or out-of-core path.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     IndefiniteInput,
+    InvalidArgument,
     NonAntiHermitianInput,
     NonFiniteInput,
     NonHermitianInput,
@@ -75,8 +77,12 @@ def cluster_labels(w, tol: float) -> np.ndarray:
     threshold. This is the one rule that groups levels everywhere: the
     zero-temperature ground cluster is labels == 0, and the tangent
     matrices are zero between levels with equal labels. It runs on the
-    level-major view (N, ...), so each numpy call spans the batch.
+    level-major view (N, ...), so each numpy call spans the batch. tol
+    must be a real number >= 0, +inf included (one cluster per spectrum),
+    else InvalidArgument.
     """
+    if not (isinstance(tol, numbers.Real) and tol >= 0):  # NaN fails the comparison
+        raise InvalidArgument(f"degeneracy tolerance {tol!r} is not a real number >= 0")
     wt = np.moveaxis(np.asarray(w), -1, 0)
     labels = np.zeros(wt.shape, dtype=np.intp)
     with np.errstate(over="ignore"):  # an overflow to inf compares as the true value
@@ -105,10 +111,6 @@ class SpectralDecomposition:
     def __post_init__(self):
         for m in (self.eigenvalues, self.eigenvectors, self.labels):
             m.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:

@@ -79,6 +79,42 @@ def test_reports_equal_across_workers_and_integers_across_blocks(variant, monkey
         assert chern.pure_chern_fhs(model, (0, 1), grid, workers=2) == 0
 
 
+@pytest.mark.parametrize("points", [16384, 72, 100, 3000])
+@pytest.mark.parametrize("variant, resolution", [("haldane", (40, 72)), ("haldane", (100, 37)),
+                                                 ("sphere", (48, 48)), ("sphere", (9, 17))])
+def test_row_blocks_are_whole_rows_that_end_on_their_halo(variant, resolution, points,
+                                                          monkeypatch):
+    # The oracle hands _map_chunks the index ranges of its _ClosedGrid: blocks
+    # of whole rows, about FHS_BLOCK_POINTS points each, that cover each
+    # plaquette row once and end on the row after it, the block's halo.
+    seen = []
+    inner = chern._map_chunks
+
+    def recording(job, model, layout, params, tol, workers, ranges=None):
+        seen.append((layout, ranges))
+        return inner(job, model, layout, params, tol, workers, ranges)
+
+    monkeypatch.setattr(chern, "_map_chunks", recording)
+    monkeypatch.setattr(chern, "FHS_BLOCK_POINTS", points)
+    model = (models.Haldane(t1=1.0, t2=0.5, phi=0.6, M=1.2) if variant == "haldane"
+             else models.TwoLevelSphere())
+    grid = chern.GridSpec(model.manifold, resolution)
+    assert chern.pure_chern_fhs(model, 0, grid) == 1
+    ((layout, blocks),) = seen
+    assert isinstance(layout, chern._ClosedGrid)
+    n_rows, n_cols = layout.resolution
+    assert n_rows == resolution[0] + (2 if variant == "sphere" else 1)
+    rows = [(start // n_cols, stop // n_cols) for start, stop in blocks]
+    assert all(start % n_cols == stop % n_cols == 0 for start, stop in blocks)
+    plaquette_rows = [r for first, end in rows for r in range(first, end - 1)]
+    assert plaquette_rows == list(range(n_rows - 1))  # each once, in order
+    assert all(end - 1 == next_first for (_, end), (next_first, _) in zip(rows, rows[1:]))
+    assert rows[-1][1] == n_rows  # the last block's halo is the closing row
+    per_block = -(-points // n_cols)  # rows of plaquettes per block, rounded up
+    assert all(end - 1 - first == per_block for first, end in rows[:-1])
+    assert 0 < rows[-1][1] - 1 - rows[-1][0] <= per_block
+
+
 def test_only_multi_band_links_take_a_determinant(monkeypatch):
     model = models.Haldane(t1=1.0, t2=0.5, phi=0.6, M=1.2)
     for resolution in GRIDS:

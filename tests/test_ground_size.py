@@ -8,7 +8,10 @@ GapClosed before summing when the reports differ, as a single chunk does
 when D varies inside it. That covers second_chern_pure,
 second_thermal_uc at BETA_INF, first_thermal_uc at BETA_INF and the CLI
 map (exit 3), at any worker count. A finite beta weighs no point by 1/D,
-so there D may vary.
+so there D may vary. The first order applies geometry._ground_size to each
+chunk at BETA_INF, as the second order does, so a ground cluster that is the
+whole space or is not isolated raises GapClosed there too, instead of
+integrating to 0.
 
 The probes lift level 1 by 0.3 sin^2(2 k_x) where sin(2 k_x) > 0, so D =
 1 on that half of the cell and D = 2 on the other. On an 8^d grid one
@@ -81,6 +84,24 @@ class LiftedLevels:
         return g
 
 
+class ConstantLevels:
+    """H = diag(levels) at every point of the 2D torus [0, pi)^2, with zero
+    gradients: a flat band structure whose ground cluster is fixed by hand."""
+
+    dim = 2
+    r0 = 1.0
+    manifold = models.Manifold("torus", 2, (math.pi, math.pi), (0.0, 0.0))
+
+    def __init__(self, *levels):
+        self.h = np.diag(levels).astype(np.complex128)
+
+    def hamiltonian_batch(self, pts):
+        return np.repeat(self.h[None], len(pts), axis=0)
+
+    def gradient_batch(self, pts, mu):
+        return np.zeros((len(pts),) + self.h.shape, dtype=np.complex128)
+
+
 @pytest.fixture(autouse=True)
 def _quiet_low_resolution():
     with warnings.catch_warnings():
@@ -132,3 +153,15 @@ def test_cli_map_with_a_ground_size_that_varies_exits_3(tmp_path, capsys, monkey
     argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--workers", str(workers)]
     assert cli.main(argv) == 3
     assert "ground degeneracy varies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [16, 128])  # one chunk; four chunks
+@pytest.mark.parametrize("levels, message", [((0.0, 0.0), "whole space"),
+                                             ((0.0, 5e-9), "touch level 1")])
+def test_first_order_zero_temperature_applies_the_ground_rule(levels, message, n, workers):
+    model = ConstantLevels(*levels)
+    grid = chern.default_grid(model, n)
+    with pytest.raises(GapClosed, match=message):
+        chern.first_thermal_uc(model, models.BETA_INF, grid, workers=workers)
+    assert chern.first_thermal_uc(model, 1.0, grid, workers=workers).value == 0.0

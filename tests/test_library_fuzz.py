@@ -20,7 +20,10 @@ second_thermal_uc and second_chern_pure on 8^4 grids. A fourth fuzz
 compares second_thermal_uc on FourBandGamma (two-valued chunks, one ground
 block each) and on its hookless conftest.EighFourBand (the generic kernel)
 at 8^4, across gapped masses and betas from 0 to BETA_INF, and checks that
-a two-temperature sweep equals its single-beta integrals bit for bit. numpy
+a two-temperature sweep equals its single-beta integrals bit for bit. A
+fifth fuzz draws worker counts and degeneracy tolerances, legal and not, for
+the integrals, the oracle, a sweep, berry_curvature and thermal_state: a
+value outside its rule raises InvalidArgument, and a legal one runs. numpy
 RuntimeWarnings are raised as errors, so an overflow or an invalid
 operation on the way counts as a failure too; a grid that is built must
 have the resolution asked for, an oscillator the fock_dim asked for as
@@ -35,8 +38,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uhlmann_chern import chern, geometry, models
-from uhlmann_chern.errors import UhlmannChernError
+from uhlmann_chern import chern, geometry, linalg, models
+from uhlmann_chern.errors import InvalidArgument, UhlmannChernError
 
 from conftest import EighFourBand
 
@@ -141,6 +144,8 @@ def run(call):
         return list(report.values())
     if kind in MODEL_KINDS:
         return run_model_call(call)
+    if kind == "argument call":
+        return run_argument_call(*args)
     if kind in ("berry_curvature", "wz_curvature"):
         (cls, params), group = args
         return getattr(geometry, kind)(cls(*params), POINTS[cls], group).matrices
@@ -175,6 +180,53 @@ def test_oracle_and_curvatures_raise_typed_errors_or_return_finite_values(call):
                             "ignore::uhlmann_chern.errors.TruncationWeightWarning")
 def test_model_calls_raise_typed_errors_or_return_finite_values(call):
     check(call)
+
+
+# Worker counts and degeneracy tolerances for the argument fuzz, each with
+# whether its rule rejects it: a worker count is an integer >= 1 (1.0 is 1), a
+# tolerance a real number >= 0, +inf included.
+WORKERS = st.sampled_from([(1, False), (1.0, False), (True, False), (0, True), (-3, True),
+                           (1.5, True), (math.nan, True), (math.inf, True), (None, True),
+                           ("1", True), (1j, True)])
+TOLERANCES = st.sampled_from([(linalg.DEGENERACY_TOL, False), (0.0, False), (1e-6, False),
+                              (math.inf, False), (math.nan, True), (-1e-9, True),
+                              (-math.inf, True), (None, True), ("1e-9", True), (1j, True)])
+ARGUMENT_KINDS = ["first_thermal_uc", "second_thermal_uc", "second_chern_pure", "pure_chern_fhs",
+                  "temperature_sweep", "berry_curvature", "thermal_state"]
+HALDANE = models.Haldane(1.0, 0.5, 1.5, 0.2)
+
+
+def run_argument_call(kind, beta, workers, tol):
+    p = np.array(POINTS[models.Haldane])
+    if kind == "berry_curvature":
+        return geometry.berry_curvature(HALDANE, p, 0, degeneracy_tol=tol).matrices
+    if kind == "thermal_state":
+        return models.thermal_state(HALDANE, p, beta, degeneracy_tol=tol).rho
+    args = {"workers": workers, "degeneracy_tol": tol}
+    if kind == "pure_chern_fhs":
+        return chern.pure_chern_fhs(HALDANE, 0, chern.default_grid(HALDANE, 8), **args)
+    if kind == "temperature_sweep":
+        return chern.temperature_sweep(SPHERE, [0.5, 2.0], SPHERE_GRID, **args).values
+    if kind == "second_chern_pure":
+        model = models.FourBandGamma(1.5)
+        return chern.second_chern_pure(model, chern.default_grid(model, 8), **args).value
+    model = models.FourBandGamma(1.5) if kind == "second_thermal_uc" else HALDANE
+    return getattr(chern, kind)(model, beta, chern.default_grid(model, 8), **args).value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ARGUMENT_KINDS), st.sampled_from([0.7, models.BETA_INF]), WORKERS,
+       TOLERANCES)
+@pytest.mark.filterwarnings("ignore::uhlmann_chern.errors.ResolutionTooLowWarning")
+def test_worker_counts_and_tolerances_raise_by_their_rules(kind, beta, workers, tol):
+    (workers, bad_workers), (tol, bad_tol) = workers, tol
+    bad_workers &= kind not in ("berry_curvature", "thermal_state")  # these take no workers
+    if bad_workers or bad_tol:
+        with warnings.catch_warnings(), pytest.raises(InvalidArgument):
+            warnings.simplefilter("error", RuntimeWarning)
+            run_argument_call(kind, beta, workers, tol)
+    else:
+        check(("argument call", kind, beta, workers, tol))
 
 
 # Gapped four-band masses, and betas from 0 to BETA_INF for the cross-route fuzz.

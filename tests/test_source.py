@@ -32,8 +32,11 @@ gradients are formed only in geometry._frame_data, and the gap mask and
 division only in geometry._spectral_data, which every grid kernel and
 per-point view runs. src/ raises no bare ValueError: an argument error
 is an InvalidArgument (a ValueError too), so callers can catch every
-deliberate error as a UhlmannChernError. The checks parse src/ with ast
-so they see every call regardless of formatting.
+deliberate error as a UhlmannChernError. src/ stays within pinned counts
+of total lines and of code lines (non-blank lines outside docstrings and
+comment-only lines), so a change that grows it must raise the pins and say
+why. The checks parse src/ with ast so they see every call regardless of
+formatting.
 """
 import ast
 from pathlib import Path
@@ -528,3 +531,50 @@ def test_src_raises_no_bare_value_error():
         for line in bare_value_errors(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not offenders, f"raise InvalidArgument instead of ValueError: {offenders}"
+
+
+# The line counts src/uhlmann_chern/*.py may not exceed: total lines, and code
+# lines. A change that must grow src/ raises them in the same diff and says why
+# in CHANGES.md.
+MAX_TOTAL_LINES = 2993
+MAX_CODE_LINES = 1694
+
+
+def line_counts(text: str) -> tuple[int, int]:
+    """Total lines, and code lines: the non-blank lines that are neither part of
+    a module, class or function docstring nor comment-only (CHANGES.md's count)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = text.splitlines()
+    code = [n for n, line in enumerate(lines, 1)
+            if line.strip() and not line.strip().startswith("#") and n not in docstrings]
+    return len(lines), len(code)
+
+
+def test_line_counter_skips_blanks_comments_and_docstrings():
+    code = "\n".join([
+        '"""Module',
+        'docstring."""',
+        "import math  # a trailing comment counts",
+        "",
+        "# a comment-only line",
+        "def f():",
+        '    """One line."""',
+        '    x = """not a docstring"""',
+        "    return x",
+        "class C:",
+        "    '''Class docstring.'''",
+        "    y = 1",
+    ])
+    assert line_counts(code) == (12, 6)
+
+
+def test_src_stays_within_its_line_counts():
+    counts = [line_counts(path.read_text()) for path in sorted(SRC.glob("uhlmann_chern/*.py"))]
+    total, code = map(sum, zip(*counts))
+    assert total <= MAX_TOTAL_LINES and code <= MAX_CODE_LINES, (total, code)
