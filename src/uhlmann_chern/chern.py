@@ -73,16 +73,14 @@ SECOND_ORDER_ACCEPTED_RESOLUTION = 16
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform evaluation grid over a model's parameter manifold.
+    """Uniform grid of cell midpoints over a model's parameter manifold.
 
-    offset=True places points at cell midpoints (the quadrature default);
-    a sphere forces it so no point sits on a pole. A resolution below 8,
-    not integral (8.0 is) or past np.intp's point count raises InvalidArgument.
+    No point sits on a sphere's pole. A resolution below 8, not integral
+    (8.0 is) or past np.intp's point count raises InvalidArgument.
     """
 
     manifold: Manifold
     resolution: tuple[int, ...]
-    offset: bool = True
 
     def __post_init__(self):
         res = tuple(_integer(r, "resolution") for r in self.resolution)
@@ -95,8 +93,6 @@ class GridSpec:
             raise InvalidArgument(f"resolution below {MIN_RESOLUTION} per dimension")
         if math.prod(res) > np.iinfo(np.intp).max:
             raise InvalidArgument(f"resolution {res} has more points than an index can count")
-        if self.manifold.kind == "sphere":
-            object.__setattr__(self, "offset", True)
 
     @property
     def n_points(self) -> int:
@@ -108,8 +104,7 @@ class GridSpec:
 
     def axis(self, d: int) -> np.ndarray:
         h = self.manifold.cell[d] / self.resolution[d]
-        shift = 0.5 if self.offset else 0.0
-        return self.manifold.origin[d] + (np.arange(self.resolution[d]) + shift) * h
+        return self.manifold.origin[d] + (np.arange(self.resolution[d]) + 0.5) * h
 
     def points_range(self, start: int, stop: int) -> np.ndarray:
         """Grid points for flat row-major indices [start, stop)."""
@@ -207,11 +202,13 @@ def _map_chunks(job, model, points, params, tol, workers, ranges=None):
         return list(pool.map(_chunk_job, jobs, chunksize=1))
 
 
-def _one_ground_size(reports) -> None:
-    """GapClosed unless the chunks' reports of the ground sizes D they weighed
-    by 1/D agree, so the zero-temperature rule does not depend on chunking."""
-    if len(set().union(*reports)) > 1:
+def _one_ground_size(results) -> list:
+    """The chunk results' columns after the first, the ground sizes D each
+    chunk weighed by 1/D; GapClosed unless those agree, however it is chunked."""
+    sizes, *columns = zip(*results)
+    if len(set().union(*sizes)) > 1:
         raise GapClosed("ground degeneracy varies across the batch")
+    return columns
 
 
 def _integrate(job, model, grid: GridSpec, params, workers, tol, scale) -> list[complex]:
@@ -220,8 +217,7 @@ def _integrate(job, model, grid: GridSpec, params, workers, tol, scale) -> list[
     by the pairwise tree and returns the sums times scale * point measure *
     orientation / cover multiplicity."""
     man = model.manifold
-    sizes, rows = zip(*_map_chunks(job, model, grid, params, tol, workers))
-    _one_ground_size(sizes)
+    (rows,) = _one_ground_size(_map_chunks(job, model, grid, params, tol, workers))
     norm = scale * grid.point_measure * man.orientation / man.multiplicity
     return [_pairwise_tree(column) * norm for column in zip(*rows)]
 
@@ -254,6 +250,8 @@ def _first_order_job(model, pts, betas, tol):
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
     _require_grid(model, grid, 2)
+    for beta in betas if hasattr(model, "_check_thermal_truncation") else ():
+        model._check_thermal_truncation(beta, 1e-4)  # criterion 9's tolerance
     totals = _integrate(_first_order_job, model, grid, tuple(betas), workers, degeneracy_tol,
                         1j / (2.0 * math.pi))
     return [IntegralResult(float(raw.real), abs(raw.imag), extra={"beta": beta, "order": 1})
@@ -319,8 +317,8 @@ def _closed_form_partials(model, pts, betas) -> list[complex]:
 
 def _second_order_job(model, pts, betas, tol):
     """The ground size D of one chunk ((D,) if BETA_INF is among betas,
-    else ()) and its partials of the Levi-Civita and determinant routes per
-    beta: (eps_0, det_0, eps_1, det_1, ...). The spectral data come first,
+    else ()) and its partials of the Levi-Civita route per beta, then of the
+    determinant route per beta. The spectral data come first,
     so a non-finite spectrum raises before the determinant route overflows.
 
     A partial is sum s dens, dens = eps tr(F_0 F_0) of the ground block at
@@ -358,8 +356,7 @@ def _second_order_job(model, pts, betas, tol):
         else:
             values = _eps_contraction(*uhlmann_curvature_from_frame(frame, beta))
         eps.append(complex(np.sum(values)))
-    pairs = zip(eps, _closed_form_partials(model, pts, betas))
-    return (d,) if BETA_INF in betas else (), [x for pair in pairs for x in pair]
+    return (d,) if BETA_INF in betas else (), eps + _closed_form_partials(model, pts, betas)
 
 
 def _pure_job(model, pts, _params, tol):
@@ -369,16 +366,9 @@ def _pure_job(model, pts, _params, tol):
     return (d,), [complex(np.sum(_eps_contraction(f, np.ones(f.shape[1:3]))))]
 
 
-def _check_second_order(model, grid: GridSpec, dirac_route: bool):
-    """Grid and model checks shared by the second-order engines, raised
-    before any grid work; warns below the accepted resolution."""
+def _check_second_order(model, grid: GridSpec):
+    """_require_grid in 4D, then a warning below the accepted resolution."""
     _require_grid(model, grid, 4)
-    missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
-    if dirac_route and missing:
-        raise MissingModelHook(
-            f"the closed-form route needs a Dirac-form model; {type(model).__name__} "
-            f"lacks {', '.join(missing)}"
-        )
     if any(r < SECOND_ORDER_ACCEPTED_RESOLUTION for r in grid.resolution):
         warnings.warn(
             f"resolution {grid.resolution} below "
@@ -394,10 +384,16 @@ _SECOND_ORDER_SCALE = -1.0 / (32.0 * math.pi**2)
 
 
 def _second_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
+    missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
+    if missing:
+        raise MissingModelHook(
+            f"the closed-form route needs a Dirac-form model; {type(model).__name__} "
+            f"lacks {', '.join(missing)}"
+        )
     sums = _integrate(_second_order_job, model, grid, tuple(betas), workers, degeneracy_tol,
                       _SECOND_ORDER_SCALE)
     out = []
-    for beta, raw, closed in zip(betas, sums[0::2], sums[1::2]):
+    for beta, raw, closed in zip(betas, sums[:len(betas)], sums[len(betas):]):
         value, closed_val = float(raw.real), float(closed.real)
         extra = {"beta": beta, "order": 2, "epsilon_route": value, "closed_form_route": closed_val,
                  "route_disagreement": abs(value - closed_val)}
@@ -419,7 +415,7 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     model's Dirac vector hooks r_vector_batch and r_gradient_batch;
     without them the call raises MissingModelHook before any grid work.
     """
-    _check_second_order(model, grid, dirac_route=True)
+    _check_second_order(model, grid)
     return _second_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
 
 
@@ -427,7 +423,7 @@ def second_chern_pure(model, grid: GridSpec, workers: int = 1,
                       degeneracy_tol: float = DEGENERACY_TOL) -> IntegralResult:
     """Second Chern number of the ground cluster from its non-abelian
     curvature; near-integer for gapped four-band models."""
-    _check_second_order(model, grid, dirac_route=False)
+    _check_second_order(model, grid)
     (raw,) = _integrate(_pure_job, model, grid, None, workers, degeneracy_tol, _SECOND_ORDER_SCALE)
     return IntegralResult(float(raw.real), abs(raw.imag), extra={"order": 2, "pure": True})
 
@@ -582,7 +578,7 @@ def temperature_sweep(model, temperatures, grid: GridSpec, workers: int = 1,
     if order == 1:
         results = _first_order_results(model, betas, grid, workers, degeneracy_tol)
     else:
-        _check_second_order(model, grid, dirac_route=True)
+        _check_second_order(model, grid)
         results = _second_order_results(model, betas, grid, workers, degeneracy_tol)
     idx = np.unique(np.linspace(0, grid.n_points - 1, min(12, grid.n_points)).astype(int))
     sample = np.concatenate([grid.points_range(i, i + 1) for i in idx])

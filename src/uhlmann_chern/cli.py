@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import json
 import math
-import subprocess
 import sys
 import time
 import warnings
@@ -70,14 +69,13 @@ def _build_model(cfg: dict):
 
 
 def _build_grid(model, cfg: dict) -> chern.GridSpec:
-    block = cfg["grid"]
-    resolution = tuple(block["resolution"])
+    resolution = cfg["grid"]["resolution"]
     if len(resolution) != model.manifold.dim:
         raise ConfigError(
             f"grid.resolution: expected {model.manifold.dim} entries for "
             f"{cfg['model']['variant']}, got {len(resolution)}"
         )
-    return chern.GridSpec(model.manifold, resolution, offset=block.get("offset", True))
+    return chern.GridSpec(model.manifold, resolution)
 
 
 def _degeneracy_tol(cfg: dict) -> float:
@@ -115,22 +113,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _version_string() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if proc.returncode == 0 and proc.stdout.strip():
-            return proc.stdout.strip()
-    except OSError:
-        pass
-    return f"v{__version__}"
-
-
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -141,14 +123,11 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
     run = cfg["run"]
     if run.get("order", model.dim // 2) != model.dim // 2:  # it only confirms the sweep order
         raise ConfigError(f"run.order: order {run['order']} does not match a {model.dim}D model")
-    temperatures = run.get("temperatures")
-    if temperatures is None:
-        raise ConfigError("run.temperatures: required for sweep")
 
     tol = _degeneracy_tol(cfg)
     start = time.perf_counter()
     result = chern.temperature_sweep(
-        model, temperatures, grid=grid, workers=workers, degeneracy_tol=tol
+        model, run.get("temperatures", ()), grid=grid, workers=workers, degeneracy_tol=tol
     )
     wall = time.perf_counter() - start
 
@@ -164,17 +143,16 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
             "model": models.model_id(model),
             "model_variant": cfg["model"]["variant"],
             "grid_resolution": list(grid.resolution),
-            "grid_offset": grid.offset,
             "r0": model.r0,
             "order": result.order,
             "workers": workers,
-            "temperatures": [float(t) for t in temperatures],
+            "temperatures": list(result.temperatures),
             "tolerances": {"degeneracy": tol},
             "max_imag_residual": max(d["imag_residual"] for d in result.diagnostics),
             "max_trace_residual": max(d["max_trace_residual"] for d in result.diagnostics),
             "max_route_disagreement": max(d["route_disagreement"] for d in result.diagnostics),
             "wall_time_s": wall,
-            "version": _version_string(),
+            "version": __version__,
         },
     )
     for t, v, *_ in rows:
@@ -200,8 +178,7 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     beta = chern.beta_from_temperature(t_over_r0, model.r0)
     tol = _degeneracy_tol(cfg)
 
-    sizes, *columns = zip(*chern._map_chunks(_map_job, model, grid, beta, tol, workers))
-    chern._one_ground_size(sizes)
+    columns = chern._one_ground_size(chern._map_chunks(_map_job, model, grid, beta, tol, workers))
     pts = grid.points_range(0, grid.n_points)
     trace, berry = (np.concatenate(c) for c in columns)
     trace_rows = zip(pts[:, 0], pts[:, 1], trace)
@@ -253,7 +230,7 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
             "model": models.model_id(model),
             "grid_resolution": list(grid.resolution),
             **report,
-            "version": _version_string(),
+            "version": __version__,
         },
     )
     print(f"chern ({kind}): {_format(value)}")

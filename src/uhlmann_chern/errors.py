@@ -66,8 +66,8 @@ class GapClosed(UhlmannChernError):
     """The spectral gap protecting the operation closed."""
 
 
-class StepTooLarge(UhlmannChernError):
-    """A finite-difference step exceeds a tenth of the coordinate scale."""
+class StepTooLarge(InvalidArgument):
+    """A finite-difference step outside (0, a tenth of the coordinate scale]."""
 
 
 # --- integration / CLI ---
@@ -101,5 +101,6 @@ class ResolutionTooLowWarning(UserWarning):
 
 
 class TruncationWeightWarning(UserWarning):
-    """Thermal weight has not decayed below 1e-12 by half the Fock
-    truncation, so truncation artifacts may be visible."""
+    """Thermal weight past half the Fock truncation has reached 1e-12 in a
+    Gibbs state (thermal_state), or 1e-4, criterion 9's tolerance, at a beta
+    of a first-order integral or sweep, so truncation artifacts may show."""

@@ -641,12 +641,12 @@ class CoherentOscillator(_Model):
             np.multiply(x, gaps, out=g[mu])  # [X, H0]_jk = X_jk (E_k - E_j)
         return np.tile(levels, (d.shape[0], 1)), d, g
 
-    def _check_thermal_truncation(self, weights):
-        tail = weights[self.fock_dim // 2 :]
-        if tail.size and float(tail.max()) >= 1e-12:
+    def _check_thermal_truncation(self, beta, bound):
+        tail = weights_batch(self._h0_diag[None], beta)[0, self.fock_dim // 2 :]
+        if float(tail.max()) >= bound:
             warnings.warn(
-                "thermal weight has not decayed below 1e-12 by half the Fock "
-                "truncation; raise fock_dim or beta",
+                f"thermal weight has not decayed below {bound:g} by half the Fock "
+                f"truncation at beta={beta:.6g}; raise fock_dim or beta",
                 TruncationWeightWarning,
                 stacklevel=3,
             )
@@ -746,8 +746,8 @@ def thermal_state(model, p, beta: float, degeneracy_tol: float = DEGENERACY_TOL)
     sd = hermitian_eig(model.hamiltonian(p), degeneracy_tol=degeneracy_tol)
     w = weights_batch(sd.eigenvalues[None], beta, sd.labels[None])[0]
     check = getattr(model, "_check_thermal_truncation", None)
-    if check is not None and not math.isinf(beta):
-        check(w)
+    if check is not None:
+        check(beta, 1e-12)
     v = sd.eigenvectors
     rho = (v * w) @ v.conj().T
     return ThermalState(beta, rho, sd, w)

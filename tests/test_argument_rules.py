@@ -151,6 +151,22 @@ def test_cli_run_key_its_command_does_not_read_is_a_config_error(tmp_path, capsy
     assert written == []
 
 
+@pytest.mark.parametrize("step", [math.nan, 0.2])
+def test_cli_bad_fd_step_is_a_config_error(tmp_path, capsys, step):
+    """A NaN step, or one above a tenth of the cell, is an argument error
+    (StepTooLarge is an InvalidArgument), not a failed verify check."""
+    code, written = _run_cli(tmp_path, {"type": "verify"}, tolerances={"fd_step": step})
+    err = capsys.readouterr().err
+    assert code == 2 and "config error: step" in err, err
+    assert "Traceback" not in err and written == []
+
+
+@pytest.mark.parametrize("h", [math.nan, -1e-3, 0.0, 1.0])
+def test_a_bad_fd_step_is_an_invalid_argument(h):
+    with pytest.raises(InvalidArgument, match="step"):
+        geometry.uhlmann_curvature(HALDANE, np.array([0.3, 0.4]), 1.0, h=h)
+
+
 def test_cli_run_keys_its_command_reads_still_run(tmp_path, capsys):
     code, written = _run_cli(tmp_path, {"type": "chern", "band": 1})
     assert code == 0 and written == ["chern.json"]

@@ -39,10 +39,14 @@ def test_gridspec_validation(sphere, haldane):
         GridSpec(haldane.manifold, (16, 16, 16))
     with pytest.raises(ValueError):
         GridSpec(haldane.manifold, (16, 4))
-    # sphere grids force midpoint offset so no point sits on a pole
-    g = GridSpec(sphere.manifold, (16, 16), offset=False)
-    assert g.offset is True
+    # grid points are cell midpoints, so none sits on a pole
+    g = GridSpec(sphere.manifold, (16, 16))
     assert g.axis(0)[0] > 0.0
+
+
+def test_gridspec_takes_no_offset(haldane):
+    with pytest.raises(TypeError):
+        GridSpec(haldane.manifold, (16, 16), offset=False)
 
 
 def test_gridspec_layout(haldane):

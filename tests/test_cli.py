@@ -7,11 +7,13 @@ output contract, not just the numbers.
 """
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uhlmann_chern
 from uhlmann_chern import cli, models
 
 
@@ -376,3 +378,33 @@ def test_verify_reports_warning_counts_on_every_row(tmp_path, capsys):
     assert len(lines) == 13
     assert all("warning" in line for line in lines)
     assert lines[-1].startswith("verify: 12 checks passed, ")
+
+
+# -- grid layout and version -----------------------------------------------------
+
+
+@pytest.mark.parametrize("offset", [True, False])
+def test_grid_offset_is_a_config_error(tmp_path, capsys, offset):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", output_dir=str(out))
+    cfg = json.loads(path.read_text())
+    cfg["grid"]["offset"] = offset
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path)]) == 2
+    assert "offset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outputs_carry_the_package_version_without_a_child_process(tmp_path, monkeypatch):
+    def no_child(*args, **kwargs):
+        raise AssertionError("the CLI started a child process")
+
+    monkeypatch.setattr(subprocess, "run", no_child)
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    sweep = write_config(tmp_path / "s.json", resolution=(16, 16))
+    chern = write_config(tmp_path / "c.json", resolution=(16, 16), run={"type": "chern"})
+    for config, out in ((sweep, "s"), (chern, "c")):
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / out)]) == 0
+    for path in (tmp_path / "s" / "summary.json", tmp_path / "c" / "chern.json"):
+        assert json.loads(path.read_text())["version"] == uhlmann_chern.__version__
+    assert "grid_offset" not in json.loads((tmp_path / "s" / "summary.json").read_text())

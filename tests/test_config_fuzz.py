@@ -84,10 +84,8 @@ def configs(draw):
     size = draw(st.one_of(st.just(dim), st.integers(2, 4)))
     cfg = {
         "model": {"variant": variant, "parameters": draw(PARAMETERS[variant])},
-        "grid": draw(st.fixed_dictionaries(
-            {"resolution": st.lists(integral(st.integers(8, 10)), min_size=size, max_size=size)},
-            optional={"offset": st.booleans()},
-        )),
+        "grid": {"resolution": draw(st.lists(integral(st.integers(8, 10)), min_size=size,
+                                             max_size=size))},
         "run": run,
     }
     workers = draw(optional(integral(st.sampled_from([1, 2]))))

@@ -22,6 +22,7 @@ from uhlmann_chern.errors import (
     NonFiniteInput,
     NonHermitianInput,
     ResolutionTooLowWarning,
+    TruncationWeightWarning,
     UhlmannChernError,
 )
 
@@ -113,6 +114,24 @@ def test_second_thermal_uc_needs_dirac_hooks_before_grid_work(monkeypatch):
     for beta in (1.0, models.BETA_INF):
         with pytest.raises(MissingModelHook):
             chern.second_thermal_uc(model, beta, grid)
+
+
+class NotDiracFormWithScale(NotDiracForm):
+    r0 = 1.0  # the energy unit a temperature sweep reads
+
+
+def test_only_the_determinant_route_needs_dirac_hooks(monkeypatch):
+    model = NotDiracFormWithScale()
+    grid = chern.default_grid(model, 16)
+    pure = chern.second_chern_pure(model, grid)
+    assert pure.value == chern.second_chern_pure(models.FourBandGamma(m=1.5), grid).value
+
+    def no_chunks(*args, **kwargs):
+        raise AssertionError("chunk work started before the hook check")
+
+    monkeypatch.setattr(chern, "_map_chunks", no_chunks)
+    with pytest.raises(MissingModelHook):
+        chern.temperature_sweep(model, [0.5, 1.0], grid)
 
 
 def test_typed_errors_share_the_package_base():
@@ -463,7 +482,12 @@ def test_oscillator_spacing_bound_sits_where_the_matrices_overflow(fock_dim):
         grid = chern.default_grid(model, 8)
         assert np.isfinite(chern.first_thermal_uc(model, 1.0, grid).value)
         assert np.isfinite(model.gradient_batch(grid.points_range(0, 64), 1)).all()
-        chern.temperature_sweep(model, [0.5, 1.0], grid)
+        if fock_dim == 8:  # beta hbar_omega = 2 leaves 2.9e-4 of the weight past level 4
+            with pytest.warns(TruncationWeightWarning) as caught:
+                chern.temperature_sweep(model, [0.5, 1.0], grid)
+            assert {w.category for w in caught} == {TruncationWeightWarning}
+        else:
+            chern.temperature_sweep(model, [0.5, 1.0], grid)
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan])
@@ -492,3 +516,41 @@ def test_overflowing_level_gaps_still_split_clusters():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(linalg.cluster_labels(w, 1e-9), [[0, 0, 1, 1]])
+
+
+# The first-order integrals build no Gibbs state, so they check the Fock tail
+# themselves: once per finite beta, against criterion 9's 1e-4. On fock_dim 40
+# at 16^2 the integral misses its closed form by 8.5e-4 at beta = 0.05, where
+# 2.1e-2 of the weight sits past level 20, and by 3.6e-7 at beta = 0.6.
+OSCILLATOR = models.CoherentOscillator(fock_dim=40)
+
+
+def oscillator_closed_form(beta):
+    return -(OSCILLATOR.fock_dim / (4 * math.pi)) * math.tanh(beta * OSCILLATOR.hbar_omega / 2) ** 2
+
+
+def test_oscillator_integral_warns_on_a_heavy_fock_tail():
+    grid = chern.default_grid(OSCILLATOR, 16)
+    with pytest.warns(TruncationWeightWarning, match="has not decayed below 0.0001") as caught:
+        value = chern.first_thermal_uc(OSCILLATOR, 0.05, grid).value
+    assert len(caught) == 1 and "beta=0.05" in str(caught[0].message)
+    assert abs(value - oscillator_closed_form(0.05)) > 1e-4  # what the warning is for
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0, models.BETA_INF])
+def test_oscillator_integral_is_silent_on_a_light_fock_tail(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = chern.first_thermal_uc(OSCILLATOR, beta, chern.default_grid(OSCILLATOR, 16)).value
+    if beta != models.BETA_INF:
+        assert abs(value - oscillator_closed_form(beta)) < 1e-6
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oscillator_sweep_warns_only_at_its_low_betas(workers):
+    grid = chern.default_grid(OSCILLATOR, 8)
+    with pytest.warns(TruncationWeightWarning) as caught:
+        chern.temperature_sweep(OSCILLATOR, [1.0, 5 / 3, 5.0, 20.0], grid, workers=workers)
+    messages = sorted(str(w.message) for w in caught)
+    assert len(messages) == 2, messages
+    assert "beta=0.05;" in messages[0] and "beta=0.2;" in messages[1]
