@@ -25,7 +25,6 @@ and a sweep value equals its single-temperature integral bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,12 +40,14 @@ from .errors import (
     NonFiniteInput,
     NonIntegerPlaquetteSum,
     ResolutionTooLowWarning,
+    warn,
 )
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
     _cluster_curvature,
     _ground_size,
     _require_isolated,
+    _run_rows,
     _sorted_group,
     _spectral_data,
     _trace_pairs,
@@ -334,17 +335,17 @@ def _second_order_job(model, pts, betas, tol):
     side. With D levels on both, s = tanh^5 / D, the determinant route's
     law. Other chunks take curvature_frame_grid and
     uhlmann_curvature_from_frame at finite beta."""
-    data = _spectral_data(model, pts, tol)
-    w, labels, t = data[0], data[3], data[5]
+    w, _, _, labels, _, t = data = _spectral_data(model, pts, tol)
     sizes = (labels == 0).sum(axis=1)
     two_valued = ((labels[:, -1] == 1) & (sizes == sizes[0])).all() and (
         (w == w[:, :1]) | (w == w[:, -1:])).all()
     general = not two_valued and any(beta != BETA_INF for beta in betas)
     frame = curvature_frame_grid(model, pts, tol, data) if general else None
-    del data  # frees v, g and keep before the ground block is built
     d = _ground_size(w, labels) if BETA_INF in betas else int(sizes[0])
     if frame is None or BETA_INF in betas:
-        f = _cluster_curvature(t, 0, d)
+        del data  # so the full stack is freed with t before the block's products
+        t = _run_rows(t, 0, d)
+        f = _cluster_curvature(t)
         dens = _eps_contraction(f, np.ones(f.shape[1:3]))
     eps = []
     for beta in betas:
@@ -370,13 +371,8 @@ def _check_second_order(model, grid: GridSpec):
     """_require_grid in 4D, then a warning below the accepted resolution."""
     _require_grid(model, grid, 4)
     if any(r < SECOND_ORDER_ACCEPTED_RESOLUTION for r in grid.resolution):
-        warnings.warn(
-            f"resolution {grid.resolution} below "
-            f"{SECOND_ORDER_ACCEPTED_RESOLUTION} per dimension; second-order "
-            "integrals may miss the stated tolerance",
-            ResolutionTooLowWarning,
-            stacklevel=3,
-        )
+        warn(f"resolution {grid.resolution} below {SECOND_ORDER_ACCEPTED_RESOLUTION} per dimension;"
+             " second-order integrals may miss the stated tolerance", ResolutionTooLowWarning)
 
 
 # -(1/8 pi^2) times the 1/4 of tr(rho F ^ F) = (1/4) eps tr(rho F F) d^4k.
@@ -463,9 +459,8 @@ def _link_phases(frames_a, frames_b):
 
 
 def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
-    """Band-group frames at every point of a GridSpec or _ClosedGrid,
-    built chunk by chunk and laid out on its 2D index grid: the frames
-    the lattice oracle's row blocks rebuild."""
+    """Band-group frames at every point of a GridSpec or _ClosedGrid, chunk by chunk,
+    on its 2D index grid: the frames the lattice oracle's row blocks rebuild."""
     chunks = _map_chunks(_frame_grid, model, points, group, degeneracy_tol, workers)
     return np.concatenate(chunks).reshape(*points.resolution, -1, len(group))
 

@@ -197,8 +197,8 @@ def _map_job(model, pts, beta, tol):
     lam = models.weights_batch(w, beta, labels)
     trace = geometry._trace_pairs(lam[None], t, geometry.direction_pairs(2))[0, 0]
     d = geometry._ground_size(w, labels)
-    f = geometry._cluster_curvature(t, 0, d)
-    return (d,), trace.imag, np.trace(f[0], axis1=-2, axis2=-1).imag
+    t = geometry._run_rows(t, 0, d)  # the full stack is freed before the block's products
+    return (d,), trace.imag, np.trace(geometry._cluster_curvature(t)[0], axis1=-2, axis2=-1).imag
 
 
 # ---------------------------------------------------------------------------

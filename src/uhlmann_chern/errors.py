@@ -1,4 +1,6 @@
 """Exception and warning types shared across the package."""
+import sys
+import warnings
 
 
 class UhlmannChernError(Exception):
@@ -90,6 +92,14 @@ class ConfigError(UhlmannChernError):
 
 
 # --- warnings ---
+
+def warn(message: str, category) -> None:
+    """warnings.warn at the line of the first caller outside the package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
 
 class VanishingDenominatorWarning(UserWarning):
     """Weight-sum denominators below threshold were dropped."""

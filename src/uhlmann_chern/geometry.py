@@ -8,16 +8,18 @@ T_jk = <j|dH|k> / (E_k - E_j) built from analytic Hamiltonian
 gradients. No eigenvector is ever differentiated across parameter
 points, so every quantity is manifestly phase-choice independent.
 
-Grid-scale callers use the *_grid functions, which batch whole chunks
-of points through stacked eigendecompositions, or through the model's
-exact eigenframe_batch when it has one. The per-point operations run
-the same kernels on a batch of one point (uhlmann_connection_sqrt_fd,
-the independent route, excepted). Levels are grouped by one rule,
-linalg.cluster_labels: the ground cluster, the zero-temperature weights
-and the degeneracy mask of the tangent matrices all come from it. The
-pure-state curvatures (Berry, Wilczek-Zee, the ground block) are blocks
-of one kernel, _cluster_curvature, and one gap rule, _require_isolated,
-decides for them and for the lattice oracle whether a run is isolated.
+Grid-scale callers use the *_grid functions, which batch whole chunks of
+points through stacked eigendecompositions, or through the model's exact
+eigenframe_batch when it has one; the per-point operations run them on a
+batch of one point (uhlmann_connection_sqrt_fd, the independent route,
+excepted). Each spectral pass holds one (d, B, N, N) stack: the tangents
+overwrite the frame's g where it is writeable. Levels are grouped by one
+rule, linalg.cluster_labels: the ground cluster, the zero-temperature
+weights and the degeneracy mask all come from it. The pure-state
+curvatures (Berry, Wilczek-Zee, the ground block) are blocks of one
+kernel, _cluster_curvature, on a run's rows cut out before its products
+(_run_rows); one gap rule, _require_isolated, decides for them and for
+the lattice oracle whether a run is isolated.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 The closed form differentiates the spectral connection from one point's
@@ -46,6 +48,7 @@ from .errors import (
     NotMaximalCluster,
     StepTooLarge,
     VanishingDenominatorWarning,
+    warn,
 )
 from .linalg import (
     DEGENERACY_TOL,
@@ -173,10 +176,10 @@ def _gap_mask(w, labels):
     return den, labels[:, :, None] != labels[:, None, :]
 
 
-def _divide_gaps(num, den, keep) -> np.ndarray:
-    """num_jk / (E_k - E_j) off-cluster, zero within a cluster, by one masked real
-    reciprocal for all of num (..., B, N, N): numpy's complex division does the same."""
-    return num * np.where(keep, 1.0 / np.where(keep, den, 1.0), 0.0)
+def _divide_gaps(num, den, keep, out=None) -> np.ndarray:
+    """num_jk / (E_k - E_j) off-cluster, zero within a cluster, by one masked real reciprocal
+    for all of num (..., B, N, N), as numpy's complex division does; into out if given."""
+    return np.multiply(num, np.divide(1.0, den, out=np.zeros(den.shape), where=keep), out=out)
 
 
 def _commutators(a, pairs) -> np.ndarray:
@@ -263,23 +266,19 @@ def _frame_data(model, pts):
 
 
 def _spectral_data(model, pts, degeneracy_tol):
-    """Frame (w, v, g) of a point batch, the cluster labels of w, the off-cluster mask
-    keep and tangents t: for the grid kernels, and the per-point curvatures on [p]."""
+    """(w, v, de, labels, keep, t) of a point batch: its frame, de = diag(g).real (d, B, N), the
+    labels of w, the off-cluster mask and tangents, divided in g itself if writeable (one stack)."""
     w, v, g = _frame_data(model, np.asarray(pts, dtype=np.float64))
     labels = cluster_labels(w, degeneracy_tol)
     den, keep = _gap_mask(w, labels)
-    return w, v, g, labels, keep, _divide_gaps(g, den, keep)
+    de = np.diagonal(g, axis1=-2, axis2=-1).real.copy()
+    own = g.flags.writeable and g.dtype == np.result_type(g, den)  # same bits in place
+    return w, v, de, labels, keep, _divide_gaps(g, den, keep, out=g if own else None)
 
 
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
-    """Eigen-data bundle for a point batch: (w, v, lam, t) with shapes
-    (B, N), (B, N, N), (B, N), (d, B, N, N).
-
-    A model with an eigenframe_batch method supplies its exact
-    eigenvalues, eigenvectors and eigenbasis gradients; every other
-    model goes through one stacked eigendecomposition of H (_frame_data;
-    v is in its gauge). Both paths share the same gap division and
-    degeneracy mask, and the cluster labels are computed once per batch.
+    """Eigen-data bundle for a point batch from one _spectral_data pass: (w, v, lam, t)
+    with shapes (B, N), (B, N, N), (B, N), (d, B, N, N), v in _frame_data's gauge.
     beta may also be a sequence of K inverse temperatures: lam then has
     shape (K, B, N), one weight batch per beta on the same eigen-data.
     """
@@ -314,8 +313,7 @@ def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL, dat
     direction pair the commutator tt = [T_mu, T_nu] (P, B, N, N) from
     _commutators. data, the _spectral_data of pts if the caller has it,
     spares a second spectral pass."""
-    w, _, g, labels, keep, t = _spectral_data(model, pts, degeneracy_tol) if data is None else data
-    de = np.diagonal(g, axis1=-2, axis2=-1).real
+    w, _, de, labels, keep, t = _spectral_data(model, pts, degeneracy_tol) if data is None else data
     delta = de[:, :, :, None] - de[:, :, None, :]
     return w, labels, t, delta, keep, _commutators(t, direction_pairs(model.dim))
 
@@ -373,15 +371,19 @@ def _require_isolated(w, labels, lo, hi, error) -> None:
                         f"or a gap at or below {GAP_FLOOR:.0e}")
 
 
-def _cluster_curvature(t, lo, hi) -> np.ndarray:
-    """Curvature (P, B, n, n) of the levels lo..hi-1 from tangents t (d, B, N, N):
-    F_ab = -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) over every k outside them. As
+def _run_rows(t, lo, hi) -> np.ndarray:
+    """The rows lo..hi-1 of tangents t (d, B, N, N) at their outer columns, (d, B, n, N - n)."""
+    return np.delete(t[:, :, lo:hi], slice(lo, hi), axis=-1)
+
+
+def _cluster_curvature(tg) -> np.ndarray:
+    """Curvature (P, B, n, n) of a run of levels from its rows tg = _run_rows(t, lo, hi):
+    F_ab = -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) over every k outside the run. As
     T_kb = -conj(T_bk) there, F = M - M^dagger with M = sum_k T^mu_ak conj(T^nu_bk),
     summed over k (faster than matmul on small blocks)."""
-    tg = np.delete(t[:, :, lo:hi], slice(lo, hi), axis=-1)  # run rows, outer columns
     tc = tg.conj()
-    pairs = direction_pairs(t.shape[0])
-    f = np.empty((len(pairs), t.shape[1], hi - lo, hi - lo), dtype=np.complex128)
+    pairs = direction_pairs(tg.shape[0])
+    f = np.empty((len(pairs), tg.shape[1], tg.shape[2], tg.shape[2]), dtype=np.complex128)
     for i, (mu, nu) in enumerate(pairs):  # zero for a run of all levels, which has no k
         m = sum((tg[mu, :, :, None, k] * tc[nu, :, None, :, k] for k in range(tg.shape[-1])),
                 np.zeros(f.shape[1:], dtype=np.complex128))
@@ -405,7 +407,7 @@ def _ground_size(w, labels) -> int:
 
 def ground_block_curvature_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     """Zero-temperature curvature restricted to the ground cluster, for
-    a whole point batch at once.
+    a whole point batch at once, from its rows cut out of the tangents.
 
     Returns (f, d) with f of shape (P, B, D, D) and D the common ground
     degeneracy. Raises GapClosed if the cluster size varies over the
@@ -413,7 +415,8 @@ def ground_block_curvature_grid(model, pts, degeneracy_tol: float = DEGENERACY_T
     """
     w, _, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
     d = _ground_size(w, labels)
-    return _cluster_curvature(t, 0, d), d
+    t = _run_rows(t, 0, d)  # the full stack is freed before the block's products
+    return _cluster_curvature(t), d
 
 
 def _fd_shift_stack(p, h, dim) -> np.ndarray:
@@ -451,14 +454,10 @@ def uhlmann_curvature_grid(
     model, pts, beta: float, h: float | None = None, degeneracy_tol: float = DEGENERACY_TOL
 ) -> np.ndarray:
     """Uhlmann curvature components F (P, B, N, N) over a point batch, in
-    the original basis, by finite differences of connection_grid.
-
-    The exterior-derivative part is a central finite difference of the
-    spectral-route connection field: all 2 dim + 1 evaluation points of
-    the whole batch go through one connection_grid call, and so one
-    stacked eigendecomposition. This is the cross-check of the closed
-    form (curvature_frame_grid and uhlmann_curvature_from_frame), which
-    the integrals use.
+    the original basis, by central finite differences of connection_grid:
+    all 2 dim + 1 evaluation points of the batch go through one call, so
+    one spectral pass. The cross-check of the closed form (curvature_frame_grid
+    and uhlmann_curvature_from_frame), which the integrals use.
     """
     h = _default_step(model, h)
     stack = _fd_shift_stack(pts, h, model.dim)  # (2 dim + 1, B, d)
@@ -493,7 +492,7 @@ def berry_curvature(model, p, band: int = 0,
     if not 0 <= band < w.shape[1]:
         raise DegenerateBand(f"band index {band} outside 0..{w.shape[1] - 1}")
     _require_isolated(w, labels, band, band + 1, DegenerateBand)
-    f = _cluster_curvature(t, band, band + 1)[:, 0]
+    f = _cluster_curvature(_run_rows(t, band, band + 1))[:, 0]
     return CurvatureComponents(direction_pairs(model.dim), f)
 
 
@@ -511,8 +510,8 @@ def wz_curvature(model, p, group, degeneracy_tol: float = DEGENERACY_TOL) -> Cur
         raise NotMaximalCluster(f"index set {group} is not one of the maximal clusters {groups}")
     lo, hi = group[0], group[-1] + 1
     _require_isolated(w, labels, lo, hi, GapClosed)
-    return CurvatureComponents(direction_pairs(model.dim), _cluster_curvature(t, lo, hi)[:, 0],
-                               basis=v[0, :, lo:hi])
+    f = _cluster_curvature(_run_rows(t, lo, hi))[:, 0]
+    return CurvatureComponents(direction_pairs(model.dim), f, basis=v[0, :, lo:hi])
 
 
 def projector_limit_curvature(model, p, *,
@@ -562,12 +561,8 @@ def uhlmann_connection_sqrt_fd(model, p, beta: float, h: float | None = None,
     keep = den > WEIGHT_PAIR_FLOOR
     dropped = int((~keep).sum())
     if dropped:
-        warnings.warn(
-            f"dropped {dropped} eigenvalue pairs with combined weight <= "
-            f"{WEIGHT_PAIR_FLOOR:g}",
-            VanishingDenominatorWarning,
-            stacklevel=2,
-        )
+        warn(f"dropped {dropped} eigenvalue pairs with combined weight <= {WEIGHT_PAIR_FLOOR:g}",
+             VanishingDenominatorWarning)
     comps = np.empty((model.dim, lam.size, lam.size), dtype=np.complex128)
     roots = [psd_sqrt(thermal_state(model, q, beta, degeneracy_tol).rho)
              for q in _fd_shift_stack(p, h, model.dim)[1:]]  # p + h e_0, p - h e_0, p + h e_1, ...

@@ -23,8 +23,11 @@ closed form may also provide ``eigenframe_batch(pts) -> (w, v, g)``:
 eigenvalues, eigenvectors and eigenbasis gradients v^dagger dH v. The
 geometry kernels then use that exact spectral data instead of
 eigendecomposing H; the oscillator and the four-band model do, and the
-four-band frame makes no matrix product at all. This module imports
-only errors and linalg from the package.
+four-band frame makes no matrix product at all. Each spectral pass
+holds one tangent stack, the ground block cut out before its products:
+the kernels overwrite a writeable g with the tangents, and leave a
+read-only one (a cached array) untouched. This module imports only
+errors and linalg from the package.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-import warnings
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .errors import (
     TruncationTooSmall,
     TruncationWeightWarning,
     UnsupportedDirection,
+    warn,
 )
 from .linalg import (
     DEGENERACY_TOL,
@@ -395,6 +398,7 @@ def _gamma_eigenpairs(r, dr):
     require_finite_width(w)
     x = dr * e
     x -= (2.0 * (x * a).sum(axis=-1) / n2)[..., None] * a
+    del u, e, a, n2, b  # freed before g's (d, B, 4, 4) product
     return w, v, _basis_dot(x, GAMMA)
 
 
@@ -644,12 +648,8 @@ class CoherentOscillator(_Model):
     def _check_thermal_truncation(self, beta, bound):
         tail = weights_batch(self._h0_diag[None], beta)[0, self.fock_dim // 2 :]
         if float(tail.max()) >= bound:
-            warnings.warn(
-                f"thermal weight has not decayed below {bound:g} by half the Fock "
-                f"truncation at beta={beta:.6g}; raise fock_dim or beta",
-                TruncationWeightWarning,
-                stacklevel=3,
-            )
+            warn(f"thermal weight has not decayed below {bound:g} by half the Fock "
+                 f"truncation at beta={beta:.6g}; raise fock_dim or beta", TruncationWeightWarning)
 
     def uhlmann_mixing_exact(self, beta, n, m) -> float:
         """Closed-form weight-mixing coefficient between oscillator

@@ -81,19 +81,20 @@ def test_cluster_curvature_matches_the_three_formulas(request, rng, name):
     if name == "chain":
         assert groups[0] == GROUND
     for band in range(w.shape[1]):
-        got = geometry._cluster_curvature(t, band, band + 1)
+        got = geometry._cluster_curvature(geometry._run_rows(t, band, band + 1))
         assert_close(got[:, :, 0, 0], band_formula(t, band))
     for group in groups:
-        got = geometry._cluster_curvature(t, group[0], group[-1] + 1)
+        got = geometry._cluster_curvature(geometry._run_rows(t, group[0], group[-1] + 1))
         assert_close(got, index_formula(t, group))
     d = len(groups[0])
-    assert np.array_equal(geometry._cluster_curvature(t, 0, d), ground_loop(t, d))
+    got = geometry._cluster_curvature(geometry._run_rows(t, 0, d))
+    assert np.array_equal(got, ground_loop(t, d))
     assert geometry._ground_size(w, labels) == d
 
 
 def test_cluster_curvature_of_all_levels_is_zero(fourband, rng):
     t = geometry.spectral_data_grid(fourband, random_points(fourband, rng, 3), 1.0)[3]
-    f = geometry._cluster_curvature(t, 0, 4)
+    f = geometry._cluster_curvature(geometry._run_rows(t, 0, 4))
     assert f.shape == (6, 3, 4, 4) and not f.any()
 
 

@@ -24,6 +24,7 @@ from uhlmann_chern.errors import (
     ResolutionTooLowWarning,
     TruncationWeightWarning,
     UhlmannChernError,
+    VanishingDenominatorWarning,
 )
 
 
@@ -554,3 +555,34 @@ def test_oscillator_sweep_warns_only_at_its_low_betas(workers):
     messages = sorted(str(w.message) for w in caught)
     assert len(messages) == 2, messages
     assert "beta=0.05;" in messages[0] and "beta=0.2;" in messages[1]
+
+
+# Each call warns from inside the package, one to three frames deep.
+FOCK_8 = models.CoherentOscillator(fock_dim=8)
+FOURBAND = models.FourBandGamma(1.5)
+SPHERE_POINT = [1.0, 0.3]
+WARNING_CALLS = {
+    "first_thermal_uc": (TruncationWeightWarning, lambda: chern.first_thermal_uc(
+        FOCK_8, 0.05, chern.default_grid(FOCK_8, 8))),
+    "temperature_sweep": (TruncationWeightWarning, lambda: chern.temperature_sweep(
+        FOCK_8, [20.0], chern.default_grid(FOCK_8, 8))),
+    "thermal_state": (TruncationWeightWarning, lambda: models.thermal_state(
+        FOCK_8, [0.1, 0.2], 0.05)),
+    "uhlmann_connection_sqrt_fd": (VanishingDenominatorWarning, lambda: (
+        geometry.uhlmann_connection_sqrt_fd(models.TwoLevelSphere(), SPHERE_POINT,
+                                            models.BETA_INF))),
+    "uhlmann_curvature_sqrt_fd": (VanishingDenominatorWarning, lambda: geometry.uhlmann_curvature(
+        models.TwoLevelSphere(), SPHERE_POINT, models.BETA_INF, connection_route="sqrt_fd")),
+    "second_chern_pure": (ResolutionTooLowWarning, lambda: chern.second_chern_pure(
+        FOURBAND, chern.default_grid(FOURBAND, 8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARNING_CALLS))
+def test_package_warnings_point_at_the_callers_line(name):
+    category, call = WARNING_CALLS[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert [w.category for w in caught] == [category]
+    assert caught[0].filename == __file__, (caught[0].filename, caught[0].lineno)

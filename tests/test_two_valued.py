@@ -72,7 +72,7 @@ def assert_close(got, ref, rtol=1e-13):
 
 def unit_density(t, lo, hi):
     """eps-density with unit weight of the cluster block of levels lo..hi-1."""
-    f = geometry._cluster_curvature(t, lo, hi)
+    f = geometry._cluster_curvature(geometry._run_rows(t, lo, hi))
     return chern._eps_contraction(f, np.ones(f.shape[1:3]))
 
 
@@ -85,7 +85,7 @@ def two_valued_law(frame, beta):
         th = np.tanh(0.5 * beta * (w[:, -1] - w[:, 0]))
     d = int((labels[0] == 0).sum())
     if t.shape[0] == 2:
-        f0 = geometry._cluster_curvature(t, 0, d)
+        f0 = geometry._cluster_curvature(geometry._run_rows(t, 0, d))
         return (lam[:, 0] - lam[:, -1]) * th**2 * np.trace(f0[0], axis1=-2, axis2=-1)
     return (lam[:, 0] - lam[:, -1]) * th**4 * unit_density(t, 0, d)
 
