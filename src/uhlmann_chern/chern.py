@@ -49,6 +49,7 @@ from .geometry import (
     _require_isolated,
     _run_rows,
     _sorted_group,
+    _spectral_blocks,
     _spectral_data,
     _trace_pairs,
     curvature_frame_grid,
@@ -238,15 +239,19 @@ def _require_grid(model, grid: GridSpec, dim: int):
 
 
 def _first_order_job(model, pts, betas, tol):
-    """The ground size D of one chunk ((D,) by _ground_size's rule if BETA_INF
-    is among betas, else ()) and its partials of Tr(rho F_U), one per beta; at
-    BETA_INF by thermal_trace_grid's steps on a spectral pass that also gives
-    the labels."""
+    """The ground sizes D of one chunk (each block's by _ground_size's rule if
+    BETA_INF is among betas, else none) and its partials of Tr(rho F_U), one per
+    beta; at BETA_INF by thermal_trace_grid's steps on spectral passes that also
+    give the labels."""
     if BETA_INF not in betas:
         return (), [complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
-    w, _, _, labels, _, t = _spectral_data(model, pts, tol)
-    traces = _trace_pairs(np.stack([weights_batch(w, b, labels) for b in betas]), t, ((0, 1),))
-    return (_ground_size(w, labels),), [complex(np.sum(tr[0])) for tr in traces]
+    traces, sizes = np.empty((len(betas), 1, len(pts)), dtype=np.complex128), set()
+    for s, e in _spectral_blocks(model, len(pts)):
+        w, _, _, labels, _, t = _spectral_data(model, pts[s:e], tol)
+        lam = np.stack([weights_batch(w, b, labels) for b in betas])
+        traces[:, :, s:e] = _trace_pairs(lam, t, ((0, 1),))
+        sizes.add(_ground_size(w, labels))
+    return tuple(sizes), [complex(np.sum(tr[0])) for tr in traces]
 
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):

@@ -191,14 +191,18 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
 
 
 def _map_job(model, pts, beta, tol):
-    """The ground size, Im Tr(rho F_U) at beta and the ground-cluster (label
-    0) Berry curvature over one chunk, from one spectral pass."""
-    w, _, _, labels, _, t = geometry._spectral_data(model, pts, tol)
-    lam = models.weights_batch(w, beta, labels)
-    trace = geometry._trace_pairs(lam[None], t, geometry.direction_pairs(2))[0, 0]
-    d = geometry._ground_size(w, labels)
-    t = geometry._run_rows(t, 0, d)  # the full stack is freed before the block's products
-    return (d,), trace.imag, np.trace(geometry._cluster_curvature(t)[0], axis1=-2, axis2=-1).imag
+    """The ground sizes, Im Tr(rho F_U) at beta and the ground-cluster (label 0)
+    Berry curvature over one chunk, from one spectral pass per block of points."""
+    trace, berry, sizes = np.empty(len(pts)), np.empty(len(pts)), set()
+    for s, e in geometry._spectral_blocks(model, len(pts)):
+        w, _, _, labels, _, t = geometry._spectral_data(model, pts[s:e], tol)
+        lam = models.weights_batch(w, beta, labels)
+        trace[s:e] = geometry._trace_pairs(lam[None], t, ((0, 1),))[0, 0].imag
+        d = geometry._ground_size(w, labels)
+        sizes.add(d)
+        t = geometry._run_rows(t, 0, d)  # the full stack is freed before the block's products
+        berry[s:e] = np.trace(geometry._cluster_curvature(t)[0], axis1=-2, axis2=-1).imag
+    return tuple(sizes), trace, berry
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,8 @@ def cmd_chern(cfg: dict, out_dir: Path, workers: int) -> int:
     dim = model.manifold.dim
     tol = _degeneracy_tol(cfg)
     if dim == 2:
+        if model.manifold.kind == "plane":
+            raise ConfigError("run.type: chern needs a closed 2D chart, not a plane")
         report = chern.pure_chern_fhs(model, run.get("band", 0), grid, workers=workers,
                                       degeneracy_tol=tol, detail=True)
         kind = "first"

@@ -13,7 +13,9 @@ points through stacked eigendecompositions, or through the model's exact
 eigenframe_batch when it has one; the per-point operations run them on a
 batch of one point (uhlmann_connection_sqrt_fd, the independent route,
 excepted). Each spectral pass holds one (d, B, N, N) stack: the tangents
-overwrite the frame's g where it is writeable. Levels are grouped by one
+overwrite the frame's g where it is writeable; the first-order passes walk
+a chunk in blocks of at most SPECTRAL_BLOCK of its entries
+(_spectral_blocks, by the model's n_levels). Levels are grouped by one
 rule, linalg.cluster_labels: the ground cluster, the zero-temperature
 weights and the degeneracy mask all come from it. The pure-state
 curvatures (Berry, Wilczek-Zee, the ground block) are blocks of one
@@ -59,7 +61,7 @@ from .linalg import (
     eigh_batch,
     psd_sqrt,
 )
-from .models import _integer, thermal_state, weights_batch
+from .models import _integer, _points, thermal_state, weights_batch
 
 # Pairs with combined density-matrix weight at or below this are dropped
 # from the finite-difference connection; the commutator numerator
@@ -79,6 +81,7 @@ FD_STEP_LIMIT_FRACTION = 0.1
 TRACE_BLOCK = 1 << 20
 
 COMMUTATOR_BLOCK = 256  # points per _commutators product at d N = 16 (1 MB), times (16 / d N)^2
+SPECTRAL_BLOCK = 1 << 16  # tangent entries d b N^2 per first-order spectral block (1 MiB of g)
 
 
 def direction_pairs(dim: int) -> tuple[tuple[int, int], ...]:
@@ -276,6 +279,14 @@ def _spectral_data(model, pts, degeneracy_tol):
     return w, v, de, labels, keep, _divide_gaps(g, den, keep, out=g if own else None)
 
 
+def _spectral_blocks(model, n: int):
+    """Ranges [s, e) over n points, one first-order spectral pass each: blocks of at most
+    SPECTRAL_BLOCK tangent entries (one point at least) by the model's n_levels N, else one."""
+    levels = getattr(model, "n_levels", None)
+    step = max(1, SPECTRAL_BLOCK // (model.dim * levels * levels) if levels else n)
+    return [(s, min(s + step, n)) for s in range(0, n, step)] or [(0, n)]
+
+
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch from one _spectral_data pass: (w, v, lam, t)
     with shapes (B, N), (B, N, N), (B, N), (d, B, N, N), v in _frame_data's gauge.
@@ -288,11 +299,14 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
 
 
 def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B); for
-    a sequence of K betas, shape (K, P, B), from one set of eigen-data
-    and one _trace_pairs call, each row bitwise its single-beta call."""
-    _, _, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
-    traces = _trace_pairs(lam if np.ndim(beta) else lam[None], t, direction_pairs(model.dim))
+    """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B); for a sequence of K betas,
+    shape (K, P, B), from one spectral_data_grid pass and one _trace_pairs call per
+    _spectral_blocks block, each row bitwise its single-beta call."""
+    pts, pairs = _points(pts, model.dim), direction_pairs(model.dim)
+    traces = np.empty((np.size(beta), len(pairs), len(pts)), dtype=np.complex128)
+    for s, e in _spectral_blocks(model, len(pts)):
+        _, _, lam, t = spectral_data_grid(model, pts[s:e], beta, degeneracy_tol)
+        traces[:, :, s:e] = _trace_pairs(lam if np.ndim(beta) else lam[None], t, pairs)
     return traces if np.ndim(beta) else traces[0]
 
 

@@ -26,8 +26,10 @@ eigendecomposing H; the oscillator and the four-band model do, and the
 four-band frame makes no matrix product at all. Each spectral pass
 holds one tangent stack, the ground block cut out before its products:
 the kernels overwrite a writeable g with the tangents, and leave a
-read-only one (a cached array) untouched. This module imports only
-errors and linalg from the package.
+read-only one (a cached array) untouched. A model's read-only n_levels, the
+side N of H, lets the first-order passes walk a chunk in blocks of bounded
+d b N^2; a model without it runs each chunk as one block. This module
+imports only errors and linalg from the package.
 """
 from __future__ import annotations
 
@@ -175,6 +177,7 @@ class _DiracModel(_Model):
     subclasses set _basis, their table of matrices."""
 
     _basis = PAULI
+    n_levels = property(lambda self: self._basis.shape[-1])
 
     def hamiltonian_batch(self, pts):
         return _basis_dot(self.r_vector_batch(pts), self._basis)
@@ -522,6 +525,7 @@ class CoherentOscillator(_Model):
             raise NonFiniteInput(f"hbar_omega {self.hbar_omega!r} * fock_dim^2 overflows")
 
     dim = 2
+    n_levels = property(lambda self: self.fock_dim)
 
     @property
     def manifold(self) -> Manifold:

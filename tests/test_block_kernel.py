@@ -226,16 +226,18 @@ def test_lattice_oracle_rejects_an_open_chart_before_grid_work(monkeypatch):
         chern.pure_chern_fhs(model, 0, chern.default_grid(model, 16))
 
 
-def test_cli_chern_on_an_open_chart_exits_3(tmp_path, capsys):
+def test_cli_chern_on_an_open_chart_exits_2(tmp_path, capsys, monkeypatch):
+    """A 2D chern on a plane chart is an argument error, as map on a 4D model is."""
     cfg = {"model": {"variant": "coherent_oscillator", "parameters": {"fock_dim": 8}},
            "grid": {"resolution": [16, 16]}, "run": {"type": "chern"}}
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert cli.main(["--config", str(path), "--out", str(out)]) == 3
+    monkeypatch.setattr(chern, "pure_chern_fhs", None)  # never reached
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "ManifoldMismatch" in err and "Traceback" not in err
-    assert not (out / "chern.json").exists()
+    assert err.startswith("config error: run.type: chern needs a closed 2D chart, not a plane")
+    assert "Traceback" not in err and not (out / "chern.json").exists()
 
 
 # -- _commutators memory ----------------------------------------------------------------
