@@ -46,6 +46,7 @@ from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
     _cluster_curvature,
     _ground_size,
+    _ranges,
     _require_isolated,
     _run_rows,
     _sorted_group,
@@ -112,10 +113,6 @@ class GridSpec:
         """Grid points for flat row-major indices [start, stop)."""
         idx = np.unravel_index(np.arange(start, stop), self.resolution)
         return np.column_stack([self.axis(d)[i] for d, i in enumerate(idx)])
-
-
-def _chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE):
-    return [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
 
 
 class _ClosedGrid:
@@ -189,18 +186,18 @@ def _chunk_job(args):
 def _map_chunks(job, model, points, params, tol, workers, ranges=None):
     """job(model, points.points_range(start, stop), params, tol) on each
     index range [start, stop) of points (a GridSpec or _ClosedGrid), by
-    default its fixed chunks _chunk_ranges(points.n_points), in range order,
-    in at most one process pool; module-level jobs, so pools pickle them by
-    name. workers follows _integer's rule (2.0 is 2); below 1 it raises
-    InvalidArgument."""
+    default its fixed CHUNK_SIZE chunks (_ranges), in range order, in at most
+    one process pool of at most one worker per range; module-level jobs, so
+    pools pickle them by name. workers follows _integer's rule (2.0 is 2);
+    below 1 it raises InvalidArgument."""
     workers = _integer(workers, "workers")
     if workers < 1:
         raise InvalidArgument(f"workers {workers} is below 1")
-    ranges = _chunk_ranges(points.n_points) if ranges is None else ranges
+    ranges = _ranges(points.n_points, CHUNK_SIZE) if ranges is None else ranges
     jobs = [(job, model, points, params, tol, s, e) for s, e in ranges]
     if workers <= 1:
         return [_chunk_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         return list(pool.map(_chunk_job, jobs, chunksize=1))
 
 
@@ -385,6 +382,7 @@ _SECOND_ORDER_SCALE = -1.0 / (32.0 * math.pi**2)
 
 
 def _second_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
+    _check_second_order(model, grid)
     missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
     if missing:
         raise MissingModelHook(
@@ -416,7 +414,6 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     model's Dirac vector hooks r_vector_batch and r_gradient_batch;
     without them the call raises MissingModelHook before any grid work.
     """
-    _check_second_order(model, grid)
     return _second_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
 
 
@@ -463,13 +460,6 @@ def _link_phases(frames_a, frames_b):
     return np.linalg.det(frames_a.conj().swapaxes(-1, -2) @ frames_b)
 
 
-def _frames(model, points, group, degeneracy_tol, workers) -> np.ndarray:
-    """Band-group frames at every point of a GridSpec or _ClosedGrid, chunk by chunk,
-    on its 2D index grid: the frames the lattice oracle's row blocks rebuild."""
-    chunks = _map_chunks(_frame_grid, model, points, group, degeneracy_tol, workers)
-    return np.concatenate(chunks).reshape(*points.resolution, -1, len(group))
-
-
 def _fhs_job(model, pts, params, tol):
     """Plaquette-angle sum and smallest link |det| over one row block of a
     _ClosedGrid: whole rows, the last of them the halo that closes the block's
@@ -508,7 +498,7 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     n_rows, n_cols = layout.resolution
     # Blocks of whole plaquette rows, about FHS_BLOCK_POINTS points each, with one halo row.
     blocks = [(s * n_cols, (e + 1) * n_cols)
-              for s, e in _chunk_ranges(n_rows - 1, -(-FHS_BLOCK_POINTS // n_cols))]
+              for s, e in _ranges(n_rows - 1, -(-FHS_BLOCK_POINTS // n_cols))]
     sums, dets = zip(*_map_chunks(_fhs_job, model, layout, (group, n_cols), degeneracy_tol,
                                   workers, blocks))
     min_det = float(np.min(dets))
@@ -578,7 +568,6 @@ def temperature_sweep(model, temperatures, grid: GridSpec, workers: int = 1,
     if order == 1:
         results = _first_order_results(model, betas, grid, workers, degeneracy_tol)
     else:
-        _check_second_order(model, grid)
         results = _second_order_results(model, betas, grid, workers, degeneracy_tol)
     idx = np.unique(np.linspace(0, grid.n_points - 1, min(12, grid.n_points)).astype(int))
     sample = np.concatenate([grid.points_range(i, i + 1) for i in idx])

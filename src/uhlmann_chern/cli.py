@@ -258,7 +258,7 @@ def _sample_points(model, rng, count):
     return low + span * rng.uniform(0.05, 0.95, (count, man.dim))
 
 
-def _verify_models(rng):
+def _verify_models():
     sphere = models.TwoLevelSphere()
     haldane = models.Haldane(t1=1.0, t2=0.4, phi=1.1, M=0.3)
     fourband = models.FourBandGamma(m=1.5)
@@ -300,7 +300,7 @@ def _check_coefficient_bounds(cfg, rng):
 def _check_connection_traceless(cfg, rng):
     tol = _degeneracy_tol(cfg)
     worst = 0.0
-    for model in _verify_models(rng):
+    for model in _verify_models():
         for p in _sample_points(model, rng, 3):
             for beta in (0.7, 2.0):
                 field = geometry.connection_grid(model, p[None], beta, tol)[:, 0]
@@ -312,7 +312,7 @@ def _check_connection_traceless(cfg, rng):
 def _check_curvature_traceless(cfg, rng):
     tol = _degeneracy_tol(cfg)
     worst = 0.0
-    for model in _verify_models(rng)[:2]:
+    for model in _verify_models()[:2]:
         p = _sample_points(model, rng, 1)[0]
         f = geometry.uhlmann_curvature(model, p, 1.2 / model.r0, degeneracy_tol=tol)
         scale = max(np.max(np.abs(f.matrices)), 1e-30)
@@ -323,7 +323,7 @@ def _check_curvature_traceless(cfg, rng):
 def _check_connection_routes(cfg, rng):
     tol = _degeneracy_tol(cfg)
     worst = 0.0
-    sphere, haldane, _, coherent = _verify_models(rng)
+    sphere, haldane, _, coherent = _verify_models()
     for model in (sphere, haldane, coherent):
         p = _sample_points(model, rng, 1)[0]
         # Finite differencing of sqrt(rho) cannot resolve thermal weights
@@ -340,7 +340,7 @@ def _check_trace_routes(cfg, rng):
     tol = _degeneracy_tol(cfg)
     fraction = _fd_step_fraction(cfg)
     worst = 0.0
-    sphere, haldane, _, _ = _verify_models(rng)
+    sphere, haldane, _, _ = _verify_models()
     for model in (sphere, haldane):
         p = _sample_points(model, rng, 1)[0]
         beta = 1.5 / model.r0
@@ -374,7 +374,7 @@ def _check_degeneracy_null(cfg, rng):
 def _check_zero_t_abelian(cfg, rng):
     tol = _degeneracy_tol(cfg)
     worst = 0.0
-    sphere, haldane, _, _ = _verify_models(rng)
+    sphere, haldane, _, _ = _verify_models()
     for model in (sphere, haldane):
         for p in _sample_points(model, rng, 4):
             trace = geometry.thermal_trace_grid(model, p[None], models.BETA_INF, tol)[0, 0]
@@ -397,7 +397,7 @@ def _check_zero_t_nonabelian(cfg, rng):
 def _check_high_temperature(cfg, rng):
     tol = _degeneracy_tol(cfg)
     worst = 0.0
-    for model in _verify_models(rng):
+    for model in _verify_models():
         p = _sample_points(model, rng, 1)[0]
         field = geometry.connection_grid(model, p[None], 0.0, tol)
         trace = geometry.thermal_trace_grid(model, p[None], 0.0, tol)
@@ -500,21 +500,22 @@ def main(argv=None) -> int:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
 
+    overrides = {"workers": args.workers, "output_dir": args.out}
+    if isinstance(cfg, dict):  # the overrides meet the schema's rules, as the config's keys do
+        cfg.update({key: value for key, value in overrides.items() if value is not None})
     errors = _schema_errors(cfg)
     if errors:
         for line in errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 
-    workers = int(args.workers if args.workers is not None else cfg.get("workers", 1))
-    out_dir = Path(args.out) if args.out is not None else Path(cfg.get("output_dir", "."))
+    workers = int(cfg.get("workers", 1))
+    out_dir = Path(cfg.get("output_dir", "."))
 
     run = cfg["run"]
     command, reads = _COMMANDS[run["type"]]
     unread = sorted(set(run) - {"type"} - reads)
     try:
-        if workers < 1:
-            raise ConfigError("workers: must be at least 1")
         if unread:
             raise ConfigError(f"run.{unread[0]}: a {run['type']} run does not read it")
         with _writing(out_dir):

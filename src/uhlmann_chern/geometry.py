@@ -13,11 +13,14 @@ points through stacked eigendecompositions, or through the model's exact
 eigenframe_batch when it has one; the per-point operations run them on a
 batch of one point (uhlmann_connection_sqrt_fd, the independent route,
 excepted). Each spectral pass holds one (d, B, N, N) stack: the tangents
-overwrite the frame's g where it is writeable; the first-order passes walk
-a chunk in blocks of at most SPECTRAL_BLOCK of its entries
-(_spectral_blocks, by the model's n_levels). Levels are grouped by one
-rule, linalg.cluster_labels: the ground cluster, the zero-temperature
-weights and the degeneracy mask all come from it. The pure-state
+overwrite the frame's g where it is writeable. One rule, _blocks, caps
+every block of a batched pass at BLOCK_ENTRIES entries: the first-order
+passes walk a chunk in blocks of d N^2 tangent entries a point
+(_spectral_blocks, by the model's n_levels), _commutators at (dN)^2 a
+point and _trace_pairs at B N (N - 1) / 2 a beta. One rule, _ranges, cuts
+every range list, the chunk engine's too. Levels are grouped by one rule,
+linalg.cluster_labels: the ground cluster, the zero-temperature weights
+and the degeneracy mask all come from it. The pure-state
 curvatures (Berry, Wilczek-Zee, the ground block) are blocks of one
 kernel, _cluster_curvature, on a run's rows cut out before its products
 (_run_rows); one gap rule, _require_isolated, decides for them and for
@@ -30,7 +33,7 @@ second-order integrals where a chunk's spectra are not two-valued:
 the temperature-independent curvature_frame_grid (tangents and their
 commutators, the curl of the tangents by the Maurer-Cartan equation) once
 per batch, and uhlmann_curvature_from_frame (assembled in place) per beta;
-both take their products from _commutators, one block product per block of points.
+both take their products from _commutators, one block product per _blocks block.
 uhlmann_curvature_grid differences connection_grid on a central stencil,
 as its independent cross-check; uhlmann_curvature's spectral route is its
 batch of one.
@@ -76,12 +79,7 @@ GAP_FLOOR = 1e-8
 FD_STEP_FRACTION = 1e-4
 FD_STEP_LIMIT_FRACTION = 0.1
 
-# (beta, point, level pair) entries per block of trace coefficients: a
-# many-temperature trace at large N then needs no more memory than one.
-TRACE_BLOCK = 1 << 20
-
-COMMUTATOR_BLOCK = 256  # points per _commutators product at d N = 16 (1 MB), times (16 / d N)^2
-SPECTRAL_BLOCK = 1 << 16  # tangent entries d b N^2 per first-order spectral block (1 MiB of g)
+BLOCK_ENTRIES = 1 << 16  # complex entries per block of any batched pass (1 MiB), in _blocks
 
 
 def direction_pairs(dim: int) -> tuple[tuple[int, int], ...]:
@@ -172,6 +170,16 @@ class CurvatureComponents:
 # ---------------------------------------------------------------------------
 
 
+def _ranges(n: int, step: int):
+    """Ranges [s, e) over n items in steps of step, in order; one (0, n) for n = 0."""
+    return [(s, min(s + step, n)) for s in range(0, n, step)] or [(0, n)]
+
+
+def _blocks(n: int, entries_per_item: int):
+    """_ranges over n items of at most BLOCK_ENTRIES entries each (one item at least)."""
+    return _ranges(n, max(1, BLOCK_ENTRIES // max(1, entries_per_item)))
+
+
 def _gap_mask(w, labels):
     """Level gaps den_jk = E_k - E_j (B, N, N) and the mask of pairs in
     different degenerate clusters, from the cluster_labels of w."""
@@ -187,18 +195,17 @@ def _divide_gaps(num, den, keep, out=None) -> np.ndarray:
 
 def _commutators(a, pairs) -> np.ndarray:
     """[a_mu, a_nu] per direction pair (P, B, N, N) of a stack a (d, B, N, N): per
-    block of points (COMMUTATOR_BLOCK at d N = 16) one product (b, dN, N) @ (b, N, dN),
+    block of points (_blocks, (dN)^2 entries a point) one product (b, dN, N) @ (b, N, dN),
     whose (mu, nu) block a_mu a_nu holds both orders of every pair, each point on its own."""
     d, n = a.shape[0], a.shape[-1]
-    step = max(1, COMMUTATOR_BLOCK * 16**2 // (d * n) ** 2)
     out = np.empty((len(pairs),) + a.shape[1:], dtype=np.complex128)
-    for s in range(0, a.shape[1], step):
-        blk = a[:, s:s + step].swapaxes(0, 1)  # (b, d, N, N)
+    for s, e in _blocks(a.shape[1], (d * n) ** 2):
+        blk = a[:, s:e].swapaxes(0, 1)  # (b, d, N, N)
         b = len(blk)
         full = blk.reshape(b, d * n, n) @ blk.swapaxes(1, 2).reshape(b, n, d * n)
         full = full.reshape(b, d, n, d, n)  # full[:, mu, :, nu] = a_mu a_nu
         for i, (mu, nu) in enumerate(pairs):
-            np.subtract(full[:, mu, :, nu], full[:, nu, :, mu], out=out[i, s:s + b])
+            np.subtract(full[:, mu, :, nu], full[:, nu, :, mu], out=out[i, s:e])
     return out
 
 
@@ -241,17 +248,16 @@ def _trace_pairs(lam, t, pairs) -> np.ndarray:
     l_k / (l_i + l_k)^2 - 1) Pi_ik with Pi = T_mu o T_nu^T - T_nu o T_mu^T.
     Pi is exactly antisymmetric, so only i < k enters, weighted by
     _trace_coefficients. Pi is formed once per pair; the coefficients are
-    built for TRACE_BLOCK entries of betas at a time (every beta at once
-    for two levels), and a plain einsum contracts each block, each row
-    bitwise its K = 1 call."""
+    built for a block of betas at a time (_blocks, B N (N - 1) / 2 entries
+    a beta: 16 betas at once on a 4,096-point two-level chunk), and a plain
+    einsum contracts each block, each row bitwise its K = 1 call."""
     i, k = np.triu_indices(lam.shape[-1], 1)
     prods = [t[mu][:, i, k] * t[nu][:, k, i] - t[nu][:, i, k] * t[mu][:, k, i] for mu, nu in pairs]
-    step = max(1, TRACE_BLOCK // max(1, lam.shape[1] * i.size))
     out = np.empty((lam.shape[0], len(pairs), lam.shape[1]), dtype=np.complex128)
-    for s in range(0, lam.shape[0], step):
-        coef = _trace_coefficients(lam[s:s + step])
+    for s, e in _blocks(lam.shape[0], lam.shape[1] * i.size):
+        coef = _trace_coefficients(lam[s:e])
         for p, prod in enumerate(prods):
-            out[s:s + step, p] = np.einsum("kbm,bm->kb", coef, prod)
+            out[s:e, p] = np.einsum("kbm,bm->kb", coef, prod)
     return out
 
 
@@ -280,11 +286,10 @@ def _spectral_data(model, pts, degeneracy_tol):
 
 
 def _spectral_blocks(model, n: int):
-    """Ranges [s, e) over n points, one first-order spectral pass each: blocks of at most
-    SPECTRAL_BLOCK tangent entries (one point at least) by the model's n_levels N, else one."""
+    """Ranges [s, e) over n points, one first-order spectral pass each: _blocks of d N^2
+    tangent entries a point by the model's n_levels N, else one."""
     levels = getattr(model, "n_levels", None)
-    step = max(1, SPECTRAL_BLOCK // (model.dim * levels * levels) if levels else n)
-    return [(s, min(s + step, n)) for s in range(0, n, step)] or [(0, n)]
+    return _blocks(n, model.dim * levels * levels) if levels else [(0, n)]
 
 
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):

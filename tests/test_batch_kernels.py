@@ -9,14 +9,16 @@ kernel takes any N) to 1e-13 relative to the largest reference entry.
 The stacked-temperature trace must equal its single-temperature calls
 bit for bit, which keeps a sweep value equal to its single-temperature
 integral, and must build its weight coefficients once per chunk for two
-levels, in blocks of at most TRACE_BLOCK entries for many levels.
+levels, in blocks of at most geometry.BLOCK_ENTRIES entries for many
+levels (geometry._blocks, the one block rule).
 
 The four-band finite-temperature kernels were rewritten the same way.
 _commutators takes both orders of every direction pair from one block
-product per COMMUTATOR_BLOCK points, and a point's result must not
-depend on its block. _divide_gaps multiplies by one masked reciprocal;
-numpy divides a complex number by a real one as a product with the
-reciprocal, so its values must equal the division bit for bit, with
+product per _blocks block of (dN)^2 entries a point (256 points at
+dN = 16), and a point's result must not depend on its block.
+_divide_gaps multiplies by one masked reciprocal; numpy divides a
+complex number by a real one as a product with the reciprocal, so its
+values must equal the division bit for bit, with
 exact zeros inside a cluster. uhlmann_curvature_from_frame assembles F
 in place and is checked against its earlier assembly, written out
 below, on all four models.
@@ -226,7 +228,7 @@ def test_one_band_links_match_the_overlap_sum(rng, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("batch", [1, geometry.COMMUTATOR_BLOCK + 1, 1000])
+@pytest.mark.parametrize("batch", [1, geometry.BLOCK_ENTRIES // 16**2 + 1, 1000])
 def test_commutators_match_the_pair_products(monkeypatch, rng, n, batch):
     d = 4 if n < 40 else 2  # the four-band shape; two directions keep N = 40 small
     a = rng.normal(size=(d, batch, n, n)) + 1j * rng.normal(size=(d, batch, n, n))
@@ -237,7 +239,7 @@ def test_commutators_match_the_pair_products(monkeypatch, rng, n, batch):
     cuts = sorted({0, batch // 3, batch // 2 + 1, batch})
     pieces = [geometry._commutators(a[:, s:e], pairs) for s, e in zip(cuts, cuts[1:]) if e > s]
     assert np.array_equal(np.concatenate(pieces, axis=1), whole)
-    monkeypatch.setattr(geometry, "COMMUTATOR_BLOCK", 7)
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 7 * 256)
     assert np.array_equal(geometry._commutators(a, pairs), whole)
 
 
@@ -288,7 +290,7 @@ def test_trace_coefficients_run_once_per_chunk(monkeypatch, haldane):
 
     monkeypatch.setattr(geometry, "_trace_coefficients", counted)
     grid = chern.default_grid(haldane, 96)  # 9216 points: three chunks
-    chunks = len(chern._chunk_ranges(grid.n_points))
+    chunks = len(geometry._ranges(grid.n_points, chern.CHUNK_SIZE))
     assert chunks == 3
     for betas in [(1.0,), BETAS]:
         calls.clear()
@@ -311,8 +313,8 @@ def test_trace_blocks_bound_the_coefficients_and_keep_every_row(monkeypatch, rng
         return original(lam)
 
     monkeypatch.setattr(geometry, "_trace_coefficients", counted)
-    monkeypatch.setattr(geometry, "TRACE_BLOCK", 2 * entries)
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * entries)
     assert np.array_equal(geometry._trace_pairs(lam, t, pairs), whole)
-    monkeypatch.setattr(geometry, "TRACE_BLOCK", entries - 1)  # below one beta: one at a time
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries - 1)  # below one beta: one at a time
     assert np.array_equal(geometry._trace_pairs(lam, t, pairs), whole)
     assert sizes == [2, 1, 1, 1, 1]

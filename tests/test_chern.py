@@ -58,7 +58,7 @@ def test_gridspec_layout(haldane):
     # row-major: the last coordinate varies fastest
     assert pts[0, 0] == pts[1, 0] == pts[2, 0]
     assert pts[1, 1] > pts[0, 1]
-    ranges = chern._chunk_ranges(g.n_points, 20)
+    ranges = geometry._ranges(g.n_points, 20)
     assert ranges[0] == (0, 20)
     assert ranges[-1][1] == 64
     covered = sum(b - a for a, b in ranges)

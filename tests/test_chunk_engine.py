@@ -94,9 +94,41 @@ def test_each_call_starts_one_pool(haldane, fourband, pools):
     chern.temperature_sweep(fourband, [0.4, 1.2], chern.default_grid(fourband, 9), workers=2)
     assert pools == [2, 2, 2]
     chern.pure_chern_fhs(haldane, 0, chern.default_grid(haldane, 72), workers=2)
-    assert pools == [2, 2, 2, 2]
+    assert pools == [2, 2, 2, 1]  # 72 plaquette rows are one row block: one worker
     chern.first_thermal_uc(haldane, 1.0, chern.default_grid(haldane, 72), workers=1)
-    assert pools == [2, 2, 2, 2]
+    assert pools == [2, 2, 2, 1]
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Records the max_workers of each pool the chunk engine starts and runs
+    its jobs in this process, so that no worker count asked for is forked."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(chern, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+@pytest.mark.parametrize("n, workers, started", [(72, 10**6, [2]), (32, 2, [1]), (72, 1, [])],
+                         ids=["huge", "one_range", "serial"])
+def test_a_pool_has_at_most_one_worker_per_range(haldane, serial_pools, n, workers, started):
+    grid = chern.default_grid(haldane, n)  # 72: two chunks; 32: one
+    pooled = chern.first_thermal_uc(haldane, 1.0, grid, workers=workers)
+    assert serial_pools == started
+    assert pooled == chern.first_thermal_uc(haldane, 1.0, grid)
 
 
 # -- the lattice oracle through the engine ---------------------------------------
@@ -107,8 +139,9 @@ def test_fhs_frames_do_not_depend_on_workers_or_chunking(variant, haldane_ref, s
     model = haldane_ref if variant == "haldane" else sphere
     grid = chern.default_grid(model, 72)
     points = chern._ClosedGrid(grid)
-    serial = chern._frames(model, points, (0,), linalg.DEGENERACY_TOL, 1)
-    pooled = chern._frames(model, points, (0,), linalg.DEGENERACY_TOL, 2)
+    serial, pooled = (np.concatenate(chern._map_chunks(chern._frame_grid, model, points, (0,),
+                                                       linalg.DEGENERACY_TOL, workers))
+                      for workers in (1, 2))
     assert np.array_equal(serial, pooled)
     whole = chern._frame_grid(model, points.points_range(0, points.n_points), (0,),
                               linalg.DEGENERACY_TOL)
@@ -144,7 +177,7 @@ def test_cli_chern_uses_the_workers(tmp_path, pools):
     cfg = {
         "model": {"variant": "haldane",
                   "parameters": {"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "M": 0.0}},
-        "grid": {"resolution": [72, 72]},
+        "grid": {"resolution": [200, 200]},  # 200 plaquette rows: three row blocks
         "run": {"type": "chern"},
     }
     path = tmp_path / "chern.json"

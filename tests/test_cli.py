@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import uhlmann_chern
-from uhlmann_chern import cli, models
+from uhlmann_chern import chern, cli, models
 
 
 def write_config(path: Path, *, variant="haldane", parameters=None,
@@ -115,8 +115,22 @@ def test_workers_flag_below_one(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", resolution=(8, 8))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
     err = capsys.readouterr().err
-    assert "config error: workers: must be at least 1" in err and "Traceback" not in err
+    assert "config error: workers: 0 is less than the minimum of 1" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "65"])
+def test_workers_flag_obeys_the_schema(tmp_path, capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(chern, "ProcessPoolExecutor", no_pool)
+    path = write_config(tmp_path / "c.json", resolution=(8, 8))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert "config error: workers:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_map_rejects_negative_temperature(tmp_path, capsys):

@@ -226,7 +226,7 @@ def test_cli_map_bytes_match_the_two_call_form(tmp_path, temperature):
     grid = chern.GridSpec(model.manifold, (40, 130))
     beta = chern.beta_from_temperature(temperature, model.r0)
     trace_rows, berry_rows = [], []
-    for start, stop in chern._chunk_ranges(grid.n_points):
+    for start, stop in geometry._ranges(grid.n_points, chern.CHUNK_SIZE):
         pts = grid.points_range(start, stop)
         trace = geometry.thermal_trace_grid(model, pts, beta)[0]
         f, _ = geometry.ground_block_curvature_grid(model, pts)

@@ -2,8 +2,9 @@
 
 thermal_trace_grid, the BETA_INF branch of chern._first_order_job and
 cli._map_job take their ranges from geometry._spectral_blocks: blocks of
-at most SPECTRAL_BLOCK tangent entries d b N^2 for a model with n_levels
-N, one block for a model without it. Every per-point value is independent
+at most geometry.BLOCK_ENTRIES tangent entries d b N^2 (geometry._blocks,
+the one block rule) for a model with n_levels N, one block for a model
+without it. Every per-point value is independent
 of the partition (the frames are elementwise or one matrix at a time,
 LAPACK and the Hermiticity check work per matrix, _trace_pairs is a
 per-point einsum), so every integral, sweep, trace row and map is bitwise
@@ -68,7 +69,7 @@ def reference(tmp_path_factory):
     """The outputs at one block per chunk, serial: the parent's call pattern."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "SPECTRAL_BLOCK", 1 << 40)
+        mp.setattr(geometry, "BLOCK_ENTRIES", 1 << 40)
         for name, model, n, map_cfg, _ in CASES:
             out[name] = first_order_outputs(model, n, 1, tmp_path_factory.mktemp(name), map_cfg)
     return out
@@ -80,8 +81,8 @@ def reference(tmp_path_factory):
 def test_first_order_outputs_do_not_depend_on_the_blocks(reference, monkeypatch, tmp_path,
                                                          case, block, workers):
     name, model, n, map_cfg, small = case
-    size = {"small": small, "default": geometry.SPECTRAL_BLOCK, "chunk": 1 << 40}[block]
-    monkeypatch.setattr(geometry, "SPECTRAL_BLOCK", size)
+    size = {"small": small, "default": geometry.BLOCK_ENTRIES, "chunk": 1 << 40}[block]
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", size)
     if block == "small":
         assert len(geometry._spectral_blocks(model, n * n)) > 1
     assert first_order_outputs(model, n, workers, tmp_path, map_cfg) == reference[name]
@@ -167,7 +168,7 @@ def test_a_model_without_n_levels_runs_as_one_block(monkeypatch, coherent, rng, 
     whole = geometry.thermal_trace_grid(GenericView(coherent), pts, beta)
     passes = []
     original = geometry.spectral_data_grid
-    monkeypatch.setattr(geometry, "SPECTRAL_BLOCK", 1)
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
     monkeypatch.setattr(geometry, "spectral_data_grid",
                         lambda *args: passes.append(len(args[1])) or original(*args))
     assert np.array_equal(geometry.thermal_trace_grid(GenericView(coherent), pts, beta), whole)
@@ -192,7 +193,7 @@ class BlockedConstantLevels(ConstantLevels):
 @pytest.mark.parametrize("n", [8, 32])
 def test_a_ground_size_that_varies_across_blocks_raises(monkeypatch, tmp_path, capsys, n,
                                                         per_block, workers):
-    monkeypatch.setattr(geometry, "SPECTRAL_BLOCK", 2 * 3 * 3 * per_block)
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * 3 * 3 * per_block)
     model = BlockedLevels()
     assert geometry._spectral_blocks(model, 15)[0] == (0, per_block)
     with pytest.raises(GapClosed, match="ground degeneracy varies"):
@@ -211,7 +212,7 @@ def test_a_ground_size_that_varies_across_blocks_raises(monkeypatch, tmp_path, c
 @pytest.mark.parametrize("levels, message", [((0.0, 0.0), "whole space"),
                                              ((0.0, 5e-9), "touch level 1")])
 def test_the_ground_rule_applies_to_every_block(monkeypatch, levels, message, workers):
-    monkeypatch.setattr(geometry, "SPECTRAL_BLOCK", 1)
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
     model = BlockedConstantLevels(*levels)
     grid = chern.default_grid(model, 16)
     with pytest.raises(GapClosed, match=message):

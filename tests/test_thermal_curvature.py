@@ -148,7 +148,7 @@ def test_large_beta_is_finite_without_warnings(request, rng, name):
 
 def test_second_thermal_uc_workers_bitwise_identical(fourband):
     grid = chern.default_grid(fourband, 10)
-    assert len(chern._chunk_ranges(grid.n_points)) >= 3
+    assert len(geometry._ranges(grid.n_points, chern.CHUNK_SIZE)) >= 3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionTooLowWarning)
         serial = chern.second_thermal_uc(fourband, 1.1, grid, workers=1)
