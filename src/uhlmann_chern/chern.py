@@ -11,10 +11,11 @@ integral normalises its chunk sums in one place (_integrate).
 
 Determinism: all grid work goes through one chunk engine, which splits
 a grid into fixed-size chunks in row-major order and runs a job on each,
-in at most one process pool per call. Each chunk partial (one per
-temperature, or per route) is a blocked pairwise numpy sum, and the
-partials are combined by a fixed pairwise tree per temperature or
-route. The lattice oracle passes its own ranges: blocks of whole rows of
+in at most one process pool per call. Each job returns its ground sizes
+and one value per column (temperature, or route); the engine checks the
+sizes across chunks, and each column of chunk partials, themselves
+blocked pairwise numpy sums, is added by the same np.sum in range order.
+The lattice oracle passes its own ranges: blocks of whole rows of
 its closed layout, sized by the grid alone, each ending on the halo row
 after it, whose jobs return their plaquette-angle sums. A sweep
 is one pass that evaluates every temperature on each chunk's eigen-data.
@@ -59,7 +60,7 @@ from .geometry import (
     thermal_trace_grid,
     uhlmann_curvature_from_frame,
 )
-from .models import BETA_INF, Manifold, _integer, model_id, weights_batch
+from .models import BETA_INF, Manifold, _integer, _real, model_id, weights_batch
 
 CHUNK_SIZE = 4096
 # Points per lattice-oracle chunk, rounded up to whole grid rows; each
@@ -168,42 +169,31 @@ class SweepResult:
     diagnostics: tuple[dict, ...]
 
 
-def _pairwise_tree(values):
-    vals = list(values)
-    while len(vals) > 1:
-        merged = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            merged.append(vals[-1])
-        vals = merged
-    return vals[0]
-
-
 def _chunk_job(args):
     job, model, points, params, tol, start, stop = args
     return job(model, points.points_range(start, stop), params, tol)
 
 
-def _map_chunks(job, model, points, params, tol, workers, ranges=None):
+def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[tuple]:
     """job(model, points.points_range(start, stop), params, tol) on each
     index range [start, stop) of points (a GridSpec or _ClosedGrid), by
     default its fixed CHUNK_SIZE chunks (_ranges), in range order, in at most
     one process pool of at most one worker per range; module-level jobs, so
     pools pickle them by name. workers follows _integer's rule (2.0 is 2);
-    below 1 it raises InvalidArgument."""
+    below 1 it raises InvalidArgument. Every job returns (ground sizes,
+    *columns): the sizes D it weighed by 1/D, () if none. GapClosed unless
+    those agree across chunks, however the grid is chunked; else the
+    columns, each a tuple of one value per range in range order."""
     workers = _integer(workers, "workers")
     if workers < 1:
         raise InvalidArgument(f"workers {workers} is below 1")
     ranges = _ranges(points.n_points, CHUNK_SIZE) if ranges is None else ranges
     jobs = [(job, model, points, params, tol, s, e) for s, e in ranges]
     if workers <= 1:
-        return [_chunk_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
-        return list(pool.map(_chunk_job, jobs, chunksize=1))
-
-
-def _one_ground_size(results) -> list:
-    """The chunk results' columns after the first, the ground sizes D each
-    chunk weighed by 1/D; GapClosed unless those agree, however it is chunked."""
+        results = [_chunk_job(j) for j in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+            results = list(pool.map(_chunk_job, jobs, chunksize=1))
     sizes, *columns = zip(*results)
     if len(set().union(*sizes)) > 1:
         raise GapClosed("ground degeneracy varies across the batch")
@@ -211,14 +201,12 @@ def _one_ground_size(results) -> list:
 
 
 def _integrate(job, model, grid: GridSpec, params, workers, tol, scale) -> list[complex]:
-    """Runs job over the grid's chunks (_map_chunks); each returns its report
-    for _one_ground_size and a row of partials. Sums each column of the rows
-    by the pairwise tree and returns the sums times scale * point measure *
-    orientation / cover multiplicity."""
+    """Runs job over the grid's chunks (_map_chunks), adds each column of
+    partials by np.sum's pairwise rule and returns the sums times scale *
+    point measure * orientation / cover multiplicity."""
     man = model.manifold
-    (rows,) = _one_ground_size(_map_chunks(job, model, grid, params, tol, workers))
     norm = scale * grid.point_measure * man.orientation / man.multiplicity
-    return [_pairwise_tree(column) * norm for column in zip(*rows)]
+    return [complex(np.sum(c)) * norm for c in _map_chunks(job, model, grid, params, tol, workers)]
 
 
 def _require_grid(model, grid: GridSpec, dim: int):
@@ -241,14 +229,14 @@ def _first_order_job(model, pts, betas, tol):
     beta; at BETA_INF by thermal_trace_grid's steps on spectral passes that also
     give the labels."""
     if BETA_INF not in betas:
-        return (), [complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
+        return (), *[complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
     traces, sizes = np.empty((len(betas), 1, len(pts)), dtype=np.complex128), set()
     for s, e in _spectral_blocks(model, len(pts)):
         w, _, _, labels, _, t = _spectral_data(model, pts[s:e], tol)
         lam = np.stack([weights_batch(w, b, labels) for b in betas])
         traces[:, :, s:e] = _trace_pairs(lam, t, ((0, 1),))
         sizes.add(_ground_size(w, labels))
-    return tuple(sizes), [complex(np.sum(tr[0])) for tr in traces]
+    return tuple(sizes), *[complex(np.sum(tr[0])) for tr in traces]
 
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
@@ -359,14 +347,14 @@ def _second_order_job(model, pts, betas, tol):
         else:
             values = _eps_contraction(*uhlmann_curvature_from_frame(frame, beta))
         eps.append(complex(np.sum(values)))
-    return (d,) if BETA_INF in betas else (), eps + _closed_form_partials(model, pts, betas)
+    return (d,) if BETA_INF in betas else (), *eps, *_closed_form_partials(model, pts, betas)
 
 
 def _pure_job(model, pts, _params, tol):
     """The ground size of one chunk and the partial sum over it of the
     ground-cluster curvature contraction with unit weights."""
     f, d = ground_block_curvature_grid(model, pts, tol)
-    return (d,), [complex(np.sum(_eps_contraction(f, np.ones(f.shape[1:3]))))]
+    return (d,), complex(np.sum(_eps_contraction(f, np.ones(f.shape[1:3]))))
 
 
 def _check_second_order(model, grid: GridSpec):
@@ -461,16 +449,16 @@ def _link_phases(frames_a, frames_b):
 
 
 def _fhs_job(model, pts, params, tol):
-    """Plaquette-angle sum and smallest link |det| over one row block of a
-    _ClosedGrid: whole rows, the last of them the halo that closes the block's
-    last plaquette row; params = (group, columns)."""
+    """No ground sizes (it weighs none), the plaquette-angle sum and the smallest
+    link |det| over one row block of a _ClosedGrid: whole rows, the last of them
+    the halo that closes the block's last plaquette row; params = (group, columns)."""
     group, n_cols = params
     psi = _frame_grid(model, pts, group, tol)
     psi = psi.reshape(-1, n_cols, *psi.shape[1:])
     ux = _link_phases(psi[:-1], psi[1:])
     uy = _link_phases(psi[:, :-1], psi[:, 1:])
     plaq = ux[:, :-1] * uy[1:] * ux[:, 1:].conj() * uy[:-1].conj()
-    return float(np.angle(plaq).sum()), float(np.minimum(np.abs(ux).min(), np.abs(uy).min()))
+    return (), float(np.angle(plaq).sum()), float(np.minimum(np.abs(ux).min(), np.abs(uy).min()))
 
 
 def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
@@ -499,15 +487,15 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     # Blocks of whole plaquette rows, about FHS_BLOCK_POINTS points each, with one halo row.
     blocks = [(s * n_cols, (e + 1) * n_cols)
               for s, e in _ranges(n_rows - 1, -(-FHS_BLOCK_POINTS // n_cols))]
-    sums, dets = zip(*_map_chunks(_fhs_job, model, layout, (group, n_cols), degeneracy_tol,
-                                  workers, blocks))
+    sums, dets = _map_chunks(_fhs_job, model, layout, (group, n_cols), degeneracy_tol, workers,
+                             blocks)
     min_det = float(np.min(dets))
     if min_det < 1e-12:
         raise NonIntegerPlaquetteSum("vanishing link overlap; refine the grid or check the gap")
     # The loop product winds opposite to the (i / 2 pi) integral
     # convention used everywhere else (links exponentiate +A while the
     # integral weighs F by +i), hence the leading minus.
-    value = -man.orientation * _pairwise_tree(sums) / (2.0 * math.pi * man.multiplicity)
+    value = -man.orientation * float(np.sum(sums)) / (2.0 * math.pi * man.multiplicity)
     if not math.isfinite(value):
         raise NonFiniteInput(f"plaquette sum is {value}")
     nearest = round(value)
@@ -529,8 +517,10 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
 def beta_from_temperature(t_over_r0: float, r0: float) -> float:
     """Inverse temperature 1 / (T R0) for a temperature in units of the
     model's energy scale R0; T = 0 is BETA_INF and T = +inf is beta = 0,
-    the infinite-temperature limit. Raises NonFiniteInput for a NaN
+    the infinite-temperature limit. Raises InvalidArgument unless the
+    temperature is a real number (_real's rule), NonFiniteInput for a NaN
     temperature or T R0, and when a positive T R0 underflows to zero."""
+    t_over_r0 = _real(t_over_r0, "temperature")
     if t_over_r0 == 0.0:
         return BETA_INF
     scale = t_over_r0 * r0
@@ -558,7 +548,9 @@ def temperature_sweep(model, temperatures, grid: GridSpec, workers: int = 1,
     Tr(rho F) from F against the spectral trace from the same frame;
     second order compares the two integral routes.
     """
-    temps = [float(t) for t in temperatures]
+    if not np.iterable(temperatures):
+        raise InvalidArgument(f"temperatures {temperatures!r} is not a sequence")
+    temps = [_real(t, "temperature") for t in temperatures]
     if not temps:
         raise InvalidArgument("temperatures: empty")
     if any(t <= 0 for t in temps) or any(t2 <= t1 for t1, t2 in zip(temps, temps[1:])):

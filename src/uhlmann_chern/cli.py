@@ -178,7 +178,7 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     beta = chern.beta_from_temperature(t_over_r0, model.r0)
     tol = _degeneracy_tol(cfg)
 
-    columns = chern._one_ground_size(chern._map_chunks(_map_job, model, grid, beta, tol, workers))
+    columns = chern._map_chunks(_map_job, model, grid, beta, tol, workers)
     pts = grid.points_range(0, grid.n_points)
     trace, berry = (np.concatenate(c) for c in columns)
     trace_rows = zip(pts[:, 0], pts[:, 1], trace)

@@ -345,19 +345,24 @@ class Haldane(_DiracModel):
 
     @np.errstate(over="ignore", invalid="ignore")  # a huge t1, t2 or M: r is not finite
     def r_vector_batch(self, pts):
-        pts = _points(pts, 2).T
-        ka, kb = _HALDANE_A @ pts, _HALDANE_B @ pts
+        ka, kb = _bond_phases(pts)
         r3 = self.M - 2 * self.t2 * math.sin(self.phi) * _bond_sum(np.sin, kb)
         return np.stack([self.t1 * _bond_sum(np.cos, ka), self.t1 * _bond_sum(np.sin, ka), r3],
                         axis=-1)
 
     @np.errstate(over="ignore", invalid="ignore")
     def r_gradient_batch(self, pts, mu):
-        pts, mu = _points(pts, 2).T, _check_direction(mu, 2)
-        ka, kb = _HALDANE_A @ pts, _HALDANE_B @ pts
+        (ka, kb), mu = _bond_phases(pts), _check_direction(mu, 2)
         da, db = _HALDANE_A[:, mu], _HALDANE_B[:, mu]
         return np.stack([-self.t1 * _bond_sum(np.sin, ka, da), self.t1 * _bond_sum(np.cos, ka, da),
                          -2 * self.t2 * math.sin(self.phi) * _bond_sum(np.cos, kb, db)], axis=-1)
+
+
+def _bond_phases(pts):
+    """The (3, B) phases k.a_i and k.b_i of (B, 2) points, each entry formed on
+    its own, so a point's phases do not depend on its batch (a matmul's do)."""
+    pts = _points(pts, 2).T
+    return tuple(x[:, :1] * pts[0] + x[:, 1:] * pts[1] for x in (_HALDANE_A, _HALDANE_B))
 
 
 def _bond_sum(f, phases, weights=(1.0, 1.0, 1.0)):
@@ -713,8 +718,9 @@ class ThermalState:
 
 
 def _require_beta(beta) -> None:
-    """NonFiniteInput for a NaN beta, NegativeBeta for a negative one (-inf too)."""
-    if math.isnan(beta):
+    """InvalidArgument unless beta is a real number (_real's rule), NonFiniteInput
+    for a NaN beta, NegativeBeta for a negative one (-inf too)."""
+    if math.isnan(_real(beta, "beta")):
         raise NonFiniteInput("beta is NaN")
     if beta < 0:
         raise NegativeBeta(f"beta must be nonnegative, got {beta!r}")

@@ -10,6 +10,8 @@ NaN. chern._map_chunks reads every worker count by models._integer's rule:
 instead of running serially or failing with a TypeError. The CLI reports
 every InvalidArgument as a config error (exit 2), and a run key that its
 command does not read is a config error too, with no output written.
+Every beta and temperature is a real number by models._real's rule, else
+InvalidArgument: a complex beta once returned a silent near-zero integral.
 """
 import json
 import math
@@ -103,6 +105,37 @@ def test_a_bad_worker_count_raises_before_any_work(workers, monkeypatch):
                                                  workers=workers)):
         with pytest.raises(InvalidArgument, match="workers"):
             call()
+
+
+# -- inverse temperature and temperatures -------------------------------------------
+
+BAD_BETAS = [None, "1.0", 1j, np.complex128(0.5)]
+
+
+@pytest.mark.parametrize("beta", BAD_BETAS, ids=["None", "str", "complex", "numpy_complex"])
+def test_a_beta_that_is_not_a_real_number_raises(beta):
+    # 1j used to return a silent near-zero integral with a ComplexWarning, and
+    # None or "1.0" raised an untyped TypeError.
+    p = np.array([0.3, 0.7])
+    for call in (lambda: chern.first_thermal_uc(HALDANE, beta, chern.default_grid(HALDANE, 16)),
+                 lambda: chern.first_thermal_uc(HALDANE, beta, chern.default_grid(HALDANE, 72),
+                                                workers=2),
+                 lambda: chern.second_thermal_uc(FOURBAND, beta, chern.default_grid(FOURBAND, 8)),
+                 lambda: geometry.thermal_trace_spectral(HALDANE, p, beta),
+                 lambda: geometry.uhlmann_connection_spectral(HALDANE, p, beta),
+                 lambda: models.thermal_state(HALDANE, p, beta)):
+        with pytest.raises(InvalidArgument, match="beta .* is not a real number"):
+            call()
+
+
+@pytest.mark.parametrize("temperatures", [["a"], [None], [1j], 3],
+                         ids=["str", "None", "complex", "not_a_sequence"])
+def test_temperatures_that_are_not_real_numbers_raise(temperatures):
+    with pytest.raises(InvalidArgument, match="temperature"):
+        chern.temperature_sweep(HALDANE, temperatures, chern.default_grid(HALDANE, 16))
+    if temperatures != 3:
+        with pytest.raises(InvalidArgument, match="temperature .* is not a real number"):
+            chern.beta_from_temperature(temperatures[0], 1.0)
 
 
 # -- CLI -----------------------------------------------------------------------------

@@ -5,7 +5,9 @@ grid, and each value must equal the single-temperature integral bit for
 bit, at any worker count. The lattice oracle builds its frames through
 the same engine. Each top-level call starts at most one process pool,
 and a typed error raised inside a pooled chunk reaches the caller with
-its type.
+its type. Every chunk job returns (ground sizes, *columns): _map_chunks
+raises GapClosed when the sizes differ across chunks, and otherwise hands
+back each column in range order.
 """
 import json
 import math
@@ -131,7 +133,32 @@ def test_a_pool_has_at_most_one_worker_per_range(haldane, serial_pools, n, worke
     assert pooled == chern.first_thermal_uc(haldane, 1.0, grid)
 
 
+# -- the chunk-job contract ---------------------------------------------------------
+
+
+def reporting_job(model, pts, sizes, tol):
+    """A chunk job that reports sizes[0] as its ground sizes on a full chunk and
+    sizes[1] on a short one, with its point count and first point as columns."""
+    return sizes[len(pts) < chern.CHUNK_SIZE], len(pts), float(pts[0, 1])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_checks_the_ground_size_across_chunks(haldane, workers):
+    grid = chern.default_grid(haldane, 72)  # two chunks: 4,096 and 1,088 points
+    with pytest.raises(GapClosed, match="ground degeneracy varies"):
+        chern._map_chunks(reporting_job, haldane, grid, ((1,), (2,)), 0.0, workers)
+    firsts = (grid.points_range(0, 1)[0, 1], grid.points_range(4096, 4097)[0, 1])
+    for sizes in (((), ()), ((2,), (2,)), ((2,), ())):
+        counts, first = chern._map_chunks(reporting_job, haldane, grid, sizes, 0.0, workers)
+        assert counts == (4096, 1088) and first == firsts  # columns in range order
+
+
 # -- the lattice oracle through the engine ---------------------------------------
+
+
+def frames_job(model, pts, group, tol):
+    """chern._frame_grid as a chunk job: no ground sizes, one column of frames."""
+    return (), chern._frame_grid(model, pts, group, tol)
 
 
 @pytest.mark.parametrize("variant", ["haldane", "sphere"])
@@ -139,8 +166,8 @@ def test_fhs_frames_do_not_depend_on_workers_or_chunking(variant, haldane_ref, s
     model = haldane_ref if variant == "haldane" else sphere
     grid = chern.default_grid(model, 72)
     points = chern._ClosedGrid(grid)
-    serial, pooled = (np.concatenate(chern._map_chunks(chern._frame_grid, model, points, (0,),
-                                                       linalg.DEGENERACY_TOL, workers))
+    serial, pooled = (np.concatenate(chern._map_chunks(frames_job, model, points, (0,),
+                                                       linalg.DEGENERACY_TOL, workers)[0])
                       for workers in (1, 2))
     assert np.array_equal(serial, pooled)
     whole = chern._frame_grid(model, points.points_range(0, points.n_points), (0,),

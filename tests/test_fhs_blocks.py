@@ -30,7 +30,7 @@ GRIDS = [(40, 72), (9, 1000)]  # 1000 columns do not divide the 4096-point chunk
 
 @pytest.fixture
 def fhs_results(monkeypatch):
-    """Every per-chunk result list that _map_chunks hands back."""
+    """The columns that every _map_chunks call hands back, with its job."""
     seen = []
     inner = chern._map_chunks
 
@@ -137,11 +137,13 @@ def test_chunk_results_are_scalars_only(workers, fhs_results, monkeypatch):
                                 chern.default_grid(models.TwoLevelSphere(), 24),
                                 workers=workers) == 1
     assert [job for job, _ in fhs_results] == [chern._fhs_job, chern._fhs_job]
-    for _, rows in fhs_results:
-        assert len(rows) > 1
-        for row in rows:
-            assert isinstance(row, tuple) and len(row) == 2
-            assert all(type(x) is float for x in row)
+    # 500-point row blocks: 7 of the torus layout's 40 plaquette rows of 73 points
+    # (6 blocks), 20 of the sphere layout's 25 rows of 25 points (2 blocks).
+    for n_blocks, (_, columns) in zip([6, 2], fhs_results):
+        assert len(columns) == 2  # the plaquette-angle sums and the smallest link |det|s
+        for column in columns:
+            assert isinstance(column, tuple) and len(column) == n_blocks
+            assert all(type(x) is float for x in column)
 
 
 class _TwistlessTorus:

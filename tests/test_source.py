@@ -20,12 +20,12 @@ The Haldane chunk kernels stay batch-major: _trace_pairs,
 _eps_contraction and _link_phases pass no optimize= to np.einsum (on
 stacks of small matrices the path search and the per-matrix products it
 picks cost more than one plain two-operand contraction), and
-Haldane.r_vector_batch, r_gradient_batch and their models._bond_sum make
-no .sum(axis=...) over the three bonds. The finite-temperature curvature
-kernels, curvature_frame_grid and uhlmann_curvature_from_frame, use no @
-and no matmul: their matrix products go only through
-geometry._commutators, one block product per block of points
-instead of one small stacked product per direction pair. GAP_FLOOR is
+Haldane.r_vector_batch, r_gradient_batch and their models._bond_phases
+and _bond_sum make no .sum(axis=...) over the three bonds. The
+finite-temperature curvature kernels, curvature_frame_grid and
+uhlmann_curvature_from_frame, use no @ and no matmul: their matrix
+products go only through geometry._commutators, one block product per
+block of points instead of one small stacked product per direction pair. GAP_FLOOR is
 read only inside geometry._require_isolated, the one gap rule of the
 pure-state curvatures and the lattice oracle, so no second copy of the
 rule can drift from it. In the same way BLOCK_ENTRIES is read only
@@ -35,7 +35,10 @@ geometry.thermal_trace_grid, chern._first_order_job and cli._map_job
 take), _commutators and _trace_pairs take their blocks from it. Every
 range list comes from geometry._ranges: _blocks, the chunk engine's
 fixed chunks (chern._map_chunks) and the lattice oracle's row blocks
-(chern.pure_chern_fhs).
+(chern.pure_chern_fhs). A GapClosed for a ground degeneracy that varies is
+raised only by geometry._ground_size, within a batch, and by
+chern._map_chunks, across chunks, so no caller of the engine keeps its own
+copy of the cross-chunk rule.
 Tangent matrices have one path: the eigenbasis gradients are formed only
 in geometry._frame_data, and the gap mask and division only in
 geometry._spectral_data, which every grid kernel and per-point view
@@ -433,7 +436,8 @@ def test_detector_flags_optimised_einsums_and_axis_sums_by_function():
 
 
 EINSUM_KERNELS = {"_trace_pairs", "_eps_contraction", "_link_phases"}
-BOND_SUM_KERNELS = {"Haldane.r_vector_batch", "Haldane.r_gradient_batch", "_bond_sum"}
+BOND_SUM_KERNELS = {"Haldane.r_vector_batch", "Haldane.r_gradient_batch", "_bond_phases",
+                    "_bond_sum"}
 
 
 def test_haldane_chunk_kernels_stay_batch_major():
@@ -554,6 +558,47 @@ def test_block_entries_are_read_only_by_the_block_rule():
                                   ("chern.py", "pure_chern_fhs")}
 
 
+def ground_size_raises(tree: ast.AST):
+    """(enclosing function name or None, line) of every raise of GapClosed,
+    bare or as an attribute, whose message names the ground degeneracy."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            f = node.exc.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if name == "GapClosed" and "ground degeneracy" in text:
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_detector_finds_ground_degeneracy_raises_and_their_functions():
+    code = "\n".join([
+        'raise GapClosed("ground degeneracy varies")',
+        "def _integrate(sizes):",
+        '    raise errors.GapClosed(f"ground degeneracy varies: {sizes}")',
+        "def other(g):",
+        '    raise GapClosed(f"band group {g} is not contiguous")',
+        '    raise NonFiniteInput("ground degeneracy varies")',
+        "    raise GapClosed",
+    ])
+    assert ground_size_raises(ast.parse(code)) == [(None, 1), ("_integrate", 3)]
+
+
+def test_the_ground_size_is_checked_within_a_batch_and_across_chunks_only():
+    sites = [(path.name, func) for path in sorted((SRC / "uhlmann_chern").glob("*.py"))
+             for func, _ in ground_size_raises(ast.parse(path.read_text(), filename=str(path)))]
+    assert sorted(sites) == [("chern.py", "_map_chunks"), ("geometry.py", "_ground_size")]
+
+
 def bare_value_errors(tree: ast.AST):
     """Line numbers of every raise of ValueError itself, called or not,
     bare or as an attribute; a re-raise or a subclass is not one."""
@@ -596,8 +641,8 @@ def test_src_raises_no_bare_value_error():
 # The line counts src/uhlmann_chern/*.py may not exceed: total lines, and code
 # lines. A change that must grow src/ raises them in the same diff and says why
 # in CHANGES.md.
-MAX_TOTAL_LINES = 2991
-MAX_CODE_LINES = 1687
+MAX_TOTAL_LINES = 2989
+MAX_CODE_LINES = 1682
 
 
 def line_counts(text: str) -> tuple[int, int]:

@@ -7,10 +7,12 @@ the one block rule) for a model with n_levels N, one block for a model
 without it. Every per-point value is independent
 of the partition (the frames are elementwise or one matrix at a time,
 LAPACK and the Hermiticity check work per matrix, _trace_pairs is a
-per-point einsum), so every integral, sweep, trace row and map is bitwise
-the same at one point per block, at the default and at one block per
-chunk, and at any worker count. The oscillator's chunk then holds one
-block's frame: its memory no longer grows with points x fock_dim^2.
+per-point einsum, and Haldane forms its bond phases elementwise), so every
+integral, sweep, trace row and map is bitwise the same at a few points per
+block, at the default and at one block per chunk, and at any worker count,
+and a point's per-point trace row is its row in a chunk. The oscillator's
+chunk then holds one block's frame: its memory no longer grows with
+points x fock_dim^2.
 """
 import json
 import tracemalloc
@@ -55,13 +57,10 @@ def first_order_outputs(model, n, workers, tmp_path, map_cfg):
             rows.tobytes(), map_bytes(tmp_path, map_cfg, n, workers))
 
 
-# (name, model, grid side, map config, its smallest block). Haldane runs as one
-# block per chunk; its smallest block here is 1,000 points (4,096 = 4 x 1,000 +
-# 96), since Haldane.r_vector_batch's product _HALDANE_A @ pts rounds a column
-# by its place in the BLAS kernel's column groups, and a batch of one or three
-# points is not bitwise the same point in a larger batch.
+# (name, model, grid side, map config, its smallest block): one point for the
+# oscillator, three for Haldane, which runs as one block per chunk by default.
 CASES = [("oscillator", models.CoherentOscillator(fock_dim=40), 16, OSCILLATOR, 1),
-         ("haldane", models.Haldane(t1=1.0, t2=0.4, phi=1.1, M=0.3), 64, HALDANE, 8 * 1000)]
+         ("haldane", models.Haldane(t1=1.0, t2=0.4, phi=1.1, M=0.3), 64, HALDANE, 8 * 3)]
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +85,20 @@ def test_first_order_outputs_do_not_depend_on_the_blocks(reference, monkeypatch,
     if block == "small":
         assert len(geometry._spectral_blocks(model, n * n)) > 1
     assert first_order_outputs(model, n, workers, tmp_path, map_cfg) == reference[name]
+
+
+def test_a_haldane_point_has_the_same_bits_alone_and_in_a_chunk():
+    # Bond phases from a matmul rounded a column by the batch width: 41 of these
+    # 64 trace rows differed from the per-point view in their last bits.
+    model = models.Haldane(t1=1.0, t2=0.5, phi=1.1, M=0.3)
+    chunk = chern.default_grid(model, 64).points_range(0, chern.CHUNK_SIZE)
+    rows = geometry.thermal_trace_grid(model, chunk, 0.7)
+    r, dr = model.r_vector_batch(chunk), model.r_gradient_batch(chunk, 1)
+    for i in range(0, chern.CHUNK_SIZE, 64):
+        p = chunk[i]
+        assert np.array_equal(geometry.thermal_trace_spectral(model, p, 0.7), rows[:, i])
+        assert np.array_equal(model.r_vector_batch(p[None])[0], r[i])
+        assert np.array_equal(model.r_gradient_batch(p[None], 1)[0], dr[i])
 
 
 def test_blocks_cover_the_batch_in_order():
