@@ -172,7 +172,7 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     temperatures = cfg["run"].get("temperatures")
     if not temperatures or len(temperatures) != 1:
         raise ConfigError("run.temperatures: map takes exactly one value")
-    t_over_r0 = float(temperatures[0])
+    t_over_r0 = models._real(temperatures[0], "temperature")
     if t_over_r0 < 0:
         raise ConfigError("run.temperatures: must be nonnegative")
     beta = chern.beta_from_temperature(t_over_r0, model.r0)
@@ -338,7 +338,7 @@ def _check_connection_routes(cfg, rng):
 
 def _check_trace_routes(cfg, rng):
     tol = _degeneracy_tol(cfg)
-    fraction = _fd_step_fraction(cfg)
+    fraction = models._real(_fd_step_fraction(cfg), "tolerances.fd_step")
     worst = 0.0
     sphere, haldane, _, _ = _verify_models()
     for model in (sphere, haldane):

@@ -10,6 +10,7 @@ is no sparse or out-of-core path.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import dataclass
 
@@ -78,10 +79,12 @@ def cluster_labels(w, tol: float) -> np.ndarray:
     zero-temperature ground cluster is labels == 0, and the tangent
     matrices are zero between levels with equal labels. It runs on the
     level-major view (N, ...), so each numpy call spans the batch. tol
-    must be a real number >= 0, +inf included (one cluster per spectrum),
-    else InvalidArgument.
+    must be a real number >= 0 that a float holds, +inf included (one
+    cluster per spectrum), else InvalidArgument.
     """
-    if not (isinstance(tol, numbers.Real) and tol >= 0):  # NaN fails the comparison
+    with contextlib.suppress(OverflowError):  # an integer too large for a float stays one
+        tol = float(tol) if isinstance(tol, numbers.Real) else tol
+    if not (isinstance(tol, float) and tol >= 0):  # NaN fails the comparison
         raise InvalidArgument(f"degeneracy tolerance {tol!r} is not a real number >= 0")
     wt = np.moveaxis(np.asarray(w), -1, 0)
     labels = np.zeros(wt.shape, dtype=np.intp)

@@ -475,15 +475,10 @@ def gamma_anticommutation_residual() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _phase_divided_difference(w):
-    """Divided differences of exp(-i x) on the spectrum w (..., N):
-    Phi_jk = (exp(-i w_j) - exp(-i w_k)) / (-i (w_j - w_k)), evaluated
-    stably as exp(-i w_j / 2) exp(-i w_k / 2) times a half-angle sinc,
-    so coincident pairs are exact.
-    """
-    half = np.exp(-0.5j * w)
-    diff = w[..., :, None] - w[..., None, :]
-    return half[..., :, None] * half[..., None, :] * np.sinc(diff / (2.0 * math.pi))
+def _directions(p):
+    """(P^dagger - P, i (P^dagger + P)) stacked: the x and y derivatives from P = c (A0 * phi)."""
+    ph = p.conj().swapaxes(-1, -2)
+    return np.stack((ph - p, 1j * (ph + p)))
 
 
 @dataclass(frozen=True)
@@ -503,9 +498,12 @@ class CoherentOscillator(_Model):
     eigendecomposition i (a^dagger - a) = V0 diag(w0) V0^dagger, cached
     per instance, therefore gives every point's frame without another
     eigh: generator eigenvalues r w0, eigenvectors U V0, and
-    D = U V0 exp(-i r w0) V0^dagger U^dagger. Generator derivatives
-    become e^{-i theta} A0^dagger -+ e^{i theta} A0 (times i along y)
-    in that basis, with A0 = V0^dagger a V0.
+    D = U V0 exp(-i r w0) V0^dagger U^dagger. Generator derivatives are
+    c^* A0^dagger - c A0 along x and i (c^* A0^dagger + c A0) along y in
+    that basis (A0 = V0^dagger a V0, c = e^{i theta}), and X = D^dagger dD
+    multiplies them by the Hermitian kernel phi of _derivative_kernel. So one
+    sandwich Q = U V0 c (A0 * phi) V0^dagger U^dagger per point gives
+    X = Q^dagger - Q along x and i (Q^dagger + Q) along y, anti-Hermitian.
 
     Exact spectral data: H has eigenvalues diag(H0), eigenvectors the
     columns of D, and eigenbasis gradients D^dagger dH D = [X, H0] with
@@ -604,16 +602,16 @@ class CoherentOscillator(_Model):
         _, v0, _, _ = self._frame0
         return u[:, :, None] * (v0 @ s @ v0.conj().T) * u.conj()[:, None, :]
 
-    def _displacement_derivative(self, c, phi, mu):
-        """V0^dagger U^dagger dD/dmu U V0: the generator derivative in
-        the generator eigenbasis times phi, the divided differences of
-        exp(-i x) on the generator spectrum."""
+    def _derivative_kernel(self, w, c):
+        """P = c (A0 * phi) in the generator eigenbasis, for w (B, N) and
+        c (B,). phi_jk = exp(i (w_j - w_k) / 2) sinc((w_j - w_k) / 2 pi) is
+        the divided difference of exp(-i x) on w times the row phase
+        exp(i w_j): Hermitian, and exact on coincident pairs."""
         _, _, a0, _ = self._frame0
-        annihilate = c[:, None, None] * a0
-        create = c.conj()[:, None, None] * a0.conj().T
-        # d(generator)/dx = a^dagger - a, d(generator)/dy = i (a^dagger + a)
-        g = (create - annihilate) if mu == 0 else 1j * (create + annihilate)
-        return g * phi
+        half = np.exp(0.5j * w)
+        diff = w[:, :, None] - w[:, None, :]
+        phi = half[:, :, None] * half.conj()[:, None, :] * np.sinc(diff / (2.0 * math.pi))
+        return c[:, None, None] * a0 * phi
 
     def hamiltonian_batch(self, pts):
         w, u, _ = self._displacement_frame(pts)
@@ -625,9 +623,10 @@ class CoherentOscillator(_Model):
         mu = _check_direction(mu, 2)
         w, u, c = self._displacement_frame(pts)
         _, _, _, h0 = self._frame0
+        e = np.exp(-1j * w)
         # dH = dD H0 D^dagger + h.c., with dD H0 D^dagger = U V0 k V0^dagger U^dagger.
-        dd = self._displacement_derivative(c, _phase_divided_difference(w), mu)
-        k = (dd @ h0) * np.exp(1j * w)[:, None, :]
+        dd = e[:, :, None] * _directions(self._derivative_kernel(w, c))[mu]
+        k = (dd @ h0) * e.conj()[:, None, :]
         return self._to_fock(u, k + k.conj().swapaxes(-1, -2))
 
     def eigenframe_batch(self, pts):
@@ -645,13 +644,9 @@ class CoherentOscillator(_Model):
         e = np.exp(-1j * w)
         d = u[:, :, None] * ((v0 * e[:, None, :]) @ v0.conj().T) * u.conj()[:, None, :]
         levels = self._h0_diag
-        gaps = levels[None, :] - levels[:, None]
-        # X = D^dagger dD = U V0 (exp(i w) * dD-in-generator-basis) V0^dagger U^dagger
-        phi = e.conj()[:, :, None] * _phase_divided_difference(w)
-        g = np.empty((2,) + d.shape, dtype=np.complex128)
-        for mu in range(2):
-            x = self._to_fock(u, self._displacement_derivative(c, phi, mu))
-            np.multiply(x, gaps, out=g[mu])  # [X, H0]_jk = X_jk (E_k - E_j)
+        # X = D^dagger dD/dmu is Q^dagger - Q along x and i (Q^dagger + Q) along y.
+        g = _directions(self._to_fock(u, self._derivative_kernel(w, c)))
+        g *= levels[None, :] - levels[:, None]  # [X, H0]_jk = X_jk (E_k - E_j)
         return np.tile(levels, (d.shape[0], 1)), d, g
 
     def _check_thermal_truncation(self, beta, bound):

@@ -1,17 +1,20 @@
 """Degeneracy tolerances, worker counts and CLI run keys each follow one
 rule, and a value outside it raises a typed error.
 
-linalg.cluster_labels reads every degeneracy tolerance: a real number >= 0,
-+inf included, else InvalidArgument. A NaN tolerance used to group every
-level into one cluster, so a first-order integral returned a silent 0, and a
-negative one split degenerate levels, so a second-order integral returned a
-NaN. chern._map_chunks reads every worker count by models._integer's rule:
-2.0 runs as 2, while a count below 1, a string or None raises InvalidArgument
+linalg.cluster_labels reads every degeneracy tolerance: a real number >= 0
+that a float holds, +inf included, else InvalidArgument. A NaN tolerance
+used to group every level into one cluster, so a first-order integral
+returned a silent 0, a negative one split degenerate levels, so a
+second-order integral returned a NaN, and 10**400 raised an OverflowError.
+chern._map_chunks reads every worker count by models._integer's rule: 2.0
+runs as 2, while a count below 1, a string or None raises InvalidArgument
 instead of running serially or failing with a TypeError. The CLI reports
 every InvalidArgument as a config error (exit 2), and a run key that its
 command does not read is a config error too, with no output written.
 Every beta and temperature is a real number by models._real's rule, else
 InvalidArgument: a complex beta once returned a silent near-zero integral.
+The CLI reads its map temperature and verify's fd_step by that rule too, so
+an integer too large for a float is a config error, not an OverflowError.
 """
 import json
 import math
@@ -81,6 +84,20 @@ def test_zero_and_infinite_tolerances_stay_legal():
     assert chern.first_thermal_uc(HALDANE, 1.0, grid, degeneracy_tol=math.inf).value == 0.0
     with pytest.raises(GapClosed, match="whole space"):
         chern.first_thermal_uc(HALDANE, models.BETA_INF, grid, degeneracy_tol=math.inf)
+
+
+@pytest.mark.parametrize("tol", [10**400, -10**400], ids=["huge", "huge_negative"])
+def test_a_tolerance_too_large_for_a_float_raises(tol):
+    # 10**400 passed the Real and >= 0 test, then overflowed in the threshold
+    # with an untyped OverflowError.
+    w = np.array([[-1.0, -1.0, 1.0, 1.0]])
+    grid = chern.default_grid(HALDANE, 72)
+    for call in (lambda: linalg.cluster_labels(w, tol),
+                 lambda: linalg.hermitian_eig(np.diag([-1.0, 1.0]), degeneracy_tol=tol),
+                 lambda: chern.first_thermal_uc(HALDANE, 1.0, grid, degeneracy_tol=tol),
+                 lambda: chern.first_thermal_uc(HALDANE, 1.0, grid, workers=2, degeneracy_tol=tol)):
+        with pytest.raises(InvalidArgument, match="degeneracy tolerance"):
+            call()
 
 
 # -- worker count ------------------------------------------------------------------
@@ -163,6 +180,33 @@ def test_cli_nan_degeneracy_tolerance_is_a_config_error(tmp_path, capsys, varian
     code, written = _run_cli(tmp_path, run, variant, {"degeneracy": math.nan})
     err = capsys.readouterr().err
     assert code == 2 and "config error: degeneracy tolerance nan" in err, err
+    assert "Traceback" not in err
+    assert written == []
+
+
+@pytest.mark.parametrize("run", [{"type": "sweep", "temperatures": [0.5, 1.0]},
+                                 {"type": "map", "temperatures": [0.5]},
+                                 {"type": "chern"}, {"type": "verify"}],
+                         ids=["sweep", "map", "chern", "verify"])
+def test_cli_degeneracy_tolerance_too_large_for_a_float_is_a_config_error(tmp_path, capsys,
+                                                                        run):
+    code, written = _run_cli(tmp_path, run, tolerances={"degeneracy": 10**400})
+    err = capsys.readouterr().err
+    assert code == 2 and "config error: degeneracy tolerance 1000" in err, err
+    assert "Traceback" not in err
+    assert written == []
+
+
+@pytest.mark.parametrize("run, tolerances, what", [
+    ({"type": "map", "temperatures": [10**400]}, None, "temperature"),
+    ({"type": "verify"}, {"fd_step": 10**400}, "tolerances.fd_step"),
+], ids=["map_temperature", "verify_fd_step"])
+def test_cli_value_too_large_for_a_float_is_a_config_error(tmp_path, capsys, run, tolerances,
+                                                           what):
+    # Each printed an OverflowError traceback and exited 1; sweep already exited 2.
+    code, written = _run_cli(tmp_path, run, tolerances=tolerances)
+    err = capsys.readouterr().err
+    assert code == 2 and f"config error: {what} 1000" in err, err
     assert "Traceback" not in err
     assert written == []
 

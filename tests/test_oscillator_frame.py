@@ -4,13 +4,16 @@ CoherentOscillator.eigenframe_batch hands the geometry kernels exact
 spectral data built from one cached eigendecomposition. The generic
 path (one eigh of H per point, gradients rotated into its eigenbasis)
 stays in the package for every other model and is the oracle here.
+Both directions' X = D^dagger dD come from one Hermitian product Q, as
+Q^dagger - Q and i (Q^dagger + Q), so each gradient is Hermitian bit for
+bit and the oscillator integral's imaginary residual is exactly 0.
 """
 import math
 
 import numpy as np
 import pytest
 
-from uhlmann_chern import geometry, linalg, models
+from uhlmann_chern import chern, geometry, linalg, models
 
 
 class GenericView:
@@ -98,6 +101,23 @@ def test_berry_curvature_matches_generic_path(coherent, pts):
         values.append(fast)
     np.testing.assert_allclose(values, values[0], atol=1e-12)
 
+
+@pytest.mark.parametrize("fock_dim", [8, 24, 40, 64])
+def test_frame_gradients_are_hermitian_bit_for_bit(rng, fock_dim):
+    # X = Q^dagger - Q and i (Q^dagger + Q) are anti-Hermitian by construction,
+    # so each g = [X, H0] equals its conjugate transpose exactly. At fock 8 the
+    # points shrink into |z|^2 <= fock_dim / 8.
+    model = models.CoherentOscillator(fock_dim=fock_dim)
+    pts = frame_points(rng) * (0.75 if fock_dim == 8 else 1.0)
+    _, _, g = model.eigenframe_batch(pts)
+    assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("beta", [0.8, models.BETA_INF])
+def test_oscillator_integral_has_no_imaginary_residual(beta):
+    model = models.CoherentOscillator(fock_dim=40)
+    result = chern.first_thermal_uc(model, beta, chern.default_grid(model, 16))
+    assert result.imag_residual == 0.0
 
 def test_frame_rejects_oversized_displacement(coherent):
     too_far = math.sqrt(coherent.fock_dim / 8.0) * 1.01
