@@ -60,7 +60,7 @@ from .geometry import (
     thermal_trace_grid,
     uhlmann_curvature_from_frame,
 )
-from .models import BETA_INF, Manifold, _integer, _real, model_id, weights_batch
+from .models import BETA_INF, Manifold, _integer, _real, _require_beta, model_id, weights_batch
 
 CHUNK_SIZE = 4096
 # Points per lattice-oracle chunk, rounded up to whole grid rows; each
@@ -223,20 +223,29 @@ def _require_grid(model, grid: GridSpec, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def _first_order_job(model, pts, betas, tol):
-    """The ground sizes D of one chunk (each block's by _ground_size's rule if
-    BETA_INF is among betas, else none) and its partials of Tr(rho F_U), one per
-    beta; at BETA_INF by thermal_trace_grid's steps on spectral passes that also
-    give the labels."""
-    if BETA_INF not in betas:
-        return (), *[complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
-    traces, sizes = np.empty((len(betas), 1, len(pts)), dtype=np.complex128), set()
+def _map_job(model, pts, betas, tol):
+    """The ground walk of one chunk: its ground sizes D (_ground_size's rule), Tr(rho F_U)_01
+    per beta (K, B) and the ground cluster's Berry column Tr F_01 (B,), one spectral pass
+    per _spectral_blocks block. The Berry rows are cut inline: freeing the block's stack
+    first hands its heap back to the system, and the next block faults it in again."""
+    traces = np.empty((len(betas), len(pts)), dtype=np.complex128)
+    berry, sizes = np.empty(len(pts), dtype=np.complex128), set()
     for s, e in _spectral_blocks(model, len(pts)):
         w, _, _, labels, _, t = _spectral_data(model, pts[s:e], tol)
         lam = np.stack([weights_batch(w, b, labels) for b in betas])
-        traces[:, :, s:e] = _trace_pairs(lam, t, ((0, 1),))
-        sizes.add(_ground_size(w, labels))
-    return tuple(sizes), *[complex(np.sum(tr[0])) for tr in traces]
+        traces[:, s:e] = _trace_pairs(lam, t, ((0, 1),))[:, 0]
+        sizes.add(d := _ground_size(w, labels))
+        berry[s:e] = np.trace(_cluster_curvature(_run_rows(t, 0, d))[0], axis1=-2, axis2=-1)
+    return tuple(sizes), traces, berry
+
+
+def _first_order_job(model, pts, betas, tol):
+    """The ground sizes D of one chunk (the ground walk's if BETA_INF is among
+    betas, else none) and its partials of Tr(rho F_U), one per beta."""
+    if BETA_INF not in betas:
+        return (), *[complex(np.sum(tr[0])) for tr in thermal_trace_grid(model, pts, betas, tol)]
+    sizes, traces, _ = _map_job(model, pts, betas, tol)
+    return sizes, *[complex(np.sum(tr)) for tr in traces]
 
 
 def _first_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
@@ -257,6 +266,7 @@ def first_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     The cover multiplicity and chart orientation of the model's cell
     are folded in, so values are chart-independent.
     """
+    _require_beta(beta)  # one real number, not a sequence of them
     return _first_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
 
 

@@ -178,9 +178,9 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     beta = chern.beta_from_temperature(t_over_r0, model.r0)
     tol = _degeneracy_tol(cfg)
 
-    columns = chern._map_chunks(_map_job, model, grid, beta, tol, workers)
+    columns = chern._map_chunks(chern._map_job, model, grid, (beta,), tol, workers)
     pts = grid.points_range(0, grid.n_points)
-    trace, berry = (np.concatenate(c) for c in columns)
+    (trace,), berry = (np.concatenate(c, axis=-1).imag for c in columns)
     trace_rows = zip(pts[:, 0], pts[:, 1], trace)
     berry_rows = zip(pts[:, 0], pts[:, 1], berry)
 
@@ -188,21 +188,6 @@ def cmd_map(cfg: dict, out_dir: Path, workers: int) -> int:
     _write_csv(out_dir / "berry.csv", "kx,ky,Im_F_B", berry_rows)
     print(f"map: {grid.n_points} points, T/R0={_format(t_over_r0)}")
     return 0
-
-
-def _map_job(model, pts, beta, tol):
-    """The ground sizes, Im Tr(rho F_U) at beta and the ground-cluster (label 0)
-    Berry curvature over one chunk, from one spectral pass per block of points."""
-    trace, berry, sizes = np.empty(len(pts)), np.empty(len(pts)), set()
-    for s, e in geometry._spectral_blocks(model, len(pts)):
-        w, _, _, labels, _, t = geometry._spectral_data(model, pts[s:e], tol)
-        lam = models.weights_batch(w, beta, labels)
-        trace[s:e] = geometry._trace_pairs(lam[None], t, ((0, 1),))[0, 0].imag
-        d = geometry._ground_size(w, labels)
-        sizes.add(d)
-        t = geometry._run_rows(t, 0, d)  # the full stack is freed before the block's products
-        berry[s:e] = np.trace(geometry._cluster_curvature(t)[0], axis1=-2, axis2=-1).imag
-    return tuple(sizes), trace, berry
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from .linalg import (
     eigh_batch,
     psd_sqrt,
 )
-from .models import _integer, _points, thermal_state, weights_batch
+from .models import _integer, _point, _points, _require_beta, thermal_state, weights_batch
 
 # Pairs with combined density-matrix weight at or below this are dropped
 # from the finite-difference connection; the commutator numerator
@@ -295,9 +295,11 @@ def _spectral_blocks(model, n: int):
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch from one _spectral_data pass: (w, v, lam, t)
     with shapes (B, N), (B, N, N), (B, N), (d, B, N, N), v in _frame_data's gauge.
-    beta may also be a sequence of K inverse temperatures: lam then has
+    beta may also be a flat, non-empty sequence of K betas: lam then has
     shape (K, B, N), one weight batch per beta on the same eigen-data.
     """
+    if np.ndim(beta) > 1 or np.size(beta) == 0:
+        raise InvalidArgument(f"beta {beta!r} is neither a number nor a flat, non-empty sequence")
     w, v, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
     lam = np.stack([weights_batch(w, b, labels) for b in np.ravel(beta)])
     return w, v, (lam if np.ndim(beta) else lam[0]), t
@@ -319,6 +321,7 @@ def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_
     """Spectral-route Uhlmann connection components over a point batch,
     shape (d, B, N, N), in the original (not eigen-) basis: A = v (-C o T)
     v^dagger with C the weight-mixing coefficients and T the tangents."""
+    _require_beta(beta)  # one real number, not a sequence of them
     w, v, lam, t = spectral_data_grid(model, pts, beta, degeneracy_tol)
     c = _mixing_batch(lam, _pair_exponents(w, beta))
     return np.einsum("bij,dbjk,blk->dbil", v, -c[None] * t, v.conj(), optimize=True)
@@ -604,7 +607,7 @@ def uhlmann_curvature(model, p, beta: float, connection_route: str = "spectral",
     matrix field (built from the unique sqrt(rho)), so differencing it
     across nearby points is gauge-safe.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _point(p, model.dim)
     h = _default_step(model, h)
     if connection_route == "spectral":
         f = uhlmann_curvature_grid(model, p[None, :], beta, h, degeneracy_tol)
@@ -627,6 +630,7 @@ def thermal_trace_spectral(model, p, beta: float,
                            degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Scalars Tr(rho F_U)_{mu nu} per direction pair, straight from the weighted
     double sum over energy eigenstates: thermal_trace_grid on a batch of one point."""
+    _require_beta(beta)  # one real number, not a sequence of them
     return thermal_trace_grid(model, [p], beta, degeneracy_tol)[:, 0]
 
 

@@ -151,7 +151,7 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
     return SpectralDecomposition(w, v, cluster_labels(w, degeneracy_tol))
 
 
-def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
+def eigh_batch(ms: np.ndarray):
     """Eigendecompose a stack of Hermitian matrices (..., N, N).
 
     The one eigensolver call site: 2x2 stacks take the closed form of
@@ -162,14 +162,14 @@ def eigh_batch(ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
     bit-identical input gives bit-identical output. Grouping is left
     to cluster_labels.
 
-    Each matrix is checked against rtol on its own scale. A non-finite
+    Each matrix is checked against HERMITICITY_RTOL on its own scale. A non-finite
     entry, or a spectral width w_max - w_min that overflows, raises
     NonFiniteInput.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     if ms.shape[-1] != ms.shape[-2]:
         raise NonHermitianInput(f"expected square matrices, got shape {ms.shape}")
-    _require_hermitian_batch(ms, rtol)
+    _require_hermitian_batch(ms)
     two = ms.shape[-1] == 2
     if two:
         w, v = _eigh_2x2(ms)
@@ -233,13 +233,13 @@ def _eigh_2x2(ms):
     return np.stack([c - r, c + r], axis=-1), v.view(np.complex128).reshape(ms.shape)
 
 
-def _require_hermitian_batch(ms, rtol: float) -> None:
+def _require_hermitian_batch(ms) -> None:
     """Per-matrix Hermiticity and finiteness check of a stack; its
     per-matrix arrays are released before the eigensolver runs."""
     defect = hermiticity_defect(ms)
     if not np.isfinite(defect).all():
         raise NonFiniteInput("batch contains a non-finite matrix entry")
-    if np.any(defect > rtol):
+    if np.any(defect > HERMITICITY_RTOL):
         raise NonHermitianInput("batch contains a non-Hermitian matrix")
 
 
@@ -262,7 +262,7 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 def unitary_exp(a) -> np.ndarray:
-    """exp(A) for anti-Hermitian A, via eigendecomposition of 1j*A.
+    """exp(A) for anti-Hermitian A, via eigendecomposition of 1j*A's Hermitian part.
 
     The result is exactly unitary up to roundoff because the real
     spectrum of 1j*A maps onto unit-modulus phases.
@@ -276,5 +276,5 @@ def unitary_exp(a) -> np.ndarray:
         raise NonAntiHermitianInput(
             f"anti-hermiticity defect {defect:.3e} exceeds tolerance"
         )
-    (w,), (v,) = eigh_batch((1j * a)[None], rtol=1e-10)
+    (w,), (v,) = eigh_batch((0.5j * (a - a.conj().T))[None])  # A was checked on max(|A|, 1)
     return (v * np.exp(-1j * w)) @ v.conj().T

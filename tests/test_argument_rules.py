@@ -13,6 +13,11 @@ every InvalidArgument as a config error (exit 2), and a run key that its
 command does not read is a config error too, with no output written.
 Every beta and temperature is a real number by models._real's rule, else
 InvalidArgument: a complex beta once returned a silent near-zero integral.
+A sequence is not one real number: first_thermal_uc rejects it before any
+chunk job, and so do the single-beta kernels (thermal_trace_spectral and the
+connection and curvature kernels). Only spectral_data_grid and
+thermal_trace_grid take a sequence of betas, and it must be flat and
+non-empty.
 The CLI reads its map temperature and verify's fd_step by that rule too, so
 an integer too large for a float is a config error, not an OverflowError.
 """
@@ -25,6 +30,8 @@ import pytest
 
 from uhlmann_chern import chern, cli, geometry, linalg, models
 from uhlmann_chern.errors import GapClosed, InvalidArgument, ResolutionTooLowWarning
+
+from test_ground_size import LiftedLevels
 
 BAD_TOLERANCES = [math.nan, -1e-9, -math.inf, None, "1e-9", 1j]
 BAD_WORKERS = [0, -3, 1.5, math.nan, math.inf, None, "2"]
@@ -142,6 +149,58 @@ def test_a_beta_that_is_not_a_real_number_raises(beta):
                  lambda: geometry.uhlmann_connection_spectral(HALDANE, p, beta),
                  lambda: models.thermal_state(HALDANE, p, beta)):
         with pytest.raises(InvalidArgument, match="beta .* is not a real number"):
+            call()
+
+
+BETA_SEQUENCES = [[0.5, 1.0], (models.BETA_INF,), []]
+SEQUENCE_IDS = ["two", "inf_in_a_tuple", "empty"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("beta", BETA_SEQUENCES, ids=SEQUENCE_IDS)
+def test_first_thermal_uc_rejects_a_beta_sequence_before_any_chunk_job(monkeypatch, beta,
+                                                                         workers):
+    # [0.5, 1.0] once returned the beta = 0.5 value, (inf,) skipped the
+    # zero-temperature ground rule (0.0 on LiftedLevels, where inf raises
+    # GapClosed), and [] raised numpy's untyped error.
+    model = LiftedLevels()
+    with pytest.raises(GapClosed):
+        chern.first_thermal_uc(model, models.BETA_INF, chern.default_grid(model, 8), workers=workers)
+
+    def no_chunk_job(*args):
+        raise AssertionError("a chunk job ran")
+
+    monkeypatch.setattr(chern, "_chunk_job", no_chunk_job)
+    for model in (LiftedLevels(), HALDANE):
+        with pytest.raises(InvalidArgument, match="beta .* is not a real number"):
+            chern.first_thermal_uc(model, beta, chern.default_grid(model, 8), workers=workers)
+
+
+@pytest.mark.parametrize("beta", BETA_SEQUENCES, ids=SEQUENCE_IDS)
+def test_the_single_beta_kernels_reject_a_beta_sequence(beta):
+    # thermal_trace_spectral once returned pair (0, 1) per beta, 1 of 6 pairs
+    # on the four-band model; the connection kernels raised a TypeError.
+    p = np.array([0.3, 0.7, -0.4, 1.1])
+    for call in (lambda: geometry.thermal_trace_spectral(FOURBAND, p, beta),
+                 lambda: geometry.connection_grid(FOURBAND, p[None], beta),
+                 lambda: geometry.uhlmann_connection_spectral(FOURBAND, p, beta),
+                 lambda: geometry.uhlmann_curvature_grid(FOURBAND, p[None], beta),
+                 lambda: geometry.uhlmann_curvature(FOURBAND, p, beta),
+                 lambda: geometry.uhlmann_curvature(FOURBAND, p, beta, connection_route="sqrt_fd")):
+        with pytest.raises(InvalidArgument, match="beta .* is not a real number"):
+            call()
+
+
+@pytest.mark.parametrize("n_points", [3, 0])
+@pytest.mark.parametrize("beta", [[], [[0.5, 1.0]], np.empty(0), np.ones((1, 2))],
+                         ids=["empty", "nested", "empty_array", "2d_array"])
+def test_the_multi_beta_kernels_reject_an_empty_or_nested_sequence(beta, n_points):
+    # [] raised numpy's "need at least one array to stack"; [[0.5, 1.0]] was
+    # silently flattened.
+    pts = np.full((n_points, 2), 0.4)
+    for call in (lambda: geometry.spectral_data_grid(HALDANE, pts, beta),
+                 lambda: geometry.thermal_trace_grid(HALDANE, pts, beta)):
+        with pytest.raises(InvalidArgument, match="flat, non-empty sequence"):
             call()
 
 

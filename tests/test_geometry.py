@@ -20,6 +20,7 @@ from uhlmann_chern import geometry, linalg, models
 from uhlmann_chern.errors import (
     DegenerateBand,
     GapClosed,
+    ManifoldMismatch,
     NotMaximalCluster,
     StepTooLarge,
     VanishingDenominatorWarning,
@@ -343,6 +344,19 @@ def test_curvature_routes_agree(sphere, rng):
         a = uhlmann_curvature(sphere, p, 1.2, connection_route="spectral")
         b = uhlmann_curvature(sphere, p, 1.2, connection_route="sqrt_fd")
         assert np.abs(a.matrices - b.matrices).max() <= 1e-5
+
+
+@pytest.mark.parametrize("route", ["spectral", "sqrt_fd"])
+def test_curvature_reads_one_point(sphere, route):
+    # The spectral route once read its point with np.asarray: a (1, 2) point
+    # gave matrices (1, 1, 2, 2), and a (2, 2) batch both points' curvatures.
+    p = np.array([1.1, 0.4])
+    flat = uhlmann_curvature(sphere, p, 0.8, connection_route=route)
+    row = uhlmann_curvature(sphere, p[None], 0.8, connection_route=route)
+    assert row.matrices.shape == flat.matrices.shape == (1, 2, 2)
+    np.testing.assert_array_equal(row.matrices, flat.matrices)
+    with pytest.raises(ManifoldMismatch):
+        uhlmann_curvature(sphere, np.stack([p, p + 0.1]), 0.8, connection_route=route)
 
 
 def test_curvature_rejects_unknown_route(sphere):

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uhlmann_chern import cli, geometry, linalg, models
+from uhlmann_chern import chern, geometry, linalg, models
 
 from conftest import random_points
 
@@ -109,7 +109,7 @@ def weight_calls(monkeypatch):
         calls.append(beta)
         return original(w, beta, *args, **kwargs)
 
-    for module in (models, geometry):
+    for module in (models, geometry, chern):
         monkeypatch.setattr(module, "weights_batch", counted)
     return calls
 
@@ -119,6 +119,7 @@ def test_the_ground_cluster_is_read_off_the_labels(fourband, haldane, rng, weigh
     _, d = geometry.ground_block_curvature_grid(fourband, pts)
     proj = geometry.projector_limit_curvature(fourband, pts[0])
     assert weight_calls == [] and d == 2 and proj.matrices.shape == (6, 2, 2)
-    _, trace, berry = cli._map_job(haldane, random_points(haldane, rng, 5), 0.7, linalg.DEGENERACY_TOL)
+    _, (trace,), berry = chern._map_job(haldane, random_points(haldane, rng, 5), (0.7,),
+                                        linalg.DEGENERACY_TOL)
     assert weight_calls == [0.7]
     assert trace.shape == berry.shape == (5,)

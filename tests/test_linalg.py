@@ -184,6 +184,20 @@ def test_unitary_exp_pauli_rotation():
     np.testing.assert_allclose(linalg.unitary_exp(a), 1j * PAULI[0], atol=1e-14)
 
 
+def test_unitary_exp_takes_a_small_generator_that_passed_its_own_check():
+    # Scale 1e-4, anti-Hermiticity defect 2.4e-13: within unitary_exp's bound
+    # 1e-12 * max(scale, 1), but 2.4e-9 relative to 1j*A's own scale, so
+    # eigh_batch once raised NonHermitianInput on 1j*A itself.
+    a = 1j * 1e-4 * np.array([[0.3, 0.5 - 0.2j, 0.1j], [0.5 + 0.2j, -0.7, 0.4],
+                              [-0.1j, 0.4, 0.2]])
+    a[0, 1] += 2.4e-13
+    assert np.abs(a + a.conj().T).max() == pytest.approx(2.4e-13, rel=1e-2)
+    u = linalg.unitary_exp(a)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(3), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(u, linalg.unitary_exp(0.5 * (a - a.conj().T)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u, scipy.linalg.expm(0.5 * (a - a.conj().T)), rtol=0, atol=1e-15)
+
+
 def test_unitary_exp_rejects_hermitian_generator():
     with pytest.raises(NonAntiHermitianInput):
         linalg.unitary_exp(np.eye(2, dtype=np.complex128))

@@ -30,9 +30,13 @@ read only inside geometry._require_isolated, the one gap rule of the
 pure-state curvatures and the lattice oracle, so no second copy of the
 rule can drift from it. In the same way BLOCK_ENTRIES is read only
 inside geometry._blocks, the one block rule: the first-order spectral
-blocks (geometry._spectral_blocks, whose ranges the three walkers
-geometry.thermal_trace_grid, chern._first_order_job and cli._map_job
-take), _commutators and _trace_pairs take their blocks from it. Every
+blocks (geometry._spectral_blocks, whose ranges the two walkers
+geometry.thermal_trace_grid and chern._map_job, the ground walk, take),
+_commutators and _trace_pairs take their blocks from it. The CLI runs no
+walk itself: cli.py defines no chunk job and calls none of the walk's
+steps (verify's check of the mixing coefficients weighs random spectra,
+outside any walk), so map and the zero-temperature first-order integral
+share the one ground walk. Every
 range list comes from geometry._ranges: _blocks, the chunk engine's
 fixed chunks (chern._map_chunks) and the lattice oracle's row blocks
 (chern.pure_chern_fhs). A GapClosed for a ground degeneracy that varies is
@@ -554,11 +558,25 @@ def test_block_entries_are_read_only_by_the_block_rule():
 
     assert reads and set(reads) == {("geometry.py", "_blocks")}, reads
     assert callers("_spectral_blocks") == {("geometry.py", "thermal_trace_grid"),
-                                           ("chern.py", "_first_order_job"), ("cli.py", "_map_job")}
+                                           ("chern.py", "_map_job")}
     assert callers("_blocks") == {("geometry.py", "_spectral_blocks"),
                                   ("geometry.py", "_commutators"), ("geometry.py", "_trace_pairs")}
     assert callers("_ranges") == {("geometry.py", "_blocks"), ("chern.py", "_map_chunks"),
                                   ("chern.py", "pure_chern_fhs")}
+
+
+WALK_STEPS = {"_spectral_blocks", "_spectral_data", "_trace_pairs", "_ground_size", "_run_rows",
+              "_cluster_curvature", "weights_batch"}
+
+
+def test_the_cli_defines_no_chunk_job_and_calls_no_walk_step():
+    path = SRC / "uhlmann_chern" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = {(func, name) for func, name, _ in named_calls(tree, WALK_STEPS)}
+    # verify's mixing-coefficient check weighs random spectra, not a grid
+    assert sites == {("_check_coefficient_bounds", "weights_batch")}, sites
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.endswith("_job")]
 
 
 def ground_size_raises(tree: ast.AST):
@@ -700,8 +718,8 @@ def test_src_raises_no_bare_value_error():
 # The line counts src/uhlmann_chern/*.py may not exceed: total lines, and code
 # lines. A change that must grow src/ raises them in the same diff and says why
 # in CHANGES.md.
-MAX_TOTAL_LINES = 2987
-MAX_CODE_LINES = 1681
+MAX_TOTAL_LINES = 2986
+MAX_CODE_LINES = 1680
 
 
 def line_counts(text: str) -> tuple[int, int]:

@@ -1,10 +1,10 @@
 """First-order spectral passes walk a chunk in blocks of points.
 
-thermal_trace_grid, the BETA_INF branch of chern._first_order_job and
-cli._map_job take their ranges from geometry._spectral_blocks: blocks of
-at most geometry.BLOCK_ENTRIES tangent entries d b N^2 (geometry._blocks,
-the one block rule) for a model with n_levels N, one block for a model
-without it. Every per-point value is independent
+thermal_trace_grid and chern._map_job, the ground walk of the CLI map and
+of chern._first_order_job at BETA_INF, take their ranges from
+geometry._spectral_blocks: blocks of at most geometry.BLOCK_ENTRIES
+tangent entries d b N^2 (geometry._blocks, the one block rule) for a model
+with n_levels N, one block for a model without it. Every per-point value is independent
 of the partition (the frames are elementwise or one matrix at a time,
 LAPACK and the Hermiticity check work per matrix, _trace_pairs is a
 per-point einsum, and Haldane forms its bond phases elementwise), so every
@@ -130,7 +130,7 @@ def test_the_walkers_run_one_spectral_pass_per_block(monkeypatch):
     monkeypatch.setattr(chern, "_spectral_data", counted)
     for run in (lambda: geometry.thermal_trace_grid(model, pts, (0.8, 2.0)),
                 lambda: chern._first_order_job(model, pts, (0.8, INF), TOL),
-                lambda: cli._map_job(model, pts, 0.8, TOL)):
+                lambda: chern._map_job(model, pts, (0.8,), TOL)):
         sizes.clear()
         run()
         assert sizes == [20] * 12 + [16]
@@ -154,7 +154,7 @@ def test_an_oscillator_chunk_holds_one_block_of_frames(job):
     pts = chern.default_grid(model, 16).points_range(0, 256)
     run = {"finite": lambda: chern._first_order_job(model, pts, (0.8,), TOL),
            "zero_temperature": lambda: chern._first_order_job(model, pts, (INF,), TOL),
-           "map": lambda: cli._map_job(model, pts, 0.8, TOL)}[job]
+           "map": lambda: chern._map_job(model, pts, (0.8,), TOL)}[job]
     peak = _peak(run)
     assert peak <= JOB_PEAK_BOUND, peak / 2**20
 
