@@ -300,15 +300,11 @@ _DET_ROUTE_WEIGHT = 6.0
 
 
 def _closed_form_partials(model, pts, betas) -> list[complex]:
-    """Partial sums over one chunk of the closed-form second-order
-    integrand for five-component Dirac models, one per beta:
-    det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|).
-    Nothing overflows where |R| is finite: hypot squares no entry of R,
-    and |R|^-5 underflows to 0 instead."""
-    r = model.r_vector_batch(pts)
-    cols = [r] + [model.r_gradient_batch(pts, mu) for mu in range(4)]
-    mat = np.stack(cols, axis=-1)  # (B, 5, 5): columns R, dR...
-    det = np.linalg.det(mat)
+    """Partial sums over one chunk, one per beta, of the closed-form second-order
+    integrand det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|),
+    R and det from the model's one hook r_determinant_batch. Nothing overflows
+    where |R| is finite: hypot squares no entry of R, and |R|^-5 underflows to 0."""
+    r, det = model.r_determinant_batch(pts)
     rnorm = np.hypot.reduce(r, axis=-1)
     base = _DET_ROUTE_WEIGHT * det * rnorm**-5.0
     with np.errstate(over="ignore"):  # beta |R| = inf: the exact tanh = 1
@@ -381,12 +377,9 @@ _SECOND_ORDER_SCALE = -1.0 / (32.0 * math.pi**2)
 
 def _second_order_results(model, betas, grid: GridSpec, workers: int, degeneracy_tol: float):
     _check_second_order(model, grid)
-    missing = [hook for hook in ("r_vector_batch", "r_gradient_batch") if not hasattr(model, hook)]
-    if missing:
-        raise MissingModelHook(
-            f"the closed-form route needs a Dirac-form model; {type(model).__name__} "
-            f"lacks {', '.join(missing)}"
-        )
+    if not hasattr(model, "r_determinant_batch"):
+        raise MissingModelHook("the closed-form route needs the hook r_determinant_batch, "
+                               f"which {type(model).__name__} lacks")
     sums = _integrate(_second_order_job, model, grid, tuple(betas), workers, degeneracy_tol,
                       _SECOND_ORDER_SCALE)
     out = []
@@ -409,8 +402,8 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     curvature in the energy eigenbasis), which is the returned value,
     and (b) the model's closed-form determinant integrand, kept as the
     independent check in extra["closed_form_route"]. Route (b) needs the
-    model's Dirac vector hooks r_vector_batch and r_gradient_batch;
-    without them the call raises MissingModelHook before any grid work.
+    model's one hook r_determinant_batch, R and det[R, dR/dk_0, ...,
+    dR/dk_3]; without it the call raises MissingModelHook before any grid work.
     """
     return _second_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
 

@@ -40,6 +40,7 @@ batch of one.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -292,29 +293,36 @@ def _spectral_blocks(model, n: int):
     return _blocks(n, model.dim * levels * levels) if levels else [(0, n)]
 
 
+def _beta_ndim(beta) -> int:
+    """0 for one beta, 1 for a flat, non-empty sequence; else InvalidArgument, ragged too."""
+    with contextlib.suppress(ValueError):  # numpy's inhomogeneous-shape error
+        if np.ndim(beta) <= 1 and np.size(beta):
+            return np.ndim(beta)
+    raise InvalidArgument(f"beta {beta!r} is neither a number nor a flat, non-empty sequence")
+
+
 def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL):
     """Eigen-data bundle for a point batch from one _spectral_data pass: (w, v, lam, t)
     with shapes (B, N), (B, N, N), (B, N), (d, B, N, N), v in _frame_data's gauge.
     beta may also be a flat, non-empty sequence of K betas: lam then has
     shape (K, B, N), one weight batch per beta on the same eigen-data.
     """
-    if np.ndim(beta) > 1 or np.size(beta) == 0:
-        raise InvalidArgument(f"beta {beta!r} is neither a number nor a flat, non-empty sequence")
+    ndim = _beta_ndim(beta)
     w, v, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
     lam = np.stack([weights_batch(w, b, labels) for b in np.ravel(beta)])
-    return w, v, (lam if np.ndim(beta) else lam[0]), t
+    return w, v, (lam if ndim else lam[0]), t
 
 
 def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B); for a sequence of K betas,
     shape (K, P, B), from one spectral_data_grid pass and one _trace_pairs call per
     _spectral_blocks block, each row bitwise its single-beta call."""
-    pts, pairs = _points(pts, model.dim), direction_pairs(model.dim)
+    pts, pairs, ndim = _points(pts, model.dim), direction_pairs(model.dim), _beta_ndim(beta)
     traces = np.empty((np.size(beta), len(pairs), len(pts)), dtype=np.complex128)
     for s, e in _spectral_blocks(model, len(pts)):
         _, _, lam, t = spectral_data_grid(model, pts[s:e], beta, degeneracy_tol)
-        traces[:, :, s:e] = _trace_pairs(lam if np.ndim(beta) else lam[None], t, pairs)
-    return traces if np.ndim(beta) else traces[0]
+        traces[:, :, s:e] = _trace_pairs(lam if ndim else lam[None], t, pairs)
+    return traces if ndim else traces[0]
 
 
 def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:

@@ -439,25 +439,32 @@ class FourBandGamma(_DiracModel):
         which evaluates to exactly 1."""
         return 1.0
 
-    def r_vector_batch(self, pts):
+    @np.errstate(over="ignore", invalid="ignore")  # a huge or infinite k: r is not finite
+    def r_jet_batch(self, pts):
+        """r (B, 5) and dr (4, B, 5) from one sin and one cos of 2k, the model's only trig."""
         two_k = 2.0 * _points(pts, 4)
-        r5 = self.m + np.sin(two_k).sum(axis=1)
-        return np.concatenate([np.cos(two_k), r5[:, None]], axis=1)
+        sin, cos = np.sin(two_k), np.cos(two_k)
+        dr = np.zeros((4, len(two_k), 5))
+        dr[range(4), :, range(4)], dr[:, :, 4] = -2.0 * sin.T, 2.0 * cos.T
+        return np.concatenate([cos, (self.m + sin.sum(axis=1))[:, None]], axis=1), dr
+
+    def r_vector_batch(self, pts):
+        return self.r_jet_batch(pts)[0]
 
     def r_gradient_batch(self, pts, mu):
-        pts = _points(pts, 4)
-        mu = _check_direction(mu, 4)
-        out = np.zeros((pts.shape[0], 5))
-        out[:, mu] = -2.0 * np.sin(2.0 * pts[:, mu])
-        out[:, 4] = 2.0 * np.cos(2.0 * pts[:, mu])
-        return out
+        return self.r_jet_batch(pts)[1][_check_direction(mu, 4)]
+
+    def r_determinant_batch(self, pts):
+        """r and det[r, d_0 r, ..., d_3 r] from one r_jet_batch. As d_mu r = a_mu e_mu + b_mu e_4,
+        the Schur complement of diag(a) gives r_4 prod a - sum_mu r_mu b_mu prod_{j != mu} a_j."""
+        r, dr = self.r_jet_batch(pts)
+        a0, a1, a2, a3 = dr[range(4), :, range(4)]
+        rest = np.stack([a1 * a2 * a3, a0 * a2 * a3, a0 * a1 * a3, a0 * a1 * a2])  # prod_{j != mu}
+        return r, r[:, 4] * (a0 * rest[0]) - (r[:, :4].T * dr[:, :, 4] * rest).sum(axis=0)
 
     def eigenframe_batch(self, pts):
-        """(w, v, g) for a point batch from _gamma_eigenpairs: g = v^dagger dH v
-        in closed form, with no matrix product (G-- = -d|R| I, G++ = d|R| I,
-        G-+ = dQ^dagger - alpha Q^dagger or dQ - alpha Q by the sign of r5)."""
-        dr = np.stack([self.r_gradient_batch(pts, mu) for mu in range(4)])
-        return _gamma_eigenpairs(self.r_vector_batch(pts), dr)
+        """(w, v, g = v^dagger dH v) in closed form by _gamma_eigenpairs, on one r_jet_batch."""
+        return _gamma_eigenpairs(*self.r_jet_batch(pts))
 
 
 def gamma_anticommutation_residual() -> float:

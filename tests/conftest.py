@@ -87,3 +87,6 @@ class EighFourBand:
 
     def r_gradient_batch(self, pts, mu):
         return self._inner.r_gradient_batch(pts, mu)
+
+    def r_determinant_batch(self, pts):
+        return self._inner.r_determinant_batch(pts)

@@ -17,7 +17,8 @@ A sequence is not one real number: first_thermal_uc rejects it before any
 chunk job, and so do the single-beta kernels (thermal_trace_spectral and the
 connection and curvature kernels). Only spectral_data_grid and
 thermal_trace_grid take a sequence of betas, and it must be flat and
-non-empty.
+non-empty; a ragged one such as [[0.5], 1.0] raises InvalidArgument, not
+numpy's untyped inhomogeneous-shape error.
 The CLI reads its map temperature and verify's fd_step by that rule too, so
 an integer too large for a float is a config error, not an OverflowError.
 """
@@ -198,6 +199,17 @@ def test_the_multi_beta_kernels_reject_an_empty_or_nested_sequence(beta, n_point
     # [] raised numpy's "need at least one array to stack"; [[0.5, 1.0]] was
     # silently flattened.
     pts = np.full((n_points, 2), 0.4)
+    for call in (lambda: geometry.spectral_data_grid(HALDANE, pts, beta),
+                 lambda: geometry.thermal_trace_grid(HALDANE, pts, beta)):
+        with pytest.raises(InvalidArgument, match="flat, non-empty sequence"):
+            call()
+
+
+@pytest.mark.parametrize("beta", [[[0.5], 1.0], [1.0, [0.5, 2.0]], [[0.5, 1.0], [1.0]]],
+                         ids=["list_then_number", "number_then_list", "rows_of_two_lengths"])
+def test_the_multi_beta_kernels_reject_a_ragged_sequence(beta):
+    # numpy's shape calls raised an untyped ValueError ("inhomogeneous shape").
+    pts = np.full((3, 2), 0.4)
     for call in (lambda: geometry.spectral_data_grid(HALDANE, pts, beta),
                  lambda: geometry.thermal_trace_grid(HALDANE, pts, beta)):
         with pytest.raises(InvalidArgument, match="flat, non-empty sequence"):

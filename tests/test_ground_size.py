@@ -61,6 +61,9 @@ class LiftedFourBand:
     def r_gradient_batch(self, pts, mu):
         return self._inner.r_gradient_batch(pts, mu)
 
+    def r_determinant_batch(self, pts):
+        return self._inner.r_determinant_batch(pts)
+
 
 class LiftedLevels:
     """Three levels diag(-1, -1 + lift, 1) on the 2D torus [0, pi)^2, with

@@ -1,6 +1,6 @@
 """Bad input fails loudly with a typed UhlmannChernError.
 
-Non-finite and overflowing parameters, matrices whose Hermiticity
+Non-finite and overflowing parameters and points, matrices whose Hermiticity
 check could depend on their batch neighbours, and models without the
 hooks an operation needs each raise a subclass of UhlmannChernError,
 never a silent NaN, a silent 0 or an untyped exception.
@@ -432,6 +432,21 @@ def test_huge_haldane_parameters_raise_before_any_numpy_warning(name, value):
                     call(pts)
         with pytest.raises(NonFiniteInput):
             chern.first_thermal_uc(model, 1.0, chern.default_grid(model, 8))
+
+
+@pytest.mark.parametrize("k0", [1e308, math.inf, math.nan], ids=["overflow", "inf", "nan"])
+@pytest.mark.parametrize("call", ["hamiltonian", "eigenframe_batch", "thermal_state",
+                                  "uhlmann_curvature"])
+@pytest.mark.filterwarnings("error")  # the typed error comes before any numpy warning
+def test_a_fourband_point_that_is_not_finite_raises_before_any_numpy_warning(call, k0):
+    # 2k overflowed and sin/cos of inf warned before _basis_dot raised.
+    model, p = models.FourBandGamma(m=1.25), np.array([k0, 0.0, 0.0, 0.0])
+    calls = {"hamiltonian": lambda: model.hamiltonian(p),
+             "eigenframe_batch": lambda: model.eigenframe_batch(p[None]),
+             "thermal_state": lambda: models.thermal_state(model, p, 1.0),
+             "uhlmann_curvature": lambda: geometry.uhlmann_curvature(model, p, 1.0)}
+    with pytest.raises(NonFiniteInput):
+        calls[call]()
 
 
 @pytest.mark.parametrize("run", [{"type": "chern"},
