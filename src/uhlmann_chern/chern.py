@@ -171,7 +171,8 @@ class SweepResult:
 
 def _chunk_job(args):
     job, model, points, params, tol, start, stop = args
-    return job(model, points.points_range(start, stop), params, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # _map_chunks rejects what is not finite
+        return job(model, points.points_range(start, stop), params, tol)
 
 
 def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[tuple]:
@@ -182,8 +183,9 @@ def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[t
     pools pickle them by name. workers follows _integer's rule (2.0 is 2);
     below 1 it raises InvalidArgument. Every job returns (ground sizes,
     *columns): the sizes D it weighed by 1/D, () if none. GapClosed unless
-    those agree across chunks, however the grid is chunked; else the
-    columns, each a tuple of one value per range in range order."""
+    those agree across chunks, however the grid is chunked, NonFiniteInput if a
+    job overflowed (silently: _chunk_job); else the columns, each a tuple of one
+    value per range in range order."""
     workers = _integer(workers, "workers")
     if workers < 1:
         raise InvalidArgument(f"workers {workers} is below 1")
@@ -197,6 +199,8 @@ def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[t
     sizes, *columns = zip(*results)
     if len(set().union(*sizes)) > 1:
         raise GapClosed("ground degeneracy varies across the batch")
+    if not all(np.isfinite(value).all() for column in columns for value in column):
+        raise NonFiniteInput("the integrand is not finite on the grid; a chunk job overflowed")
     return columns
 
 
@@ -302,11 +306,11 @@ _DET_ROUTE_WEIGHT = 6.0
 def _closed_form_partials(model, pts, betas) -> list[complex]:
     """Partial sums over one chunk, one per beta, of the closed-form second-order
     integrand det[R, dR/dk_0, ..., dR/dk_3] / |R|^5 weighted by tanh^5(beta |R|),
-    R and det from the model's one hook r_determinant_batch. Nothing overflows
-    where |R| is finite: hypot squares no entry of R, and |R|^-5 underflows to 0."""
-    r, det = model.r_determinant_batch(pts)
-    rnorm = np.hypot.reduce(r, axis=-1)
-    base = _DET_ROUTE_WEIGHT * det * rnorm**-5.0
+    taken as det[R/|R|, dR/dk_0, ...] |R|^-4 from the model's one hook
+    r_determinant_batch. Nothing overflows where |R| is finite: the determinant
+    on R/|R| is bounded by the gradients, and |R|^-4 underflows to 0."""
+    rnorm, det = model.r_determinant_batch(pts)
+    base = _DET_ROUTE_WEIGHT * det * rnorm**-4.0
     with np.errstate(over="ignore"):  # beta |R| = inf: the exact tanh = 1
         return [complex(np.sum(base if math.isinf(beta) else base * np.tanh(beta * rnorm) ** 5))
                 for beta in betas]
@@ -329,23 +333,23 @@ def _second_order_job(model, pts, betas, tol):
     tr(F_c F_c), p_c the weight of cluster c, and tr((dP)^4) = 0 makes the
     excited block's density minus the ground block's for any D on either
     side. With D levels on both, s = tanh^5 / D, the determinant route's
-    law. Other chunks take curvature_frame_grid and
-    uhlmann_curvature_from_frame at finite beta."""
+    law. One flag per beta (law) says where it holds; the other betas take
+    one curvature_frame_grid of the chunk and uhlmann_curvature_from_frame."""
     w, _, _, labels, _, t = data = _spectral_data(model, pts, tol)
     sizes = (labels == 0).sum(axis=1)
     two_valued = ((labels[:, -1] == 1) & (sizes == sizes[0])).all() and (
         (w == w[:, :1]) | (w == w[:, -1:])).all()
-    general = not two_valued and any(beta != BETA_INF for beta in betas)
-    frame = curvature_frame_grid(model, pts, tol, data) if general else None
+    law = [two_valued or beta == BETA_INF for beta in betas]  # -inf is rejected by the weights
+    frame = None if all(law) else curvature_frame_grid(model, pts, tol, data)
     d = _ground_size(w, labels) if BETA_INF in betas else int(sizes[0])
-    if frame is None or BETA_INF in betas:
+    if any(law):
         del data  # so the full stack is freed with t before the block's products
         t = _run_rows(t, 0, d)
         f = _cluster_curvature(t)
         dens = _eps_contraction(f, np.ones(f.shape[1:3]))
     eps = []
-    for beta in betas:
-        if frame is None or beta == BETA_INF:  # -inf is rejected by the weights
+    for beta, ground in zip(betas, law):
+        if ground:
             lam = weights_batch(w, beta, labels)
             with np.errstate(over="ignore"):  # beta Delta = inf: the exact tanh = 1
                 s = (lam[:, 0] - lam[:, -1]) * np.tanh(0.5 * beta * (w[:, -1] - w[:, 0])) ** 4
@@ -402,7 +406,7 @@ def second_thermal_uc(model, beta: float, grid: GridSpec, workers: int = 1,
     curvature in the energy eigenbasis), which is the returned value,
     and (b) the model's closed-form determinant integrand, kept as the
     independent check in extra["closed_form_route"]. Route (b) needs the
-    model's one hook r_determinant_batch, R and det[R, dR/dk_0, ...,
+    model's one hook r_determinant_batch, |R| and det[R/|R|, dR/dk_0, ...,
     dR/dk_3]; without it the call raises MissingModelHook before any grid work.
     """
     return _second_order_results(model, (beta,), grid, workers, degeneracy_tol)[0]
@@ -499,8 +503,6 @@ def pure_chern_fhs(model, group, grid: GridSpec, workers: int = 1,
     # convention used everywhere else (links exponentiate +A while the
     # integral weighs F by +i), hence the leading minus.
     value = -man.orientation * float(np.sum(sums)) / (2.0 * math.pi * man.multiplicity)
-    if not math.isfinite(value):
-        raise NonFiniteInput(f"plaquette sum is {value}")
     nearest = round(value)
     if abs(value - nearest) > PLAQUETTE_INTEGER_TOL:
         raise NonIntegerPlaquetteSum(

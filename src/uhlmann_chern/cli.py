@@ -82,10 +82,6 @@ def _degeneracy_tol(cfg: dict) -> float:
     return cfg.get("tolerances", {}).get("degeneracy", linalg.DEGENERACY_TOL)
 
 
-def _fd_step_fraction(cfg: dict) -> float:
-    return cfg.get("tolerances", {}).get("fd_step", VERIFY_FD_STEP_FRACTION)
-
-
 def _format(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -251,13 +247,12 @@ def _verify_models():
     return sphere, haldane, fourband, coherent
 
 
-def _check_gamma(cfg, rng):
+def _check_gamma(cfg, rng, tol):
     residual = models.gamma_anticommutation_residual()
     return residual <= 1e-12, f"residual={residual:.3g}"
 
 
-def _check_grouping(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_grouping(cfg, rng, tol):
     model = models.FourBandGamma(m=1.5)
     sizes = set()
     for p in _sample_points(model, rng, 6):
@@ -266,7 +261,7 @@ def _check_grouping(cfg, rng):
     return sizes == {2}, f"cluster sizes={sorted(sizes)} at degeneracy_tol={tol:g}"
 
 
-def _check_coefficient_bounds(cfg, rng):
+def _check_coefficient_bounds(cfg, rng, tol):
     worst = 0.0
     ok = True
     for _ in range(40):
@@ -282,8 +277,7 @@ def _check_coefficient_bounds(cfg, rng):
     return ok, f"max asymmetry={worst:.3g}"
 
 
-def _check_connection_traceless(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_connection_traceless(cfg, rng, tol):
     worst = 0.0
     for model in _verify_models():
         for p in _sample_points(model, rng, 3):
@@ -294,8 +288,7 @@ def _check_connection_traceless(cfg, rng):
     return worst <= 1e-10, f"max |tr A|={worst:.3g}"
 
 
-def _check_curvature_traceless(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_curvature_traceless(cfg, rng, tol):
     worst = 0.0
     for model in _verify_models()[:2]:
         p = _sample_points(model, rng, 1)[0]
@@ -305,8 +298,7 @@ def _check_curvature_traceless(cfg, rng):
     return worst <= 1e-8, f"max |tr F|/max|F|={worst:.3g}"
 
 
-def _check_connection_routes(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_connection_routes(cfg, rng, tol):
     worst = 0.0
     sphere, haldane, _, coherent = _verify_models()
     for model in (sphere, haldane, coherent):
@@ -321,9 +313,9 @@ def _check_connection_routes(cfg, rng):
     return worst <= 1e-6, f"max route gap={worst:.3g}"
 
 
-def _check_trace_routes(cfg, rng):
-    tol = _degeneracy_tol(cfg)
-    fraction = models._real(_fd_step_fraction(cfg), "tolerances.fd_step")
+def _check_trace_routes(cfg, rng, tol):
+    fraction = models._real(cfg.get("tolerances", {}).get("fd_step", VERIFY_FD_STEP_FRACTION),
+                            "tolerances.fd_step")
     worst = 0.0
     sphere, haldane, _, _ = _verify_models()
     for model in (sphere, haldane):
@@ -338,8 +330,7 @@ def _check_trace_routes(cfg, rng):
     return worst <= 1e-5, f"max route gap={worst:.3g}"
 
 
-def _check_degeneracy_null(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_degeneracy_null(cfg, rng, tol):
     model = models.FourBandGamma(m=1.5)
     worst = 0.0
     for p in _sample_points(model, rng, 4):
@@ -356,8 +347,7 @@ def _check_degeneracy_null(cfg, rng):
     return worst <= 1e-13, f"max in-cluster |A|={worst:.3g}"
 
 
-def _check_zero_t_abelian(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_zero_t_abelian(cfg, rng, tol):
     worst = 0.0
     sphere, haldane, _, _ = _verify_models()
     for model in (sphere, haldane):
@@ -368,8 +358,7 @@ def _check_zero_t_abelian(cfg, rng):
     return worst <= 1e-9, f"max gap={worst:.3g}"
 
 
-def _check_zero_t_nonabelian(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_zero_t_nonabelian(cfg, rng, tol):
     model = models.FourBandGamma(m=1.5)
     worst = 0.0
     for p in _sample_points(model, rng, 3):
@@ -379,8 +368,7 @@ def _check_zero_t_nonabelian(cfg, rng):
     return worst <= 1e-10, f"max gap={worst:.3g}"
 
 
-def _check_high_temperature(cfg, rng):
-    tol = _degeneracy_tol(cfg)
+def _check_high_temperature(cfg, rng, tol):
     worst = 0.0
     for model in _verify_models():
         p = _sample_points(model, rng, 1)[0]
@@ -390,7 +378,7 @@ def _check_high_temperature(cfg, rng):
     return worst <= 1e-12, f"max magnitude={worst:.3g}"
 
 
-def _check_quantization(cfg, rng):
+def _check_quantization(cfg, rng, tol):
     model = models.Haldane(t1=1.0, t2=0.5, phi=math.pi / 2, M=0.0)
     grid = chern.default_grid(model, 100)
     n_u = chern.first_thermal_uc(model, models.BETA_INF, grid=grid)
@@ -425,14 +413,14 @@ def _warning_summary(caught) -> str:
 
 
 def cmd_verify(cfg: dict, out_dir: Path, workers: int) -> int:
-    rng = np.random.default_rng(_SAMPLE_SEED)
+    rng, tol = np.random.default_rng(_SAMPLE_SEED), _degeneracy_tol(cfg)
     failures = []
     caught_all = []
     for module, name, check in _VERIFY_CHECKS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                ok, detail = check(cfg, rng)
+                ok, detail = check(cfg, rng, tol)
             except InvalidArgument:  # a bad config tolerance, not a failed check
                 raise
             except UhlmannChernError as exc:
@@ -474,34 +462,23 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override config output_dir")
     args = parser.parse_args(argv)
 
-    try:
-        raw = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-
     overrides = {"workers": args.workers, "output_dir": args.out}
-    if isinstance(cfg, dict):  # the overrides meet the schema's rules, as the config's keys do
-        cfg.update({key: value for key, value in overrides.items() if value is not None})
-    errors = _schema_errors(cfg)
-    if errors:
-        for line in errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return 2
-
-    workers = int(cfg.get("workers", 1))
-    out_dir = Path(cfg.get("output_dir", "."))
-
-    run = cfg["run"]
-    command, reads = _COMMANDS[run["type"]]
-    unread = sorted(set(run) - {"type"} - reads)
     try:
-        if unread:
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc}") from None
+        if isinstance(cfg, dict):  # the overrides meet the schema's rules, as the config's keys do
+            cfg.update({key: value for key, value in overrides.items() if value is not None})
+        if errors := _schema_errors(cfg):  # one "config error:" line per schema error
+            raise ConfigError("\nconfig error: ".join(errors))
+        workers = int(cfg.get("workers", 1))
+        out_dir = Path(cfg.get("output_dir", "."))
+        run = cfg["run"]
+        command, reads = _COMMANDS[run["type"]]
+        if unread := sorted(set(run) - {"type"} - reads):
             raise ConfigError(f"run.{unread[0]}: a {run['type']} run does not read it")
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -455,12 +455,15 @@ class FourBandGamma(_DiracModel):
         return self.r_jet_batch(pts)[1][_check_direction(mu, 4)]
 
     def r_determinant_batch(self, pts):
-        """r and det[r, d_0 r, ..., d_3 r] from one r_jet_batch. As d_mu r = a_mu e_mu + b_mu e_4,
-        the Schur complement of diag(a) gives r_4 prod a - sum_mu r_mu b_mu prod_{j != mu} a_j."""
+        """|r| and det[u, d_0 r, ..., d_3 r], u = r/|r|, from one r_jet_batch. As d_mu r = a_mu
+        e_mu + b_mu e_4, the Schur complement of diag(a) gives u_4 prod a - sum_mu u_mu b_mu
+        prod_{j != mu} a_j; hypot squares no entry of r, and |u| = 1 keeps the determinant finite."""
         r, dr = self.r_jet_batch(pts)
+        rnorm = np.hypot.reduce(r, axis=-1)
+        u = r / rnorm[:, None]
         a0, a1, a2, a3 = dr[range(4), :, range(4)]
         rest = np.stack([a1 * a2 * a3, a0 * a2 * a3, a0 * a1 * a3, a0 * a1 * a2])  # prod_{j != mu}
-        return r, r[:, 4] * (a0 * rest[0]) - (r[:, :4].T * dr[:, :, 4] * rest).sum(axis=0)
+        return rnorm, u[:, 4] * (a0 * rest[0]) - (u[:, :4].T * dr[:, :, 4] * rest).sum(axis=0)
 
     def eigenframe_batch(self, pts):
         """(w, v, g = v^dagger dH v) in closed form by _gamma_eigenpairs, on one r_jet_batch."""

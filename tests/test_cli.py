@@ -53,11 +53,29 @@ def test_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ") and "Traceback" not in err
+
+
 def test_unknown_top_level_key(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", junk=1)
     assert cli.main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "junk" in err
+
+
+def test_each_schema_error_prints_its_own_config_error_line(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", junk=1, workers=0)
+    assert cli.main(["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: <root>: Additional properties are not allowed "
+                   "('junk' was unexpected)\n"
+                   "config error: workers: 0 is less than the minimum of 1\n")
 
 
 def test_unknown_model_parameter(tmp_path, capsys):
@@ -365,13 +383,13 @@ def test_verify_catches_corrupted_table(tmp_path, capsys, monkeypatch):
 def test_verify_counts_warnings_per_check(tmp_path, capsys, monkeypatch):
     import warnings
 
-    def noisy(cfg, rng):
+    def noisy(cfg, rng, tol):
         warnings.warn("first", UserWarning)
         warnings.warn("second", UserWarning)
         warnings.warn("third", RuntimeWarning)
         return True, "ok"
 
-    def quiet(cfg, rng):
+    def quiet(cfg, rng, tol):
         return True, "ok"
 
     monkeypatch.setattr(cli, "_VERIFY_CHECKS", [("demo", "noisy", noisy), ("demo", "quiet", quiet)])

@@ -4,10 +4,12 @@ FourBandGamma.r_jet_batch evaluates r and the four gradients d_mu r from
 one sin and one cos of 2k. r_vector_batch, r_gradient_batch and the
 closed-form frame read it, and so does r_determinant_batch, the
 determinant route's one hook: d_mu r has only a_mu = -2 sin 2k_mu in row
-mu and b_mu = 2 cos 2k_mu in row 4, so det[r, d_0 r, ..., d_3 r] has a
-closed form and needs no 5x5 matrix. The references are the
-per-direction formulas the model evaluated before the jet, kept here,
-and np.linalg.det of the stacked columns.
+mu and b_mu = 2 cos 2k_mu in row 4, so det[r/|r|, d_0 r, ..., d_3 r] has
+a closed form and needs no 5x5 matrix. The hook returns |r| with it: the
+determinant is linear in its first column, so the route weighs it by
+|r|^-4, and it stays finite wherever |r| is, up to the float limit. The
+references are the per-direction formulas the model evaluated before the
+jet, kept here, and np.linalg.det of the stacked columns.
 """
 import math
 
@@ -79,10 +81,10 @@ def test_a_fourband_point_has_the_same_bits_alone_and_in_a_chunk():
 def test_the_closed_form_determinant_is_lapacks(rng, m):
     model = models.FourBandGamma(m=m)
     pts = np.concatenate([cell_points(model, rng, 2000), edge_points()])
-    r, det = model.r_determinant_batch(pts)
-    jet_r, dr = model.r_jet_batch(pts)
-    assert np.array_equal(r, jet_r)
-    ref = np.linalg.det(np.stack([r, *dr], axis=-1))  # (B, 5, 5): columns r, d_0 r, ...
+    rnorm, det = model.r_determinant_batch(pts)
+    r, dr = model.r_jet_batch(pts)
+    assert np.array_equal(rnorm, np.hypot.reduce(r, axis=-1))
+    ref = np.linalg.det(np.stack([r / rnorm[:, None], *dr], axis=-1))  # columns r/|r|, d_0 r, ...
     assert np.abs(det - ref).max() <= 1e-14 * np.abs(ref).max()
     if m in (-1.0, 0.0, 2.0, -4.0):
         assert (r[2000:, 4] == 0.0).any()  # the edge points hold r_4 = 0
@@ -97,6 +99,21 @@ def test_a_huge_mass_gives_a_finite_determinant_and_a_zero_route():
     for beta in (models.BETA_INF, 1.0):
         result = chern.second_thermal_uc(model, beta, grid)
         assert result.value == 0.0 and result.extra["closed_form_route"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")  # no overflow to inf times an underflow to 0
+@pytest.mark.parametrize("m", [1e306, 1e307, 5e307])
+def test_a_mass_near_the_float_limit_gives_a_finite_route_and_no_warning(m):
+    model = models.FourBandGamma(m=m)
+    grid = chern.default_grid(model, 8)
+    pts, betas = grid.points_range(0, chern.CHUNK_SIZE), (models.BETA_INF, 1.0, 0.3)
+    rnorm, det = model.r_determinant_batch(pts)
+    assert np.isfinite(rnorm).all() and np.isfinite(det).all()
+    assert chern._closed_form_partials(model, pts, betas) == [0.0] * 3  # |r|^-4 underflows to 0
+    for beta in betas:
+        result = chern.second_thermal_uc(model, beta, grid)
+        assert result.value == 0.0 and result.extra["closed_form_route"] == 0.0
+        assert result.extra["route_disagreement"] == 0.0
 
 
 class GradientHooksOnly:

@@ -467,6 +467,39 @@ def test_cli_with_a_huge_hopping_exits_3(tmp_path, capsys, run):
     assert "NonFiniteInput" in err and "Traceback" not in err
 
 
+# The t2 term vanishes at some grid points, where the gap stays of order 1
+# while d r_3 is of order t2: every spectrum is finite, but the trace
+# products overflow.
+OVERFLOWING_HALDANE = {"t1": 1.0, "t2": 1e200, "phi": math.pi / 2, "M": 0.3}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.filterwarnings("error")  # the typed error comes before any numpy warning
+def test_an_overflowing_integrand_raises_non_finite_input(workers):
+    model = models.Haldane(**OVERFLOWING_HALDANE)
+    grid = chern.default_grid(model, 8)
+    for beta in (1.0, models.BETA_INF):
+        with pytest.raises(NonFiniteInput):
+            chern.first_thermal_uc(model, beta, grid, workers=workers)
+    with pytest.raises(NonFiniteInput):
+        chern.temperature_sweep(model, [0.5, 1.0], grid, workers=workers)
+
+
+@pytest.mark.parametrize("run", [{"type": "sweep", "temperatures": [0.5, 1.0]},
+                                 {"type": "map", "temperatures": [0.5]}])
+def test_cli_with_an_overflowing_integrand_exits_3_and_writes_no_file(tmp_path, capsys, run):
+    cfg = {"model": {"variant": "haldane", "parameters": OVERFLOWING_HALDANE},
+           "grid": {"resolution": [16, 16]}, "run": run}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteInput" in err and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def run_cli_with(tmp_path, variant, parameters, run):
     cfg = {"model": {"variant": variant, "parameters": parameters},
            "grid": {"resolution": [8, 8]}, "run": run}

@@ -254,6 +254,44 @@ def test_two_valued_and_generic_integrals_agree(fourband, commutator_calls, monk
 
 
 # ---------------------------------------------------------------------------
+# Mixed beta tuples: the law is decided once per beta
+
+
+def test_a_sweep_through_zero_temperature_is_each_single_integral():
+    # T/R0 = 1e-310 gives beta = inf, so one pass runs BETA_INF beside a finite beta.
+    model = models.FourBandGamma(1.25)
+    grid = chern.default_grid(model, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionTooLowWarning)
+        sweep = chern.temperature_sweep(model, [1e-310, 1.0], grid)
+        betas = tuple(d["beta"] for d in sweep.diagnostics)
+        single = [chern.second_thermal_uc(model, beta, grid) for beta in betas]
+    assert betas == (models.BETA_INF, 1.0 / model.r0)
+    assert sweep.values == tuple(result.value for result in single)
+    for diag, result in zip(sweep.diagnostics, single):
+        assert diag["imag_residual"] == result.imag_residual
+        assert diag["route_disagreement"] == result.extra["route_disagreement"]
+
+
+def test_a_mixed_call_on_the_generic_path_is_each_single_integral(monkeypatch):
+    frames = []
+    monkeypatch.setattr(chern, "curvature_frame_grid",
+                        lambda *a, **k: frames.append(1) or geometry.curvature_frame_grid(*a, **k))
+    model, betas = EighFourBand(1.25), (models.BETA_INF, 1.0)
+    grid = chern.default_grid(model, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionTooLowWarning)
+        mixed = chern._second_order_results(model, betas, grid, 1, chern.DEGENERACY_TOL)
+        assert len(frames) == 1  # one chunk; the finite beta needs the frame
+        single = [chern._second_order_results(model, (beta,), grid, 1, chern.DEGENERACY_TOL)[0]
+                  for beta in betas]
+    assert len(frames) == 2  # BETA_INF alone takes the ground block, with no frame
+    for got, want in zip(mixed, single):
+        assert (got.value, got.imag_residual, got.extra) == (want.value, want.imag_residual,
+                                                             want.extra)
+
+
+# ---------------------------------------------------------------------------
 # Overflowing beta times a gap
 
 
