@@ -46,6 +46,9 @@ from .errors import (
 from .linalg import DEGENERACY_TOL, cluster_labels, eigh_batch
 from .geometry import (
     _cluster_curvature,
+    _finite,
+    _ground_frame,
+    _ground_rows,
     _ground_size,
     _ranges,
     _require_isolated,
@@ -171,8 +174,7 @@ class SweepResult:
 
 def _chunk_job(args):
     job, model, points, params, tol, start, stop = args
-    with np.errstate(over="ignore", invalid="ignore"):  # _map_chunks rejects what is not finite
-        return job(model, points.points_range(start, stop), params, tol)
+    return _finite(job)(model, points.points_range(start, stop), params, tol)
 
 
 def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[tuple]:
@@ -183,9 +185,9 @@ def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[t
     pools pickle them by name. workers follows _integer's rule (2.0 is 2);
     below 1 it raises InvalidArgument. Every job returns (ground sizes,
     *columns): the sizes D it weighed by 1/D, () if none. GapClosed unless
-    those agree across chunks, however the grid is chunked, NonFiniteInput if a
-    job overflowed (silently: _chunk_job); else the columns, each a tuple of one
-    value per range in range order."""
+    those agree across chunks, however the grid is chunked; NonFiniteInput if a
+    job overflowed (geometry._finite's rule, silently); else the columns, each a
+    tuple of one value per range in range order."""
     workers = _integer(workers, "workers")
     if workers < 1:
         raise InvalidArgument(f"workers {workers} is below 1")
@@ -199,8 +201,6 @@ def _map_chunks(job, model, points, params, tol, workers, ranges=None) -> list[t
     sizes, *columns = zip(*results)
     if len(set().union(*sizes)) > 1:
         raise GapClosed("ground degeneracy varies across the batch")
-    if not all(np.isfinite(value).all() for column in columns for value in column):
-        raise NonFiniteInput("the integrand is not finite on the grid; a chunk job overflowed")
     return columns
 
 
@@ -333,20 +333,21 @@ def _second_order_job(model, pts, betas, tol):
     tr(F_c F_c), p_c the weight of cluster c, and tr((dP)^4) = 0 makes the
     excited block's density minus the ground block's for any D on either
     side. With D levels on both, s = tanh^5 / D, the determinant route's
-    law. One flag per beta (law) says where it holds; the other betas take
-    one curvature_frame_grid of the chunk and uhlmann_curvature_from_frame."""
-    w, _, _, labels, _, t = data = _spectral_data(model, pts, tol)
+    law. One flag per beta (law) says where it holds. The ground block comes from
+    _ground_frame (the ground_block_batch hook, no v) or _ground_rows of the frame,
+    which the other betas' curvature_frame_grid reuses, with uhlmann_curvature_from_frame."""
+    w, labels, frame, f = _ground_frame(model, pts, tol)
     sizes = (labels == 0).sum(axis=1)
     two_valued = ((labels[:, -1] == 1) & (sizes == sizes[0])).all() and (
         (w == w[:, :1]) | (w == w[:, -1:])).all()
     law = [two_valued or beta == BETA_INF for beta in betas]  # -inf is rejected by the weights
-    frame = None if all(law) else curvature_frame_grid(model, pts, tol, data)
     d = _ground_size(w, labels) if BETA_INF in betas else int(sizes[0])
-    if any(law):
-        del data  # so the full stack is freed with t before the block's products
-        t = _run_rows(t, 0, d)
-        f = _cluster_curvature(t)
+    if any(law):  # a hookless frame's rows are cut before _spectral_data divides its g in place
+        f = _cluster_curvature(_ground_rows(w, labels, frame[2], d)) if f is None else f
         dens = _eps_contraction(f, np.ones(f.shape[1:3]))
+    del f  # freed before the determinant route's arrays
+    if not all(law):
+        frame = curvature_frame_grid(model, pts, tol, _spectral_data(model, pts, tol, frame))
     eps = []
     for beta, ground in zip(betas, law):
         if ground:

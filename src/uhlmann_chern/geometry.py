@@ -23,8 +23,10 @@ linalg.cluster_labels: the ground cluster, the zero-temperature weights
 and the degeneracy mask all come from it. The pure-state
 curvatures (Berry, Wilczek-Zee, the ground block) are blocks of one
 kernel, _cluster_curvature, on a run's rows cut out before its products
-(_run_rows); one gap rule, _require_isolated, decides for them and for
-the lattice oracle whether a run is isolated.
+(_run_rows), the ground-block jobs' from _ground_frame and _ground_rows. One
+gap rule, _require_isolated, decides for them and for the lattice oracle
+whether a run is isolated; one finiteness rule, _finite, whether a grid
+kernel's or chunk job's result overflowed.
 
 The thermal (Uhlmann) curvature F = dA + A^A has two implementations.
 The closed form differentiates the spectral connection from one point's
@@ -41,6 +43,7 @@ batch of one.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,6 +54,7 @@ from .errors import (
     DegenerateBand,
     GapClosed,
     InvalidArgument,
+    NonFiniteInput,
     NotMaximalCluster,
     StepTooLarge,
     VanishingDenominatorWarning,
@@ -171,6 +175,19 @@ class CurvatureComponents:
 # ---------------------------------------------------------------------------
 
 
+def _finite(kernel):
+    """kernel with numpy's overflow and invalid warnings off, then NonFiniteInput unless every
+    array it returns is finite: the one finiteness rule of the grid kernels and chunk jobs."""
+    @functools.wraps(kernel)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = kernel(*args, **kwargs)
+        if not all(np.isfinite(x).all() for x in (out if isinstance(out, tuple) else (out,))):
+            raise NonFiniteInput(f"{kernel.__name__} overflowed: its result is not finite")
+        return out
+    return run
+
+
 def _ranges(n: int, step: int):
     """Ranges [s, e) over n items in steps of step, in order; one (0, n) for n = 0."""
     return [(s, min(s + step, n)) for s in range(0, n, step)] or [(0, n)]
@@ -181,17 +198,21 @@ def _blocks(n: int, entries_per_item: int):
     return _ranges(n, max(1, BLOCK_ENTRIES // max(1, entries_per_item)))
 
 
-def _gap_mask(w, labels):
+def _gap_mask(w, labels, d=None):
     """Level gaps den_jk = E_k - E_j (B, N, N) and the mask of pairs in
-    different degenerate clusters, from the cluster_labels of w."""
-    den = w[:, None, :] - w[:, :, None]
-    return den, labels[:, :, None] != labels[:, None, :]
+    different degenerate clusters, from the cluster_labels of w; given d, the
+    rows j < d at the columns k >= d alone, formed level-major so that the
+    points lie last in memory, the layout the ground block's products run in."""
+    if d is None:
+        return w[:, None, :] - w[:, :, None], labels[:, :, None] != labels[:, None, :]
+    w, labels = w.T[:, None], labels.T[:, None]  # (N, 1, B)
+    return (w[d:, 0] - w[:d]).transpose(2, 0, 1), (labels[:d] != labels[d:, 0]).transpose(2, 0, 1)
 
 
 def _divide_gaps(num, den, keep, out=None) -> np.ndarray:
     """num_jk / (E_k - E_j) off-cluster, zero within a cluster, by one masked real reciprocal
     for all of num (..., B, N, N), as numpy's complex division does; into out if given."""
-    return np.multiply(num, np.divide(1.0, den, out=np.zeros(den.shape), where=keep), out=out)
+    return np.multiply(num, np.divide(1.0, den, out=np.zeros_like(den), where=keep), out=out)
 
 
 def _commutators(a, pairs) -> np.ndarray:
@@ -275,15 +296,42 @@ def _frame_data(model, pts):
     return w, v, _eigenbasis_gradients(v, grads)
 
 
-def _spectral_data(model, pts, degeneracy_tol):
-    """(w, v, de, labels, keep, t) of a point batch: its frame, de = diag(g).real (d, B, N), the
-    labels of w, the off-cluster mask and tangents, divided in g itself if writeable (one stack)."""
-    w, v, g = _frame_data(model, np.asarray(pts, dtype=np.float64))
+def _spectral_data(model, pts, degeneracy_tol, frame=None):
+    """(w, v, de, labels, keep, t) of a point batch: its frame (_frame_data's, or frame if given),
+    de = diag(g).real (d, B, N), the labels of w, the off-cluster mask and tangents, divided in
+    g itself if writeable (one stack)."""
+    w, v, g = _frame_data(model, np.asarray(pts, dtype=np.float64)) if frame is None else frame
     labels = cluster_labels(w, degeneracy_tol)
     den, keep = _gap_mask(w, labels)
     de = np.diagonal(g, axis1=-2, axis2=-1).real.copy()
     own = g.flags.writeable and g.dtype == np.result_type(g, den)  # same bits in place
     return w, v, de, labels, keep, _divide_gaps(g, den, keep, out=g if own else None)
+
+
+def _ground_rows(w, labels, g, d) -> np.ndarray:
+    """The ground rows of the tangents at their excited columns, T[:, :, :d, d:], bitwise
+    those _run_rows(t, 0, d) cuts: g's ground-excited block alone (a whole g is cut to it)
+    over its gaps."""
+    return _divide_gaps(g[..., :d, d - w.shape[1]:], *_gap_mask(w, labels, d))
+
+
+def _ground_frame(model, pts, degeneracy_tol):
+    """(w, labels, frame, f) of the ground-block jobs: on the ground_block_batch hook, f the
+    ground curvature (P, B, D, D), by _spectral_blocks block (whole-chunk arrays let glibc trim
+    the heap and fault it back in); else frame, _frame_data's, for _ground_rows once D is known."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if not hasattr(model, "ground_block_batch"):
+        frame = _frame_data(model, pts)
+        return frame[0], cluster_labels(frame[0], degeneracy_tol), frame, None
+    for s, e in _spectral_blocks(model, len(pts)):
+        wb, gb = model.ground_block_batch(pts[s:e])
+        if s == 0:  # the first block fixes N and D
+            w, labels = (np.empty((len(pts), wb.shape[1]), t) for t in (float, np.intp))
+            f = np.empty((len(direction_pairs(model.dim)), len(pts)) + gb.shape[2:3] * 2, complex)
+        w[s:e], labels[s:e] = wb, cluster_labels(wb, degeneracy_tol)
+        gb = _ground_rows(wb, labels[s:e], gb, gb.shape[2])  # hook's block freed before products
+        _cluster_curvature(gb, out=f[:, s:e])
+    return w, labels, None, f
 
 
 def _spectral_blocks(model, n: int):
@@ -313,6 +361,7 @@ def spectral_data_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL)
     return w, v, (lam if ndim else lam[0]), t
 
 
+@_finite
 def thermal_trace_grid(model, pts, beta, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Tr(rho F_U)_{mu nu} scalars over a point batch, shape (P, B); for a sequence of K betas,
     shape (K, P, B), from one spectral_data_grid pass and one _trace_pairs call per
@@ -335,6 +384,7 @@ def connection_grid(model, pts, beta: float, degeneracy_tol: float = DEGENERACY_
     return np.einsum("bij,dbjk,blk->dbil", v, -c[None] * t, v.conj(), optimize=True)
 
 
+@_finite
 def curvature_frame_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL, data=None):
     """The temperature-independent half of the closed-form Uhlmann
     curvature: (w, labels, t, delta, keep, tt) with w (B, N) and its
@@ -406,14 +456,14 @@ def _run_rows(t, lo, hi) -> np.ndarray:
     return np.delete(t[:, :, lo:hi], slice(lo, hi), axis=-1)
 
 
-def _cluster_curvature(tg) -> np.ndarray:
-    """Curvature (P, B, n, n) of a run of levels from its rows tg = _run_rows(t, lo, hi):
+def _cluster_curvature(tg, out=None) -> np.ndarray:
+    """Curvature (P, B, n, n) of a run of levels from its rows tg = _run_rows(t, lo, hi), or out:
     F_ab = -sum_k (T^mu_ak T^nu_kb - (mu <-> nu)) over every k outside the run. As
     T_kb = -conj(T_bk) there, F = M - M^dagger with M = sum_k T^mu_ak conj(T^nu_bk),
     summed over k (faster than matmul on small blocks)."""
     tc = tg.conj()
     pairs = direction_pairs(tg.shape[0])
-    f = np.empty((len(pairs), tg.shape[1], tg.shape[2], tg.shape[2]), dtype=np.complex128)
+    f = np.empty((len(pairs),) + tg.shape[1:3] + tg.shape[2:3], complex) if out is None else out
     for i, (mu, nu) in enumerate(pairs):  # zero for a run of all levels, which has no k
         m = sum((tg[mu, :, :, None, k] * tc[nu, :, None, :, k] for k in range(tg.shape[-1])),
                 np.zeros(f.shape[1:], dtype=np.complex128))
@@ -435,18 +485,18 @@ def _ground_size(w, labels) -> int:
     return d
 
 
+@_finite
 def ground_block_curvature_grid(model, pts, degeneracy_tol: float = DEGENERACY_TOL):
     """Zero-temperature curvature restricted to the ground cluster, for
-    a whole point batch at once, from its rows cut out of the tangents.
+    a whole point batch at once, from its rows of the tangents (_ground_rows).
 
     Returns (f, d) with f of shape (P, B, D, D) and D the common ground
     degeneracy. Raises GapClosed if the cluster size varies over the
     batch or the cluster is not isolated anywhere (_ground_size).
     """
-    w, _, _, labels, _, t = _spectral_data(model, pts, degeneracy_tol)
+    w, labels, frame, f = _ground_frame(model, pts, degeneracy_tol)
     d = _ground_size(w, labels)
-    t = _run_rows(t, 0, d)  # the full stack is freed before the block's products
-    return _cluster_curvature(t), d
+    return (_cluster_curvature(_ground_rows(w, labels, frame[2], d)) if f is None else f), d
 
 
 def _fd_shift_stack(p, h, dim) -> np.ndarray:

@@ -23,9 +23,10 @@ closed form may also provide ``eigenframe_batch(pts) -> (w, v, g)``:
 eigenvalues, eigenvectors and eigenbasis gradients v^dagger dH v. The
 geometry kernels then use that exact spectral data instead of
 eigendecomposing H; the oscillator and the four-band model do, and the
-four-band frame makes no matrix product at all. Each spectral pass
-holds one tangent stack, the ground block cut out before its products:
-the kernels overwrite a writeable g with the tangents, and leave a
+four-band frame makes no matrix product at all. The four-band model also
+provides ``ground_block_batch(pts) -> (w, g[:, :, :2, 2:])`` from the same
+reflection with no v, for the ground-block jobs. Each spectral pass holds
+one tangent stack: the kernels overwrite a writeable g with the tangents, and leave a
 read-only one (a cached array) untouched. A model's read-only n_levels, the
 side N of H, lets the first-order passes walk a chunk in blocks of bounded
 d b N^2; a model without it runs each chunk as one block. This module
@@ -377,6 +378,28 @@ def _bond_sum(f, phases, weights=(1.0, 1.0, 1.0)):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes |R|, so the width, infinite
+def _gamma_reflection(r, dr):
+    """(w, x, a, n2, pos) for H = r . GAMMA, r (B, 5), dr (d, B, 5): the eigenvalues, the
+    reflection x = e dr - alpha a (5, d, B) of _gamma_eigenpairs (g = x . GAMMA), and a (5, B),
+    |a|^2 and r5 >= 0 for v; component-major, so each step spans the batch, in the same bits."""
+    u = r.T.copy()
+    s = np.abs(u).max(axis=0)
+    live = s > 0
+    u /= np.where(live, s, 1.0)
+    off = (u[:4] ** 2).sum(axis=0)  # |Q|^2 / s^2
+    size = np.sqrt(off + u[4] ** 2)
+    pos = u[4] >= 0
+    e = np.where(pos, [[1.0], [1.0], [1.0], [-1.0], [1.0]], [[1.0], [1.0], [1.0], [1.0], [-1.0]])
+    a = u * e
+    a[4] = np.where(live, size + a[4], 1.0)
+    n2 = off + a[4] ** 2
+    w = (s * size)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
+    require_finite_width(w)
+    x = dr.transpose(2, 0, 1) * e[:, None]
+    x -= (2.0 * (x * a[:, None]).sum(axis=0) / n2) * a[:, None]
+    return w, x, a, n2, pos
+
+
 def _gamma_eigenpairs(r, dr):
     """Eigenpairs (-|R|, -|R|, |R|, |R|), v (B, 4, 4) of H = r . GAMMA, r (B, 5),
     and g = v^dagger (dr . GAMMA) v for dr (d, B, 5), with no matrix product.
@@ -385,29 +408,16 @@ def _gamma_eigenpairs(r, dr):
     M = Gamma_5. M flips all Gamma_i but one and (a.G)(y.G)(a.G) = 2 (a.y)(a.G)
     - |a|^2 (y.G), so g = x . GAMMA for x = e dr - alpha a, the reflection of
     e dr through a, e = (1, 1, 1, -sgn r5, sgn r5), alpha = 2 a.(e dr) / |a|^2
-    = 2 (sum_{i<=4} r_i dr_i + sgn(r5) c dr5) / |a|^2. In blocks: G-- = -d|R| I,
-    G++ = d|R| I with d|R| = rhat . dr, G+- = G-+^dagger and G-+ = dQ^dagger -
+    = 2 (sum_{i<=4} r_i dr_i + sgn(r5) c dr5) / |a|^2 (_gamma_reflection). In blocks:
+    G-- = -d|R| I, G++ = d|R| I with d|R| = rhat . dr, G+- = G-+^dagger and G-+ = dQ^dagger -
     alpha Q^dagger (r5 >= 0) or dQ - alpha Q, Q = r1 sx + r2 sy + r3 sz - i r4
     the block of H = [[r5 I, Q], [Q^dagger, -r5 I]]. r is scaled by max |r_i|:
     only |R| can overflow, g has degree 0 in it, and r = 0 permutes I."""
-    s = np.abs(r).max(axis=-1)
-    live = s > 0
-    u = r / np.where(live, s, 1.0)[:, None]
-    off = (u[:, :4] ** 2).sum(axis=-1)  # |Q|^2 / s^2
-    size = np.sqrt(off + u[:, 4] ** 2)
-    pos = u[:, 4:] >= 0
-    e = np.where(pos, [1.0, 1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0, -1.0])
-    a = u * e
-    a[:, 4] = np.where(live, size + a[:, 4], 1.0)
-    n2 = off + a[:, 4] ** 2
-    b = a * (1.0 / np.sqrt(n2))[:, None]
-    v = _basis_dot(np.concatenate([b * pos, b * ~pos], axis=1), _FRAME)
-    w = (s * size)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
-    require_finite_width(w)
-    x = dr * e
-    x -= (2.0 * (x * a).sum(axis=-1) / n2)[..., None] * a
-    del u, e, a, n2, b  # freed before g's (d, B, 4, 4) product
-    return w, v, _basis_dot(x, GAMMA)
+    w, x, a, n2, pos = _gamma_reflection(r, dr)
+    b = a * (1.0 / np.sqrt(n2))
+    v = _basis_dot(np.concatenate([b * pos, b * ~pos]).T, _FRAME)
+    del a, n2, b  # freed before g's (d, B, 4, 4) product
+    return w, v, _basis_dot(np.moveaxis(x, 0, -1), GAMMA)
 
 
 @dataclass(frozen=True)
@@ -441,12 +451,14 @@ class FourBandGamma(_DiracModel):
 
     @np.errstate(over="ignore", invalid="ignore")  # a huge or infinite k: r is not finite
     def r_jet_batch(self, pts):
-        """r (B, 5) and dr (4, B, 5) from one sin and one cos of 2k, the model's only trig."""
-        two_k = 2.0 * _points(pts, 4)
+        """r (B, 5) and dr (4, B, 5) from one sin and one cos of 2k, the model's only trig: views
+        of component-major (5, B) and (5, 4, B) arrays, the layout _gamma_reflection runs in."""
+        two_k = (2.0 * _points(pts, 4)).T.copy()
         sin, cos = np.sin(two_k), np.cos(two_k)
-        dr = np.zeros((4, len(two_k), 5))
-        dr[range(4), :, range(4)], dr[:, :, 4] = -2.0 * sin.T, 2.0 * cos.T
-        return np.concatenate([cos, (self.m + sin.sum(axis=1))[:, None]], axis=1), dr
+        r, dr = np.empty((5, two_k.shape[1])), np.zeros((5,) + two_k.shape)
+        r[:4], r[4] = cos, self.m + sin.sum(axis=0)
+        dr[range(4), range(4)], dr[4] = -2.0 * sin, 2.0 * cos
+        return r.T, dr.transpose(1, 2, 0)
 
     def r_vector_batch(self, pts):
         return self.r_jet_batch(pts)[0]
@@ -468,6 +480,15 @@ class FourBandGamma(_DiracModel):
     def eigenframe_batch(self, pts):
         """(w, v, g = v^dagger dH v) in closed form by _gamma_eigenpairs, on one r_jet_batch."""
         return _gamma_eigenpairs(*self.r_jet_batch(pts))
+
+    def ground_block_batch(self, pts):
+        """(w, g[:, :, :2, 2:]): eigenframe_batch's eigenvalues and the ground-excited block of
+        its g, x . Gamma_{-+} = [[z, p], [p*, -z*]], p = x_1 - i x_2, z = x_3 - i x_4, from
+        _gamma_reflection on one r_jet_batch, with no v; points last in memory, for its products."""
+        w, x, *_ = _gamma_reflection(*self.r_jet_batch(pts))
+        p, z = x[0] - 1j * x[1], x[2] - 1j * x[3]
+        block = np.stack([z, p, p.conj(), -z.conj()], axis=1).reshape(len(p), 2, 2, -1)
+        return w, block.transpose(0, 3, 1, 2)
 
 
 def gamma_anticommutation_residual() -> float:

@@ -257,3 +257,29 @@ def test_commutator_blocks_bound_their_memory_at_large_n(rng):
         tracemalloc.stop()
     assert peak - out.nbytes <= 8e6, (peak, out.nbytes)
     np.testing.assert_allclose(out[0, :3], a[0, :3] @ a[1, :3] - a[1, :3] @ a[0, :3], atol=1e-12)
+
+
+# -- the ground-block jobs' memory ---------------------------------------------------------
+
+# A 4,096-point four-band chunk peaked at 6.94 MiB with the whole frame. From
+# the hook's ground block it peaks at 2.9 MiB in 1,024-point blocks; on the
+# whole chunk at once it peaked at 5.00 MiB, over twice its largest array, and
+# glibc returned the heap to the system after every chunk.
+GROUND_JOB_PEAK_BOUND = 5.5 * 2**20
+
+
+@pytest.mark.parametrize("job, params", [(chern._second_order_job, (models.BETA_INF,)),
+                                         (chern._pure_job, None)])
+def test_a_four_band_ground_job_stays_under_its_memory_bound(job, params):
+    model = models.FourBandGamma(m=1.25)
+    pts = chern.default_grid(model, 16).points_range(0, chern.CHUNK_SIZE)
+    job(model, pts, params, linalg.DEGENERACY_TOL)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        job(model, pts, params, linalg.DEGENERACY_TOL)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= GROUND_JOB_PEAK_BOUND, peak / 2**20

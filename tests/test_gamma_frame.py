@@ -5,7 +5,11 @@ off its block form instead of eigendecomposing H. Its references are H
 itself (H v = v diag(w), v unitary), the eigh_batch projector, and the
 same model without the hook (conftest.EighFourBand), whose integrals
 take the generic eigh path. Overflow and gap closings must fail or
-succeed exactly as on that path.
+succeed exactly as on that path. FourBandGamma.ground_block_batch takes
+the ground-excited block of g from the same Clifford reflection with no
+v, points last in memory; the ground-block jobs read it. Its rows over the
+gaps equal the frame's ground rows entry for entry (a zero may differ in
+sign), and the ground curvature built from them is the frame's byte for byte.
 """
 import math
 
@@ -16,6 +20,7 @@ from uhlmann_chern import chern, geometry, linalg, models
 from uhlmann_chern.errors import GapClosed, NonFiniteInput
 
 from conftest import EighFourBand, cell_points
+from test_ground_size import LiftedFourBand
 
 pytestmark = pytest.mark.filterwarnings("ignore::uhlmann_chern.errors.ResolutionTooLowWarning")
 
@@ -197,3 +202,82 @@ def test_basis_dot_is_the_term_by_term_sum(rng):
         ref = np.einsum("...i,ijk->...jk", r, table)
         np.testing.assert_array_equal(models._basis_dot(r, table), ref)
         np.testing.assert_array_equal(models._basis_dot(r[0], table), ref[0])
+
+
+class ScaledFourBand(models.FourBandGamma):
+    """FourBandGamma with r and its gradients scaled by 1e306: |R| near the float limit."""
+
+    def r_jet_batch(self, pts):
+        r, dr = super().r_jet_batch(pts)
+        return 1e306 * r, 1e306 * dr
+
+
+@pytest.mark.parametrize("model", [models.FourBandGamma(m=m) for m in MASSES + [1e8, -1e8]]
+                         + [ScaledFourBand(m=1.5), ScaledFourBand(m=-1.0)], ids=repr)
+def test_the_hook_rows_are_the_frame_rows_bit_for_bit(rng, model):
+    pts = np.concatenate([cell_points(model, rng, 300), near_gap_points()])
+    tol = linalg.DEGENERACY_TOL
+    w, _, _, labels, _, t = geometry._spectral_data(model, pts, tol)
+    ref = geometry._run_rows(t, 0, 2)
+    wh, block = model.ground_block_batch(pts)
+    np.testing.assert_array_equal(wh, w)
+    np.testing.assert_array_equal(block, model.eigenframe_batch(pts)[2][:, :, :2, 2:])
+    assert block.strides[1] == block.itemsize  # points last in memory, where its products run
+    assert np.isfinite(ref).all() and np.abs(ref).max() > 0
+    np.testing.assert_array_equal(geometry._ground_rows(w, labels, block, 2), ref)
+    # a whole g is cut to the same block before its division
+    np.testing.assert_array_equal(
+        geometry._ground_rows(w, labels, model.eigenframe_batch(pts)[2], 2), ref)
+    wf, lf, frame, f = geometry._ground_frame(model, pts, tol)
+    assert frame is None
+    np.testing.assert_array_equal(wf, w)
+    np.testing.assert_array_equal(lf, labels)
+    assert f.tobytes() == geometry._cluster_curvature(ref).tobytes()  # zero signs too
+
+
+@pytest.mark.parametrize("m", [1e308, math.inf, -math.inf, math.nan])
+@pytest.mark.filterwarnings("error")  # the typed error comes before any numpy warning
+def test_the_hook_raises_on_a_non_finite_spectrum(m):
+    with pytest.raises(NonFiniteInput):
+        models.FourBandGamma(m=m).ground_block_batch(np.full((3, 4), 0.3))
+
+
+def test_the_ground_jobs_never_form_v(monkeypatch):
+    """The three four-band integrals of the benchmark run on the hook alone: no v, and no
+    frame for the tangents, since every chunk is two-valued. The hookless wrapper still
+    decomposes H, and a call that needs v is seen to hit the patch."""
+    def boom(*args):
+        raise AssertionError("v formed")
+
+    monkeypatch.setattr(models.FourBandGamma, "eigenframe_batch", boom)
+    monkeypatch.setattr(models, "_gamma_eigenpairs", boom)
+    monkeypatch.setattr(chern, "curvature_frame_grid", boom)
+    model = models.FourBandGamma(m=1.25)
+    grid = chern.default_grid(model, 16)
+    got = [chern.second_thermal_uc(model, models.BETA_INF, grid),
+           chern.second_thermal_uc(model, 1.0, grid), chern.second_chern_pure(model, grid)]
+    assert abs(got[0].value - 1.5) <= 0.05 and abs(got[2].value - 3.0) <= 0.05
+    assert np.isfinite(got[1].value) and abs(got[1].value) < 1.5
+    with pytest.raises(AssertionError, match="v formed"):
+        geometry.curvature_frame_grid(model, grid.points_range(0, 8))
+    eighs = []
+    monkeypatch.setattr(geometry, "eigh_batch", lambda h: eighs.append(len(h)) or linalg.eigh_batch(h))
+    small = chern.default_grid(model, 8)
+    ref = chern.second_chern_pure(EighFourBand(1.25), small).value
+    assert eighs == [small.n_points]  # the generic path, one decomposition a point
+    monkeypatch.undo()
+    assert abs(chern.second_chern_pure(model, small).value - ref) <= 1e-12
+
+
+def test_a_hookless_chunk_builds_its_frame_once_for_both_laws(monkeypatch):
+    """At BETA_INF and at a beta whose chunk is not two-valued, the ground rows are cut from
+    the one frame that the closed-form curvature then divides in place."""
+    model = LiftedFourBand()
+    pts = chern.default_grid(model, 16).points_range(0, chern.CHUNK_SIZE)  # one ground size
+    betas, tol = (models.BETA_INF, 1.0), linalg.DEGENERACY_TOL
+    eighs = []
+    monkeypatch.setattr(geometry, "eigh_batch", lambda h: eighs.append(len(h)) or linalg.eigh_batch(h))
+    both = chern._second_order_job(model, pts, betas, tol)
+    assert eighs == [len(pts)]
+    cold, warm = (chern._second_order_job(model, pts, (beta,), tol) for beta in betas)
+    assert both == (cold[0], cold[1], warm[1], cold[2], warm[2])

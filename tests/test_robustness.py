@@ -485,6 +485,17 @@ def test_an_overflowing_integrand_raises_non_finite_input(workers):
         chern.temperature_sweep(model, [0.5, 1.0], grid, workers=workers)
 
 
+@pytest.mark.parametrize("kernel", [lambda m, p: geometry.thermal_trace_grid(m, p, 1.0),
+                                    geometry.curvature_frame_grid,
+                                    geometry.ground_block_curvature_grid],
+                         ids=["thermal_trace_grid", "curvature_frame_grid", "ground_block"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning before the typed error
+def test_an_overflowing_grid_kernel_raises_non_finite_input(kernel):
+    model = models.Haldane(**OVERFLOWING_HALDANE)
+    with pytest.raises(NonFiniteInput):
+        kernel(model, chern.default_grid(model, 8).points_range(0, 64))
+
+
 @pytest.mark.parametrize("run", [{"type": "sweep", "temperatures": [0.5, 1.0]},
                                  {"type": "map", "temperatures": [0.5]}])
 def test_cli_with_an_overflowing_integrand_exits_3_and_writes_no_file(tmp_path, capsys, run):

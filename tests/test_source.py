@@ -30,8 +30,9 @@ read only inside geometry._require_isolated, the one gap rule of the
 pure-state curvatures and the lattice oracle, so no second copy of the
 rule can drift from it. In the same way BLOCK_ENTRIES is read only
 inside geometry._blocks, the one block rule: the first-order spectral
-blocks (geometry._spectral_blocks, whose ranges the two walkers
-geometry.thermal_trace_grid and chern._map_job, the ground walk, take),
+blocks (geometry._spectral_blocks, whose ranges the walkers
+geometry.thermal_trace_grid, chern._map_job, the ground walk, and the
+hook's ground-block walk geometry._ground_frame take),
 _commutators and _trace_pairs take their blocks from it. The CLI runs no
 walk itself: cli.py defines no chunk job and calls none of the walk's
 steps (verify's check of the mixing coefficients weighs random spectra,
@@ -57,7 +58,12 @@ cmd_verify, so no _check_* calls _degeneracy_tol.
 Tangent matrices have one path: the eigenbasis gradients are formed only
 in geometry._frame_data, and the gap mask and division only in
 geometry._spectral_data, which every grid kernel and per-point view
-runs. src/ raises no bare ValueError: an argument error is an
+runs, and in geometry._ground_rows, which divides the ground-excited block
+alone for the ground-block jobs. Those jobs (ground_block_curvature_grid,
+chern._second_order_job and their geometry._ground_frame) call neither
+_run_rows nor np.delete, and models._FRAME, the four-band eigenvector table,
+is read only in models._gamma_eigenpairs, the one routine that forms v, so the
+ground-block hook FourBandGamma.ground_block_batch forms none. src/ raises no bare ValueError: an argument error is an
 InvalidArgument (a ValueError too), so callers can catch every
 deliberate error as a UhlmannChernError. src/ stays within pinned counts
 of total lines and of code lines (non-blank lines outside docstrings and
@@ -283,7 +289,29 @@ def test_tangents_have_one_path():
         sites |= {(path.name, func, name) for func, name, _ in named_calls(tree, TANGENT_STEPS)}
     assert sites == {("geometry.py", "_frame_data", "_eigenbasis_gradients"),
                      ("geometry.py", "_spectral_data", "_gap_mask"),
-                     ("geometry.py", "_spectral_data", "_divide_gaps")}
+                     ("geometry.py", "_spectral_data", "_divide_gaps"),
+                     ("geometry.py", "_ground_rows", "_gap_mask"),
+                     ("geometry.py", "_ground_rows", "_divide_gaps")}
+
+
+GROUND_JOBS = {"ground_block_curvature_grid", "_second_order_job", "_ground_frame"}
+
+
+def test_the_ground_jobs_cut_no_rows_from_a_whole_stack():
+    sites, jobs = [], set()
+    for path in sorted((SRC / "uhlmann_chern").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [(func, name) for func, name, _ in named_calls(tree, {"_run_rows", "delete"})]
+        jobs |= {func for func, _, _ in named_calls(tree, {"_ground_rows"})}
+    assert not [site for site in sites if site[0] in GROUND_JOBS], sites
+    assert GROUND_JOBS <= jobs  # the rule still names live code
+
+
+def test_the_eigenvector_table_is_read_only_where_v_is_formed():
+    path = SRC / "uhlmann_chern" / "models.py"
+    reads = {func for func, _ in name_reads(ast.parse(path.read_text(), filename=str(path)),
+                                            "_FRAME")}
+    assert reads - {None} == {"_gamma_eigenpairs"}, reads  # None: the module freezes it
 
 
 STENCIL_NAMES = {"uhlmann_curvature_grid", "_fd_shift_stack", "_curvature_from_stack"}
@@ -566,7 +594,8 @@ def test_block_entries_are_read_only_by_the_block_rule():
 
     assert reads and set(reads) == {("geometry.py", "_blocks")}, reads
     assert callers("_spectral_blocks") == {("geometry.py", "thermal_trace_grid"),
-                                           ("chern.py", "_map_job")}
+                                           ("chern.py", "_map_job"),
+                                           ("geometry.py", "_ground_frame")}
     assert callers("_blocks") == {("geometry.py", "_spectral_blocks"),
                                   ("geometry.py", "_commutators"), ("geometry.py", "_trace_pairs")}
     assert callers("_ranges") == {("geometry.py", "_blocks"), ("chern.py", "_map_chunks"),
@@ -782,8 +811,8 @@ def test_src_raises_no_bare_value_error():
 # The line counts src/uhlmann_chern/*.py may not exceed: total lines, and code
 # lines. A change that must grow src/ raises them in the same diff and says why
 # in CHANGES.md.
-MAX_TOTAL_LINES = 2976
-MAX_CODE_LINES = 1667
+MAX_TOTAL_LINES = 3048
+MAX_CODE_LINES = 1708
 
 
 def line_counts(text: str) -> tuple[int, int]:

@@ -2,13 +2,12 @@
 
 geometry._spectral_data divides the tangents in the frame's own g when g
 is writeable, and returns the energy derivatives diag(g).real in g's
-place. The ground-block jobs cut the ground rows out at their outer
-columns (geometry._run_rows) and drop the full stack before
-_cluster_curvature forms the block's products. A four-band chunk then
-peaks well below the three stacks it held before, so its heap stays under
-the allocator's trim threshold and is not faulted back in chunk after
-chunk. A g that is read-only, such as a cached array, or of a narrower
-dtype gets the out-of-place division and the same bits.
+place. The ground-block jobs divide only the ground-excited block of g
+(geometry._ground_rows), which the four-band model hands out with no
+frame at all (ground_block_batch). A four-band chunk then peaks well below
+the three stacks it held before. A g that is read-only, such as a cached
+array, or of a narrower dtype gets the out-of-place division and the same
+bits.
 """
 import tracemalloc
 import warnings
@@ -80,13 +79,16 @@ def test_a_four_band_chunk_holds_one_tangent_stack(fourband, job, params):
 
 class ReadOnlyFrame:
     """FourBandGamma whose eigenframe_batch hands out read-only arrays, as
-    a cache would; it keeps each frame with a copy to check it is untouched."""
+    a cache would; it keeps each frame with a copy to check it is untouched.
+    It hides the ground-block hook, so every job reads the frame."""
 
     def __init__(self, inner):
         self._inner = inner
         self.frames = []
 
     def __getattr__(self, name):
+        if name == "ground_block_batch":
+            raise AttributeError(name)
         return getattr(self._inner, name)
 
     def eigenframe_batch(self, pts):
